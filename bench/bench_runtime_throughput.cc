@@ -228,10 +228,7 @@ runBatchSweepPoint(std::size_t max_batch, std::size_t clients,
     point.requestsPerSec = static_cast<double>(m.completed) / seconds;
     point.p50Ms = m.totalP50Ms;
     point.p99Ms = m.totalP99Ms;
-    // maxBatch 1 bypasses the batcher entirely (the solo path), so the
-    // occupancy gauge never ticks; a solo request is a batch of one.
-    point.meanOccupancy =
-        m.batchesDispatched > 0 ? m.batchOccupancyMean : 1.0;
+    point.meanOccupancy = m.batchOccupancyMean;
     point.coalesceWaitP50Ms = m.coalesceWaitP50Ms;
     return point;
 }

@@ -335,8 +335,7 @@ runBatchPoint(std::size_t max_batch, std::size_t clients,
     point.requestsPerSec = static_cast<double>(m.completed) / seconds;
     point.p50Ms = m.totalP50Ms;
     point.p99Ms = m.totalP99Ms;
-    point.meanOccupancy =
-        m.batchesDispatched > 0 ? m.batchOccupancyMean : 1.0;
+    point.meanOccupancy = m.batchOccupancyMean;
     return point;
 }
 

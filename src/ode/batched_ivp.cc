@@ -64,7 +64,9 @@ solveIvpBatched(BatchedOdeFunction &f, const std::vector<const Tensor *> &y0,
                      " vs ", state_shape.str());
     }
 
-    TraceSpan solve_span("solve.ivp_batched", "solver");
+    // Same span names as the solo driver, so a trace reads the same at
+    // any batch size; `batch` tells the two apart.
+    TraceSpan solve_span("solve.ivp", "solver");
     solve_span.arg("batch", static_cast<double>(n));
 
     const std::size_t s = tableau.stages();
@@ -125,6 +127,10 @@ solveIvpBatched(BatchedOdeFunction &f, const std::vector<const Tensor *> &y0,
         }
         if (trial_set.empty())
             break;
+        // One span per lockstep round: every in-search sample tries one
+        // step (the batched counterpart of the solo per-trial span).
+        TraceSpan trial_span("solve.trial", "solver");
+        trial_span.arg("batch", static_cast<double>(trial_set.size()));
 
         // Clamp each sample's final step to land exactly on its t1.
         for (std::size_t i : trial_set) {

@@ -30,8 +30,9 @@
  *
  * Differences from the solo driver, by design (inference-only path):
  * no checkpoints/trialsPerPoint are recorded, no custom TrialEvaluator
- * (priority processing stays solo), and no per-trial trace spans (one
- * span covers the whole batched solve).
+ * (priority processing stays solo), and one solve.trial span per
+ * lockstep round (arg `batch` = samples in the round) rather than per
+ * sample trial.
  */
 
 #include <vector>

@@ -34,10 +34,15 @@ Batcher::Batcher(RequestQueue &queue, std::size_t maxBatch,
 }
 
 bool
-Batcher::cacheReady(const QueueEntry &entry) const
+Batcher::takeCached(QueueEntry &entry, CollectedBatch &out)
 {
-    return cache_ != nullptr && entry.request.cacheKey.valid() &&
-           cache_->isReady(entry.request.cacheKey);
+    if (cache_ == nullptr || !entry.request.cacheKey.valid())
+        return false;
+    Tensor value;
+    if (!cache_->tryServe(entry.request.cacheKey, value))
+        return false;
+    out.cacheHits.push_back({std::move(entry), std::move(value)});
+    return true;
 }
 
 bool
@@ -122,10 +127,8 @@ Batcher::collect(CollectedBatch &out)
         }
         // A request whose result is already cached never seeds (or
         // delays) a batch: divert it and keep hunting for real work.
-        if (cacheReady(seed)) {
-            out.cacheHits.push_back(std::move(seed));
+        if (takeCached(seed, out))
             continue;
-        }
         break;
     }
 
@@ -159,10 +162,8 @@ Batcher::collect(CollectedBatch &out)
                 out.expired.push_back(std::move(next));
                 continue;
             }
-            if (cacheReady(next)) {
-                out.cacheHits.push_back(std::move(next));
+            if (takeCached(next, out))
                 continue; // answered from cache; keep the slot open
-            }
             if (!compatible(out.entries.front(), next)) {
                 // The incompatible request seeds the next batch rather
                 // than being solved out of order or dropped.

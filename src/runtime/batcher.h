@@ -5,29 +5,29 @@
  * @file
  * Dynamic micro-batching collector.
  *
- * Sits between the RequestQueue and the worker pool: a worker asks the
- * batcher for its next unit of work and receives a *batch* of
- * compatible requests instead of a single entry. The batcher pops a
- * seed request, then keeps a collect window open for at most
- * maxWaitUs, admitting every compatible request that arrives until the
- * batch is full, the window lapses, or an incompatible request shows
- * up (which is stashed to seed the next batch, never reordered behind
- * later arrivals of its own class).
+ * Sits between the RequestQueue and the worker pool — the only way
+ * work reaches a worker: a worker asks the batcher for its next
+ * dispatch and receives a *batch* of compatible requests instead of a
+ * single entry. The batcher pops a seed request, then keeps a collect
+ * window open for at most maxWaitUs, admitting every compatible
+ * request that arrives until the batch is full, the window lapses, or
+ * an incompatible request shows up (which is stashed to seed the next
+ * batch, never reordered behind later arrivals of its own class).
  *
  * Compatibility means the requests can share one batched solve:
- * identical input shape. Model and solver options are server-wide, so
- * shape is the only per-request axis; the predicate is centralized in
- * compatible() should that change.
+ * identical input shape and model version; training tasks never
+ * coalesce. Solver options are server-wide, so these are the only
+ * per-request axes; the predicate is centralized in compatible()
+ * should that change.
  *
- * Deadline hygiene: the solo path fails requests whose deadline lapsed
- * while queued. The batcher applies the same screen at every pop *and*
- * once more when the window closes, so a request that expired while
- * the batch waited for company is failed (counted `expired`), never
- * solved. Expired entries ride back in CollectedBatch::expired — and
- * the seed hunt never *blocks* while holding them: once anything has
- * been diverted, an empty queue ships the casualties immediately
- * rather than delaying their terminal responses until the next
- * arrival (or shutdown).
+ * Deadline hygiene: the batcher fails requests whose deadline lapsed
+ * while queued, at every pop *and* once more when the window closes,
+ * so a request that expired while the batch waited for company is
+ * failed (counted `expired`), never solved. Expired entries ride back
+ * in CollectedBatch::expired — and the seed hunt never *blocks* while
+ * holding them: once anything has been diverted, an empty queue ships
+ * the casualties immediately rather than delaying their terminal
+ * responses until the next arrival (or shutdown).
  */
 
 #include <deque>
@@ -47,14 +47,18 @@ struct CollectedBatch
     std::vector<QueueEntry> entries;
     /** Requests whose deadline lapsed at pop or during the window. */
     std::vector<QueueEntry> expired;
+    /** A request answered from the exact cache at the pop screen. */
+    struct CacheHit
+    {
+        QueueEntry entry;
+        Tensor value; ///< the cached output, copied under the shard lock
+    };
     /**
-     * Requests whose exact-cache entry became ready while they queued
-     * (screened at pop against the solve cache). They never consume a
-     * batch slot or seed a window; the worker answers each from the
-     * cache — re-checking at dispatch, since the entry may have been
-     * evicted between the screen and the answer.
+     * Requests whose exact-cache entry became ready while they queued.
+     * They never consume a batch slot or seed a window; the worker
+     * delivers each one's value.
      */
-    std::vector<QueueEntry> cacheHits;
+    std::vector<CacheHit> cacheHits;
     /** When the seed request was popped (start of the window). */
     RuntimeClock::time_point firstPop{};
     /** Window duration: seed pop to window close. 0 for maxBatch 1. */
@@ -73,7 +77,7 @@ struct CollectedBatch
  * stash is a queue and not a single slot. Stashed entries seed
  * subsequent batches in stash order, ahead of anything still queued.
  * With maxBatch 1 the collector degenerates to a plain pop with the
- * deadline screen applied.
+ * deadline and cache screens applied.
  */
 class Batcher
 {
@@ -85,8 +89,8 @@ class Batcher
      *        a seeded batch may wait for company. Only meaningful when
      *        maxBatch > 1.
      * @param cache Optional solve cache: keyed requests whose exact
-     *        entry is ready at pop are diverted to
-     *        CollectedBatch::cacheHits instead of occupying the batch.
+     *        entry is ready at pop are diverted, with the cached value,
+     *        to CollectedBatch::cacheHits instead of occupying the batch.
      * @param admission Optional overload controller: at brownout level
      *        >= 2 the collect window is scaled down (latency drains
      *        ahead of coalescing efficiency under load). Consulted once
@@ -115,8 +119,9 @@ class Batcher
     bool takeStash(QueueEntry &out);
     void putStash(QueueEntry entry);
 
-    /** True when the entry should be answered from the exact cache. */
-    bool cacheReady(const QueueEntry &entry) const;
+    /** Divert `entry` to out.cacheHits when its exact-cache value is
+     *  ready (the value is taken now); false leaves it untouched. */
+    bool takeCached(QueueEntry &entry, CollectedBatch &out);
 
     RequestQueue &queue_;
     const std::size_t maxBatch_;

@@ -79,11 +79,11 @@ InferenceServer::InferenceServer(ModelFactory make_model,
     if (options_.overload.enabled)
         admission_ = std::make_unique<AdmissionController>(
             options_.overload, options_.numWorkers);
-    if (options_.maxBatch > 1)
-        batcher_ = std::make_unique<Batcher>(queue_, options_.maxBatch,
-                                             options_.batchWaitUs,
-                                             solveCache_.get(),
-                                             admission_.get());
+    // Every dispatch comes out of the batcher; at maxBatch 1 it is a
+    // plain pop plus the deadline and cache screens.
+    batcher_ = std::make_unique<Batcher>(queue_, options_.maxBatch,
+                                         options_.batchWaitUs,
+                                         solveCache_.get(), admission_.get());
 
     // Intra-op width: clamp workers * width to the machine, then build
     // one shared tile pool for all workers. Each worker contributes
@@ -115,36 +115,20 @@ InferenceServer::InferenceServer(ModelFactory make_model,
         worker->model = modelFactory_();
         ENODE_ASSERT(worker->model != nullptr,
                      "model factory returned null");
-        worker->controller =
-            controllerFactory_ ? controllerFactory_()
-                               : std::make_unique<FixedFactorController>();
-        ENODE_ASSERT(worker->controller != nullptr,
-                     "controller factory returned null");
         // Batched solves need one controller per sample so each state's
         // stepsize search runs exactly as it would solo.
-        if (options_.maxBatch > 1) {
-            worker->batchControllers.reserve(options_.maxBatch);
-            for (std::size_t b = 0; b < options_.maxBatch; b++) {
-                worker->batchControllers.push_back(
-                    controllerFactory_
-                        ? controllerFactory_()
-                        : std::make_unique<FixedFactorController>());
-                ENODE_ASSERT(worker->batchControllers.back() != nullptr,
-                             "controller factory returned null");
-            }
-        }
+        worker->controllers.reserve(options_.maxBatch);
+        for (std::size_t b = 0; b < options_.maxBatch; b++)
+            worker->controllers.push_back(makeController());
         // Warm tier on: wrap every controller in a recording/replaying
         // decorator. The wrapped controller still sees every callback,
         // so disabling the cache cannot change any trial sequence.
         if (solveCache_ != nullptr && options_.cache.warmCapacity > 0) {
-            worker->warm = std::make_unique<WarmStartController>(
-                worker->controller.get());
-            worker->batchWarm.reserve(worker->batchControllers.size());
-            for (auto &inner : worker->batchControllers)
-                worker->batchWarm.push_back(
+            worker->warm.reserve(worker->controllers.size());
+            for (auto &inner : worker->controllers)
+                worker->warm.push_back(
                     std::make_unique<WarmStartController>(inner.get()));
-            worker->batchWarmScratch.resize(
-                worker->batchControllers.size());
+            worker->warmScratch.resize(worker->controllers.size());
         }
         workers_.push_back(std::move(worker));
         inflight_.push_back(std::make_unique<InFlight>());
@@ -181,7 +165,7 @@ InferenceServer::InferenceServer(ModelFactory make_model,
         // Variable-length fields go in length-prefixed (updateSized) so
         // adjacent fields cannot alias.
         hasher.updateSized(tableau_.name().data(), tableau_.name().size());
-        const std::string controller = workers_[0]->controller->name();
+        const std::string controller = workers_[0]->controllers[0]->name();
         hasher.updateSized(controller.data(), controller.size());
         configDigest_ = hasher.digest();
     }
@@ -409,9 +393,7 @@ InferenceServer::serveTrain(std::size_t worker_id, QueueEntry &entry)
         worker.trainModel = modelFactory_();
         ENODE_ASSERT(worker.trainModel != nullptr,
                      "model factory returned null");
-        worker.trainController =
-            controllerFactory_ ? controllerFactory_()
-                               : std::make_unique<FixedFactorController>();
+        worker.trainController = makeController();
     }
     // Sync to the step's snapshot: every task of a step trains the
     // same bytes on every worker — the root of the bitwise
@@ -425,18 +407,7 @@ InferenceServer::serveTrain(std::size_t worker_id, QueueEntry &entry)
     // Publish to the in-flight slot (train-flagged) so the watchdog
     // aborts a wedged training solve exactly like an inference one —
     // without feeding the inference metrics on takeover.
-    {
-        std::lock_guard<std::mutex> lock(flight.mutex);
-        flight.samples.clear();
-        flight.samples.emplace_back();
-        InFlight::Sample &sample = flight.samples.back();
-        sample.promise = std::move(entry.promise);
-        sample.id = entry.request.id;
-        sample.train = true;
-        flight.active = true;
-        flight.start = start;
-        flight.abort.store(false, std::memory_order_relaxed);
-    }
+    flight.publish({&entry, 1}, start);
 
     activeWorkers_.fetch_add(1, std::memory_order_relaxed);
 
@@ -496,19 +467,61 @@ InferenceServer::serveTrain(std::size_t worker_id, QueueEntry &entry)
     // over while it was wedged (its Failed response wins). Training
     // terminals never touch recordCompletion — see Sample::train.
     std::promise<InferResponse> to_deliver;
-    bool deliver = false;
-    {
-        std::lock_guard<std::mutex> lock(flight.mutex);
-        flight.active = false;
-        InFlight::Sample &sample = flight.samples.front();
-        if (!sample.delivered) {
-            sample.delivered = true;
-            to_deliver = std::move(sample.promise);
-            deliver = true;
-        }
-    }
+    const bool deliver = flight.claim(0, to_deliver);
+    flight.retire();
     if (deliver)
         to_deliver.set_value(std::move(response));
+}
+
+void
+InferenceServer::InFlight::publish(std::span<QueueEntry> entries,
+                                   RuntimeClock::time_point when)
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    samples.clear();
+    samples.resize(entries.size());
+    for (std::size_t i = 0; i < entries.size(); i++) {
+        QueueEntry &entry = entries[i];
+        Sample &sample = samples[i];
+        sample.promise = std::move(entry.promise);
+        sample.id = entry.request.id;
+        sample.deadline = entry.request.deadline;
+        sample.queueWaitMs = toMs(when - entry.enqueueTime);
+        sample.train = entry.request.train != nullptr;
+    }
+    active = true;
+    start = when;
+    abort.store(false, std::memory_order_relaxed);
+}
+
+bool
+InferenceServer::InFlight::claim(std::size_t i,
+                                 std::promise<InferResponse> &out)
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    Sample &sample = samples[i];
+    if (sample.delivered)
+        return false;
+    sample.delivered = true;
+    out = std::move(sample.promise);
+    return true;
+}
+
+void
+InferenceServer::InFlight::retire()
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    active = false;
+}
+
+std::unique_ptr<StepController>
+InferenceServer::makeController() const
+{
+    std::unique_ptr<StepController> controller =
+        controllerFactory_ ? controllerFactory_()
+                           : std::make_unique<FixedFactorController>();
+    ENODE_ASSERT(controller != nullptr, "controller factory returned null");
+    return controller;
 }
 
 void
@@ -713,15 +726,6 @@ InferenceServer::deliverCacheHit(std::size_t worker_id, QueueEntry &entry,
 }
 
 void
-InferenceServer::deliverFollowers(std::size_t worker_id,
-                                  std::vector<QueueEntry> followers,
-                                  const Tensor &value)
-{
-    for (QueueEntry &f : followers)
-        deliverCacheHit(worker_id, f, value); // copies (pooled storage)
-}
-
-void
 InferenceServer::redispatchFollowers(std::vector<QueueEntry> followers)
 {
     for (QueueEntry &f : followers) {
@@ -765,22 +769,12 @@ InferenceServer::workerMain(std::size_t worker_id)
     // Kernel tiles split on the shared pool for this thread's lifetime;
     // with width 1 the scope is inert and kernels run serial inline.
     IntraOpScope intra_op(intraOpPool_.get(), intraOpWidth_);
-    if (batcher_ != nullptr) {
-        CollectedBatch batch;
-        for (;;) {
-            waitWhilePaused();
-            if (!batcher_->collect(batch))
-                break; // closed and drained (stash included)
-            serveBatch(worker_id, batch);
-        }
-        return;
-    }
-    QueueEntry entry;
+    CollectedBatch batch;
     for (;;) {
         waitWhilePaused();
-        if (!queue_.pop(entry))
-            break; // closed and drained
-        serveOne(worker_id, entry);
+        if (!batcher_->collect(batch))
+            break; // closed and drained (stash included)
+        serveBatch(worker_id, batch);
     }
 }
 
@@ -810,301 +804,6 @@ InferenceServer::fallbackForward(Worker &worker, const Tensor &input)
 }
 
 void
-InferenceServer::serveOne(std::size_t worker_id, QueueEntry &entry)
-{
-    if (entry.request.train != nullptr) {
-        serveTrain(worker_id, entry);
-        return;
-    }
-    // Dispatch boundary: adopt the latest published weights before the
-    // solve starts (never mid-solve — the swap touches only this
-    // worker's private replica between requests).
-    maybeSwapReplica(worker_id);
-    Worker &worker = *workers_[worker_id];
-    InFlight &flight = *inflight_[worker_id];
-    const auto start = RuntimeClock::now();
-    const double queue_wait_ms = toMs(start - entry.enqueueTime);
-
-    // The queue-wait span is retroactive: only at dequeue do we know
-    // how long the request sat, so the event is stamped backwards from
-    // the admission timestamp.
-    Tracer &tracer = Tracer::instance();
-    if (tracer.armed()) {
-        TraceEvent wait;
-        wait.name = "request.queue_wait";
-        wait.category = "serve";
-        wait.startNs = tracer.toNs(entry.enqueueTime);
-        wait.durNs =
-            std::max<std::int64_t>(0, tracer.toNs(start) - wait.startNs);
-        wait.numArgs = 2;
-        wait.args[0] = {"id", static_cast<double>(entry.request.id)};
-        wait.args[1] = {"stream",
-                        static_cast<double>(entry.request.stream)};
-        tracer.record(wait);
-    }
-    TraceSpan serve_span("request.serve", "serve");
-    serve_span.arg("id", static_cast<double>(entry.request.id));
-    serve_span.arg("stream", static_cast<double>(entry.request.stream));
-    serve_span.arg("worker", static_cast<double>(worker_id));
-
-    // Every dequeue feeds the brownout monitor: observed queue delay
-    // plus the pool occupancy at this instant. The observing worker
-    // counts itself — it just took work, it is not idle capacity — or
-    // a single-worker pool could never reach the occupancy floor.
-    if (admission_ != nullptr)
-        admission_->observeQueueDelay(
-            queue_wait_ms,
-            std::min(1.0, static_cast<double>(activeWorkers() + 1) /
-                              static_cast<double>(workers_.size())));
-
-    // A request that has already missed its deadline gets a structured
-    // failure now instead of a full solve whose response could only
-    // arrive late.
-    if (start > entry.request.deadline) {
-        retractPending(entry.request); // an expired owner frees its followers
-        InferResponse response;
-        response.id = entry.request.id;
-        response.status = RequestStatus::DeadlineExceeded;
-        response.queueWaitMs = queue_wait_ms;
-        response.totalMs = queue_wait_ms;
-        response.deadlineMet = false;
-        response.workerId = worker_id;
-        response.completionIndex = nextCompletionIndex_.fetch_add(1);
-        serve_span.arg("status",
-                       static_cast<double>(RequestStatus::DeadlineExceeded));
-        metrics_.recordCompletion(response);
-        entry.promise.set_value(std::move(response));
-        return;
-    }
-
-    // Dispatch-time cache screen: the key may have become ready while
-    // this request sat in the queue (another owner finished first).
-    if (solveCache_ != nullptr && entry.request.cacheKey.valid()) {
-        Tensor cached;
-        if (solveCache_->tryServe(entry.request.cacheKey, cached)) {
-            serve_span.arg("cache_hit", 1.0);
-            deliverCacheHit(worker_id, entry, std::move(cached));
-            return;
-        }
-    }
-
-    activeWorkers_.fetch_add(1, std::memory_order_relaxed);
-
-    // Publish the in-flight record so the watchdog can see (and if
-    // needed, take over) this request while the solve runs.
-    {
-        std::lock_guard<std::mutex> lock(flight.mutex);
-        flight.samples.clear();
-        flight.samples.emplace_back();
-        InFlight::Sample &sample = flight.samples.back();
-        sample.promise = std::move(entry.promise);
-        sample.id = entry.request.id;
-        sample.deadline = entry.request.deadline;
-        sample.queueWaitMs = queue_wait_ms;
-        flight.active = true;
-        flight.start = start;
-        flight.abort.store(false, std::memory_order_relaxed);
-    }
-
-    // Chaos probe: a stall here models a solve wedging inside the
-    // worker — the watchdog must fail the request while this thread
-    // sleeps, and the worker must recover afterwards.
-    FaultInjector::instance().maybeStall("worker.stall");
-
-    DeadlineGuard guard;
-    guard.deadline = entry.request.deadline;
-    guard.maxFEvals = options_.degrade.maxFEvalsPerRequest;
-    guard.abortFlag = &flight.abort;
-
-    // Attempt the configured solve, then walk the degradation ladder.
-    // One span per rung taken, so a trace shows exactly which rungs a
-    // request climbed and what each returned.
-    IvpStats aggregate;
-    std::uint32_t retries = 0;
-    // Warm tier on: the rung-0 solve runs through the warm-start
-    // decorator, replaying a cached dt-schedule when a statistically
-    // similar input has solved cleanly before, and recording this
-    // solve's accepted schedule either way. Ladder rungs below keep
-    // using the wrapped controller directly — degraded solves neither
-    // replay nor populate the schedule cache.
-    StepController *rung0 = worker.controller.get();
-    if (worker.warm != nullptr) {
-        const DtSchedule *replay = nullptr;
-        if (solveCache_->warmLookup(entry.request.warmSig,
-                                    worker.warmScratch))
-            replay = &worker.warmScratch;
-        worker.warm->beginSolve(replay);
-        rung0 = worker.warm.get();
-    }
-    // Brownout level >= 1: low-priority streams solve at proactively
-    // relaxed tolerance — the voluntary analogue of the ladder's rung-1
-    // retry, taken before anything fails. The ladder rungs below stay
-    // on the configured tolerance: degradation policy is unchanged.
-    IvpOptions rung0_opts = options_.ivp;
-    const bool brownout_relaxed =
-        admission_ != nullptr &&
-        admission_->relaxTolerance(entry.request.stream);
-    if (brownout_relaxed) {
-        rung0_opts.tolerance *= options_.overload.brownoutToleranceFactor;
-        admission_->noteRelaxed();
-        serve_span.arg("brownout_relaxed", 1.0);
-    }
-    NodeForwardResult fwd;
-    {
-        TraceSpan rung_span("request.solve", "serve");
-        rung_span.arg("rung", 0.0);
-        fwd = worker.model->forward(entry.request.input, tableau_,
-                                    *rung0, rung0_opts,
-                                    nullptr, &guard);
-        rung_span.arg("status", static_cast<double>(fwd.status));
-    }
-    aggregate.accumulate(fwd.totalStats);
-    const SolveStatus origin = fwd.status;
-
-    if (fwd.status != SolveStatus::Ok && options_.degrade.enabled &&
-        !flight.abort.load(std::memory_order_acquire)) {
-        if (fwd.status == SolveStatus::NonFinite ||
-            fwd.status == SolveStatus::StepUnderflow) {
-            // Rung 1: one retry at relaxed tolerance — FP16 overflow
-            // and minDt underflow are frequently tolerance-induced.
-            TraceSpan rung_span("request.retry", "serve");
-            rung_span.arg("rung", 1.0);
-            IvpOptions relaxed = options_.ivp;
-            relaxed.tolerance *= options_.degrade.retryToleranceFactor;
-            retries = 1;
-            fwd = worker.model->forward(entry.request.input, tableau_,
-                                        *worker.controller, relaxed,
-                                        nullptr, &guard);
-            aggregate.accumulate(fwd.totalStats);
-            rung_span.arg("status", static_cast<double>(fwd.status));
-        }
-        if (fwd.status != SolveStatus::Ok &&
-            !flight.abort.load(std::memory_order_acquire)) {
-            // Rung 2: fixed-step coarse integration. Deterministic
-            // cost, no stepsize search to diverge.
-            TraceSpan rung_span("request.fallback", "serve");
-            rung_span.arg("rung", 2.0);
-            fwd = fallbackForward(worker, entry.request.input);
-            aggregate.accumulate(fwd.totalStats);
-            rung_span.arg("status", static_cast<double>(fwd.status));
-        }
-    }
-
-    const auto end = RuntimeClock::now();
-    InferResponse response;
-    response.id = entry.request.id;
-    response.stats = aggregate;
-    response.queueWaitMs = queue_wait_ms;
-    response.solveMs = toMs(end - start);
-    response.totalMs = toMs(end - entry.enqueueTime);
-    response.deadlineMet = end <= entry.request.deadline;
-    response.workerId = worker_id;
-    response.retries = retries;
-    response.warmStarted =
-        worker.warm != nullptr && worker.warm->replayedPoints() > 0;
-    response.brownoutRelaxed = brownout_relaxed;
-    response.modelVersion = worker.replicaVersion;
-    // The final screen: no response ever carries a non-finite value.
-    if (fwd.status == SolveStatus::Ok && fwd.output.isFinite()) {
-        response.status = RequestStatus::Ok;
-        response.degraded = origin != SolveStatus::Ok;
-        response.solveStatus = origin;
-        response.output = std::move(fwd.output);
-    } else {
-        response.status = RequestStatus::Failed;
-        // Every failure carries a non-Ok class; a non-finite payload
-        // behind an Ok status (cannot happen today — the solver screens
-        // accepted states — but this screen is the last line) counts as
-        // NonFinite.
-        response.solveStatus = origin != SolveStatus::Ok ? origin
-                               : fwd.status != SolveStatus::Ok
-                                   ? fwd.status
-                                   : SolveStatus::NonFinite;
-    }
-    response.completionIndex = nextCompletionIndex_.fetch_add(1);
-
-    serve_span.arg("status", static_cast<double>(response.status));
-    if (response.retries > 0 || response.degraded)
-        serve_span.arg("rungs", response.degraded ? 2.0 : 1.0);
-
-    // Feed the admission cost model with the realized per-request
-    // service time, keyed by input shape.
-    if (admission_ != nullptr)
-        admission_->observeSolve(shapeKeyOf(entry.request.input),
-                                 response.solveMs, 1);
-
-    activeWorkers_.fetch_sub(1, std::memory_order_relaxed);
-
-    // Deliver unless the watchdog already failed this request while we
-    // were solving (its response wins; ours is discarded).
-    std::promise<InferResponse> to_deliver;
-    bool deliver = false;
-    {
-        std::lock_guard<std::mutex> lock(flight.mutex);
-        flight.active = false;
-        InFlight::Sample &sample = flight.samples.front();
-        if (!sample.delivered) {
-            sample.delivered = true;
-            to_deliver = std::move(sample.promise);
-            deliver = true;
-        }
-    }
-
-    // Cache bookkeeping at the terminal: only a *clean* solve — Ok,
-    // no ladder rung, no retry, and actually delivered by this worker
-    // (a watchdog takeover means the solve was aborted mid-flight) —
-    // may populate either tier. Anything else retracts the pending
-    // entry so followers go solve for themselves. An armed fault
-    // injector also blocks caching outright: a transiently-corrupted
-    // solve can heal into an Ok response whose bytes a fresh solve
-    // would not reproduce.
-    if (solveCache_ != nullptr) {
-        // The cache.publish probe models a fault between the solve and
-        // the cache write: the solve succeeded, but the publish is
-        // lost, so followers must redispatch and solve for themselves.
-        // Probed only for keyed requests so hit counts match publish
-        // attempts. A brownout-relaxed solve is likewise never cached:
-        // the cache key embeds the configured tolerance, not the
-        // relaxed one this answer was computed at.
-        const bool publish_fault =
-            entry.request.cacheKey.valid() &&
-            FaultInjector::instance().shouldFail("cache.publish");
-        // A hot swap between admission and dispatch means this solve
-        // ran on different weights than the ones the request's cache
-        // key (and warm signature) were derived from: publishing would
-        // poison the old version's key space with new-version bytes,
-        // so the pending entry is retracted and followers — which were
-        // promised old-version results — re-dispatch instead.
-        const bool version_match =
-            entry.request.modelVersion == worker.replicaVersion;
-        const bool clean = deliver &&
-                           response.status == RequestStatus::Ok &&
-                           !response.degraded && response.retries == 0 &&
-                           !brownout_relaxed && !publish_fault &&
-                           version_match &&
-                           !FaultInjector::instance().armed();
-        if (entry.request.cacheKey.valid()) {
-            if (clean) {
-                deliverFollowers(
-                    worker_id,
-                    solveCache_->publishSuccess(entry.request.cacheKey,
-                                                response.output),
-                    response.output);
-            } else {
-                retractPending(entry.request);
-            }
-        }
-        if (clean && worker.warm != nullptr)
-            solveCache_->warmInsert(entry.request.warmSig, *worker.warm);
-    }
-
-    if (deliver) {
-        metrics_.recordCompletion(response);
-        to_deliver.set_value(std::move(response));
-    }
-}
-
-void
 InferenceServer::shedEntry(QueueEntry &entry, double estimateMs)
 {
     InferResponse response;
@@ -1125,9 +824,9 @@ InferenceServer::shedEntry(QueueEntry &entry, double estimateMs)
 void
 InferenceServer::expireEntry(std::size_t worker_id, QueueEntry &entry)
 {
-    // Same structured failure the solo path gives a request whose
-    // deadline lapsed in the queue — here it may also have lapsed
-    // inside the batcher's collect window. Never solved either way.
+    // A request whose deadline lapsed in the queue or inside the
+    // batcher's collect window gets a structured failure instead of a
+    // solve whose response could only arrive late.
     retractPending(entry.request);
     InferResponse response;
     response.id = entry.request.id;
@@ -1139,7 +838,7 @@ InferenceServer::expireEntry(std::size_t worker_id, QueueEntry &entry)
     response.completionIndex = nextCompletionIndex_.fetch_add(1);
     // An expiry is the strongest queue-delay signal the brownout
     // monitor can get: this request waited itself to death. The worker
-    // sweeping it counts as busy, as on the serve paths.
+    // sweeping it counts as busy, as in serveBatch.
     if (admission_ != nullptr)
         admission_->observeQueueDelay(
             response.queueWaitMs,
@@ -1152,36 +851,30 @@ InferenceServer::expireEntry(std::size_t worker_id, QueueEntry &entry)
 void
 InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
 {
-    maybeSwapReplica(worker_id);
-    Worker &worker = *workers_[worker_id];
-    InFlight &flight = *inflight_[worker_id];
     for (auto &entry : batch.expired)
         expireEntry(worker_id, entry);
-    // Requests the batcher screened as cache-ready: answer each from
-    // the cache now, re-checking under the shard lock — the entry may
-    // have been evicted since the screen, in which case the request
-    // falls back to an ordinary solo solve on this worker.
-    for (auto &entry : batch.cacheHits) {
-        Tensor cached;
-        if (solveCache_ != nullptr &&
-            solveCache_->tryServe(entry.request.cacheKey, cached))
-            deliverCacheHit(worker_id, entry, std::move(cached));
-        else
-            serveOne(worker_id, entry);
-    }
+    // Requests the batcher answered from the exact cache at its screen
+    // (the value was copied under the shard lock there).
+    for (auto &hit : batch.cacheHits)
+        deliverCacheHit(worker_id, hit.entry, std::move(hit.value));
     if (batch.entries.empty())
         return;
 
     // Training tasks ship solo from the batcher (never coalesced, no
-    // collect window); route them past the inference batch machinery.
-    if (batch.entries.size() == 1 &&
-        batch.entries[0].request.train != nullptr) {
+    // collect window); route them past the inference machinery.
+    if (batch.entries[0].request.train != nullptr) {
         serveTrain(worker_id, batch.entries[0]);
         return;
     }
 
+    // Dispatch boundary: adopt the latest published weights before the
+    // solve starts (never mid-solve — the swap touches only this
+    // worker's private replica between dispatches).
+    maybeSwapReplica(worker_id);
+    Worker &worker = *workers_[worker_id];
+    InFlight &flight = *inflight_[worker_id];
     const std::size_t n = batch.entries.size();
-    ENODE_ASSERT(n <= worker.batchControllers.size(),
+    ENODE_ASSERT(n <= worker.controllers.size(),
                  "batch larger than the configured maxBatch");
     const auto start = RuntimeClock::now();
 
@@ -1215,6 +908,12 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
             tracer.record(wait);
         }
     }
+    // One serve span per dispatch, named by its seed request; the
+    // ladder rungs below nest under it.
+    TraceSpan serve_span("request.serve", "serve");
+    serve_span.arg("id", static_cast<double>(batch.entries[0].request.id));
+    serve_span.arg("batch", static_cast<double>(n));
+    serve_span.arg("worker", static_cast<double>(worker_id));
 
     metrics_.recordBatchDispatch(n);
     metrics_.recordCoalesceWait(batch.collectWaitMs);
@@ -1237,9 +936,11 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
         static_cast<double>(workers_.size());
     for (std::size_t i = 0; i < n; i++) {
         QueueEntry &entry = batch.entries[i];
-        xs.push_back(entry.request.input);
+        xs.push_back(std::move(entry.request.input));
         queue_wait_ms[i] = toMs(start - entry.enqueueTime);
-        // Every dequeue feeds the brownout monitor, batched or solo.
+        // Every dequeue feeds the brownout monitor: observed queue
+        // delay plus the pool occupancy at this instant (this worker
+        // counts itself — it just took work).
         if (admission_ != nullptr)
             admission_->observeQueueDelay(queue_wait_ms[i], occupancy_now);
         guard_storage[i].deadline = entry.request.deadline;
@@ -1250,46 +951,35 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
         // decorator, armed with the schedule cached for that sample's
         // own input signature — per-sample warm-starting inside one
         // batched solve, exactly as each would warm-start solo.
-        if (!worker.batchWarm.empty()) {
+        if (!worker.warm.empty()) {
             const DtSchedule *replay = nullptr;
             if (solveCache_->warmLookup(entry.request.warmSig,
-                                        worker.batchWarmScratch[i]))
-                replay = &worker.batchWarmScratch[i];
-            worker.batchWarm[i]->beginSolve(replay);
-            controllers[i] = worker.batchWarm[i].get();
+                                        worker.warmScratch[i]))
+                replay = &worker.warmScratch[i];
+            worker.warm[i]->beginSolve(replay);
+            controllers[i] = worker.warm[i].get();
         } else {
-            controllers[i] = worker.batchControllers[i].get();
+            controllers[i] = worker.controllers[i].get();
         }
     }
 
     // Publish every sample to the in-flight slot so the hang watchdog
-    // covers batched serving exactly like solo: a wedged batched solve
-    // is failed per sample (DeadlineExceeded) and flagged to abort.
-    {
-        std::lock_guard<std::mutex> lock(flight.mutex);
-        flight.samples.clear();
-        flight.samples.resize(n);
-        for (std::size_t i = 0; i < n; i++) {
-            QueueEntry &entry = batch.entries[i];
-            flight.samples[i].promise = std::move(entry.promise);
-            flight.samples[i].id = entry.request.id;
-            flight.samples[i].deadline = entry.request.deadline;
-            flight.samples[i].queueWaitMs = queue_wait_ms[i];
-        }
-        flight.active = true;
-        flight.start = start;
-        flight.abort.store(false, std::memory_order_relaxed);
-    }
+    // can see (and if needed, take over) the dispatch while it solves:
+    // a wedged solve is failed per sample and flagged to abort.
+    flight.publish(batch.entries, start);
 
-    // Chaos probe: same wedged-solve scenario the solo path defends
-    // against — the watchdog must fail the whole batch while this
-    // thread sleeps, and the worker must recover afterwards.
+    // Chaos probe: a stall here models a solve wedging inside the
+    // worker — the watchdog must fail the whole batch while this thread
+    // sleeps, and the worker must recover afterwards.
     FaultInjector::instance().maybeStall("worker.stall");
 
-    // A batched solve shares one IvpOptions across its samples, so the
-    // brownout tolerance relaxation applies only when *every* sample is
-    // a low-priority stream — a mixed batch solves at the configured
-    // tolerance rather than degrading a high-priority rider.
+    // Brownout level >= 1: low-priority streams solve at proactively
+    // relaxed tolerance — the voluntary analogue of the ladder's rung-1
+    // retry, taken before anything fails. A batched solve shares one
+    // IvpOptions across its samples, so the relaxation applies only when
+    // *every* sample is a low-priority stream — a mixed batch solves at
+    // the configured tolerance rather than degrading a high-priority
+    // rider. The ladder rungs below stay on the configured tolerance.
     IvpOptions batch_opts = options_.ivp;
     bool brownout_relaxed = admission_ != nullptr;
     for (std::size_t i = 0; brownout_relaxed && i < n; i++)
@@ -1299,15 +989,17 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
         batch_opts.tolerance *= options_.overload.brownoutToleranceFactor;
         for (std::size_t i = 0; i < n; i++)
             admission_->noteRelaxed();
+        serve_span.arg("brownout_relaxed", 1.0);
     }
 
+    // Rung 0: the configured solve, one shared f evaluation per RK trial
+    // across the batch. One span per rung taken, so a trace shows
+    // exactly which rungs each request climbed and what each returned.
     BatchedForwardResult fwd;
     {
-        TraceSpan solve_span("batch.solve", "serve");
+        TraceSpan solve_span("request.solve", "serve");
+        solve_span.arg("rung", 0.0);
         solve_span.arg("batch", static_cast<double>(n));
-        solve_span.arg("worker", static_cast<double>(worker_id));
-        if (brownout_relaxed)
-            solve_span.arg("brownout_relaxed", 1.0);
         fwd = worker.model->forwardBatched(xs, tableau_, controllers,
                                            batch_opts, &guards);
     }
@@ -1316,12 +1008,15 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
     // One observation covering the whole dispatch: the cost model
     // divides by the batch size to recover per-request service time.
     if (admission_ != nullptr)
-        admission_->observeSolve(shapeKeyOf(batch.entries[0].request.input),
-                                 batch_solve_ms, n);
+        admission_->observeSolve(shapeKeyOf(xs[0]), batch_solve_ms, n);
 
-    // Per-sample verdicts and, for the failures, the same degradation
-    // ladder the solo path walks — one sample at a time, so a poisoned
-    // sample retries alone while its batchmates' responses ship clean.
+    // Per-sample verdicts and, for the failures, the degradation ladder
+    // — one sample at a time, so a poisoned sample retries alone while
+    // its batchmates' responses ship clean. A watchdog takeover stops
+    // the climb: its response already won.
+    const auto aborted = [&flight] {
+        return flight.abort.load(std::memory_order_acquire);
+    };
     bool any_ok = false;
     bool any_failed = false;
     for (std::size_t i = 0; i < n; i++) {
@@ -1333,9 +1028,11 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
         std::uint32_t retries = 0;
 
         if (status != SolveStatus::Ok && options_.degrade.enabled &&
-            !flight.abort.load(std::memory_order_acquire)) {
+            !aborted()) {
             if (status == SolveStatus::NonFinite ||
                 status == SolveStatus::StepUnderflow) {
+                // Rung 1: one retry at relaxed tolerance — FP16 overflow
+                // and minDt underflow are frequently tolerance-induced.
                 TraceSpan rung_span("request.retry", "serve");
                 rung_span.arg("rung", 1.0);
                 rung_span.arg("id", static_cast<double>(entry.request.id));
@@ -1343,19 +1040,20 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
                 relaxed.tolerance *= options_.degrade.retryToleranceFactor;
                 retries = 1;
                 NodeForwardResult solo = worker.model->forward(
-                    entry.request.input, tableau_, *worker.controller,
-                    relaxed, nullptr, &guard_storage[i]);
+                    xs[i], tableau_, *worker.controllers[i], relaxed,
+                    nullptr, &guard_storage[i]);
                 aggregate.accumulate(solo.totalStats);
                 status = solo.status;
                 output = std::move(solo.output);
                 rung_span.arg("status", static_cast<double>(status));
             }
-            if (status != SolveStatus::Ok) {
+            if (status != SolveStatus::Ok && !aborted()) {
+                // Rung 2: fixed-step coarse integration. Deterministic
+                // cost, no stepsize search to diverge.
                 TraceSpan rung_span("request.fallback", "serve");
                 rung_span.arg("rung", 2.0);
                 rung_span.arg("id", static_cast<double>(entry.request.id));
-                NodeForwardResult solo =
-                    fallbackForward(worker, entry.request.input);
+                NodeForwardResult solo = fallbackForward(worker, xs[i]);
                 aggregate.accumulate(solo.totalStats);
                 status = solo.status;
                 output = std::move(solo.output);
@@ -1377,12 +1075,11 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
         response.workerId = worker_id;
         response.retries = retries;
         response.batchSize = n;
-        response.warmStarted = !worker.batchWarm.empty() &&
-                               worker.batchWarm[i]->replayedPoints() > 0;
+        response.warmStarted = !worker.warm.empty() &&
+                               worker.warm[i]->replayedPoints() > 0;
         response.brownoutRelaxed = brownout_relaxed;
         response.modelVersion = worker.replicaVersion;
-        // Same final screen as the solo path: no response ever carries
-        // a non-finite value.
+        // The final screen: no response ever carries a non-finite value.
         if (status == SolveStatus::Ok && output.isFinite()) {
             response.status = RequestStatus::Ok;
             response.degraded = origin != SolveStatus::Ok;
@@ -1390,6 +1087,9 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
             response.output = std::move(output);
         } else {
             response.status = RequestStatus::Failed;
+            // Every failure carries a non-Ok class; a non-finite payload
+            // behind an Ok status (the solver screens accepted states,
+            // but this screen is the last line) counts as NonFinite.
             response.solveStatus = origin != SolveStatus::Ok
                                        ? origin
                                        : status != SolveStatus::Ok
@@ -1401,52 +1101,43 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
         // have failed this sample while the batch was wedged, in which
         // case its response won and ours is discarded unrecorded.
         std::promise<InferResponse> to_deliver;
-        bool deliver = false;
-        {
-            std::lock_guard<std::mutex> lock(flight.mutex);
-            InFlight::Sample &sample = flight.samples[i];
-            if (!sample.delivered) {
-                sample.delivered = true;
-                to_deliver = std::move(sample.promise);
-                deliver = true;
-            }
-        }
+        const bool deliver = flight.claim(i, to_deliver);
 
-        // Per-sample cache bookkeeping, same cleanliness gate as the
-        // solo path. A watchdog-taken or ladder-recovered sample never
-        // populates either tier, so one poisoned batchmate cannot
-        // contaminate the cache for anyone — its followers simply
-        // re-dispatch and solve for themselves.
+        // Cache bookkeeping at the terminal: only a clean solve may
+        // populate either tier — Ok at rung 0 and delivered by this
+        // worker (not watchdog-taken), at the configured tolerance (the
+        // key embeds it, so never brownout-relaxed), on the weights its
+        // key and warm signature were derived from (no hot swap since
+        // admission), and with no fault in play: the cache.publish probe
+        // models a publish lost after the solve (probed only for keyed
+        // requests, so hit counts match publish attempts), and an armed
+        // injector may have healed a corrupted solve into bytes a fresh
+        // solve would not reproduce. Anything else retracts the pending
+        // entry so followers solve for themselves — one poisoned
+        // batchmate cannot contaminate the cache for anyone.
         if (solveCache_ != nullptr) {
             const bool publish_fault =
                 entry.request.cacheKey.valid() &&
                 FaultInjector::instance().shouldFail("cache.publish");
-            // Same version guard as the solo path: a solve that ran on
-            // swapped weights must not publish under an older version's
-            // cache key or warm signature.
-            const bool version_match =
-                entry.request.modelVersion == worker.replicaVersion;
-            const bool clean = deliver &&
-                               response.status == RequestStatus::Ok &&
-                               !response.degraded &&
-                               response.retries == 0 &&
-                               !brownout_relaxed && !publish_fault &&
-                               version_match &&
-                               !FaultInjector::instance().armed();
+            const bool clean =
+                deliver && response.status == RequestStatus::Ok &&
+                !response.degraded && response.retries == 0 &&
+                !brownout_relaxed && !publish_fault &&
+                entry.request.modelVersion == worker.replicaVersion &&
+                !FaultInjector::instance().armed();
             if (entry.request.cacheKey.valid()) {
                 if (clean) {
-                    deliverFollowers(
-                        worker_id,
-                        solveCache_->publishSuccess(
-                            entry.request.cacheKey, response.output),
-                        response.output);
+                    // Each follower gets its own copy (pooled storage).
+                    for (QueueEntry &f : solveCache_->publishSuccess(
+                             entry.request.cacheKey, response.output))
+                        deliverCacheHit(worker_id, f, response.output);
                 } else {
                     retractPending(entry.request);
                 }
             }
-            if (clean && !worker.batchWarm.empty())
+            if (clean && !worker.warm.empty())
                 solveCache_->warmInsert(entry.request.warmSig,
-                                        *worker.batchWarm[i]);
+                                        *worker.warm[i]);
         }
 
         if (deliver) {
@@ -1461,10 +1152,7 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
             any_failed = true; // watchdog responses are always Failed
         }
     }
-    {
-        std::lock_guard<std::mutex> lock(flight.mutex);
-        flight.active = false;
-    }
+    flight.retire();
     if (any_ok && any_failed)
         metrics_.recordPartialFailure();
 

@@ -15,20 +15,23 @@
  * blocked: a full queue rejects at admission (backpressure), exactly
  * like the selector's full state buffers.
  *
- * Because solveIvp resets its StepController at every call and each
+ * One serving path: every worker takes its next dispatch from the
+ * Batcher (at maxBatch 1 a plain pop plus the deadline and cache
+ * screens) and solves it with NodeModel::forwardBatched — one shared f
+ * evaluation per RK trial, error control per sample. Because the
+ * solvers reset each sample's StepController at every call and each
  * worker's replica is private, a request's output depends only on the
  * weights and the input — results are bitwise identical to a
  * single-threaded NodeModel::forward with the same weights, regardless
- * of worker count or interleaving (tests/test_runtime.cc proves this).
- *
- * Layered deliberately thin so later PRs can add cross-request batching
- * and sharded multi-instance serving behind the same submit() API.
+ * of worker count, batch composition or interleaving
+ * (tests/test_runtime.cc and tests/test_batcher.cc prove this).
  */
 
 #include <atomic>
 #include <functional>
 #include <future>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -93,12 +96,12 @@ struct DegradePolicy
 
     /**
      * Hang threshold in milliseconds (0 = watchdog off). A watchdog
-     * thread monitors every worker's in-flight solve — solo or
-     * batched; one exceeding the threshold is failed immediately
-     * (status Failed for every still-pending sample, one watchdog.trips
-     * tick per wedged dispatch) and its solve is flagged to abort at
-     * the next accepted step, so a wedged solve costs one dispatch,
-     * not a worker.
+     * thread monitors every worker's in-flight dispatch — inference
+     * batch or training task; one exceeding the threshold is failed
+     * immediately (status Failed for every still-pending sample, one
+     * watchdog.trips tick per wedged dispatch) and its solve is
+     * flagged to abort at the next accepted step, so a wedged solve
+     * costs one dispatch, not a worker.
      */
     double watchdogMs = 0.0;
 };
@@ -140,9 +143,9 @@ struct ServerOptions
      * Cross-request micro-batching: the maximum number of compatible
      * requests (identical input shape) one worker coalesces into a
      * single batched solve (solveIvpBatched — one shared f evaluation
-     * per RK trial, error control per sample). 1 disables batching and
-     * serves every request on the solo path; any batch that ends up
-     * with one request is solved bitwise identically to that path.
+     * per RK trial, error control per sample). 1 = no coalescing: every
+     * dispatch carries one request. A batch of any size solves each
+     * request bitwise identically to NodeModel::forward.
      */
     std::size_t maxBatch = 1;
 
@@ -213,7 +216,7 @@ class InferenceServer
   public:
     /** Builds one structurally identical model replica per call. */
     using ModelFactory = std::function<std::unique_ptr<NodeModel>()>;
-    /** Builds one stepsize controller per worker. */
+    /** Builds one stepsize controller per batch slot of each worker. */
     using ControllerFactory =
         std::function<std::unique_ptr<StepController>()>;
 
@@ -224,10 +227,10 @@ class InferenceServer
      *        replica 0's, so all workers serve bit-identical weights
      *        even if the factory is not deterministic.
      * @param options Pool/queue/solver configuration.
-     * @param make_controller Per-worker stepsize controller; defaults
-     *        to FixedFactorController. Controllers are reset by the
-     *        solver at every request, so the choice affects cost, not
-     *        determinism.
+     * @param make_controller Stepsize controller per batch slot (and
+     *        per training replica); defaults to FixedFactorController.
+     *        Controllers are reset by the solver at every request, so
+     *        the choice affects cost, not determinism.
      */
     InferenceServer(ModelFactory make_model, ServerOptions options,
                     ControllerFactory make_controller = {});
@@ -292,7 +295,7 @@ class InferenceServer
     /** Background gauge sampler; null unless publishPeriodMs > 0. */
     const MetricsPublisher *publisher() const { return publisher_.get(); }
 
-    /** Workers inside serveOne right now (publisher gauge source). */
+    /** Workers serving a dispatch right now (publisher gauge source). */
     std::size_t activeWorkers() const
     {
         return activeWorkers_.load(std::memory_order_relaxed);
@@ -336,26 +339,24 @@ class InferenceServer
     struct Worker
     {
         std::unique_ptr<NodeModel> model;
-        std::unique_ptr<StepController> controller;
         /**
-         * One controller per batch slot (sized maxBatch when batching
-         * is on): the batched solver drives each sample's stepsize
-         * search with its own controller, exactly as the solo path
-         * would, so batch composition cannot perturb a sample's steps.
+         * One controller per batch slot (sized maxBatch): the batched
+         * solver drives each sample's stepsize search with its own
+         * controller, exactly as a solo solve would, so batch
+         * composition cannot perturb a sample's steps. Slot i's
+         * controller also runs sample i's rung-1 retry.
          */
-        std::vector<std::unique_ptr<StepController>> batchControllers;
+        std::vector<std::unique_ptr<StepController>> controllers;
         /**
-         * Warm-start decorators over the controllers above (solo and
-         * per batch slot), present only when the cache's warm tier is
-         * on. Rung-0 solves run through the decorator (replay +
-         * record); ladder rungs use the wrapped controller directly.
+         * Warm-start decorators over the slot controllers, present only
+         * when the cache's warm tier is on. Rung-0 solves run through
+         * the decorator (replay + record); ladder rungs use the wrapped
+         * controller directly.
          */
-        std::unique_ptr<WarmStartController> warm;
-        std::vector<std::unique_ptr<WarmStartController>> batchWarm;
+        std::vector<std::unique_ptr<WarmStartController>> warm;
         /** Replay buffers the decorators copy cached schedules into
          *  (per slot, reused across requests — no steady-state alloc). */
-        DtSchedule warmScratch;
-        std::vector<DtSchedule> batchWarmScratch;
+        std::vector<DtSchedule> warmScratch;
         /** Registry version the serving replica currently holds. */
         std::uint64_t replicaVersion = 0;
         /**
@@ -378,14 +379,14 @@ class InferenceServer
 
     /**
      * Per-worker in-flight work slot, shared between the worker and
-     * the watchdog. One slot covers one dispatch — a single request on
-     * the solo path, every sample of a coalesced batch on the batched
-     * path — so the hang watchdog protects both identically. Exactly
-     * one of worker/watchdog delivers each sample's response: the
-     * first to flip that sample's `delivered` flag under the slot
-     * mutex owns its promise. `abort` is the cooperative kill switch
-     * the solve guards poll (one shared flag: a wedged batched solve
-     * is one wedged thread, so the whole dispatch aborts together).
+     * the watchdog. One slot covers one dispatch — every request of an
+     * inference batch, or one training task — so the hang watchdog
+     * protects both identically. Exactly one of worker/watchdog
+     * delivers each sample's response: the first to flip that sample's
+     * `delivered` flag under the slot mutex owns its promise. `abort`
+     * is the cooperative kill switch the solve guards poll (one shared
+     * flag: a wedged batched solve is one wedged thread, so the whole
+     * dispatch aborts together).
      */
     struct InFlight
     {
@@ -421,10 +422,25 @@ class InferenceServer
         RuntimeClock::time_point start{};
         std::vector<Sample> samples;
         std::atomic<bool> abort{false};
+
+        /**
+         * Hand the watchdog a dispatch started at `when`: one sample
+         * per entry, each entry's promise moved into its sample.
+         */
+        void publish(std::span<QueueEntry> entries,
+                     RuntimeClock::time_point when);
+        /**
+         * Take sample i's promise for delivery. False when the watchdog
+         * already answered it (its response won; discard ours).
+         */
+        bool claim(std::size_t i, std::promise<InferResponse> &out);
+        /** The dispatch is over: the watchdog stops watching it. */
+        void retire();
     };
 
     void workerMain(std::size_t worker_id);
-    void serveOne(std::size_t worker_id, QueueEntry &entry);
+    /** A fresh stepsize controller from the factory (or the default). */
+    std::unique_ptr<StepController> makeController() const;
     /**
      * Serve one gradient task: sync the worker's training replica to
      * the task's weight snapshot, run forward + ACA backward, write
@@ -460,10 +476,6 @@ class InferenceServer
      */
     void deliverCacheHit(std::size_t worker_id, QueueEntry &entry,
                          Tensor value);
-    /** deliverCacheHit for every follower an owner's solve released. */
-    void deliverFollowers(std::size_t worker_id,
-                          std::vector<QueueEntry> followers,
-                          const Tensor &value);
     /**
      * A pending solve failed: push its followers back into the queue
      * to be solved as ordinary requests; followers the (closing) queue
@@ -478,10 +490,11 @@ class InferenceServer
      */
     void retractPending(const InferRequest &request);
     /**
-     * Serve one coalesced batch: fail the expired entries, run the
-     * batched solve, then walk the degradation ladder per failing
-     * sample (its batchmates are unaffected). Handles batches of any
-     * size >= 1.
+     * Serve one dispatch from the batcher — the only serve path: fail
+     * the expired entries, answer the cache hits, hand a training task
+     * to serveTrain, otherwise run the batched solve (any size >= 1)
+     * and walk the degradation ladder per failing sample (its
+     * batchmates are unaffected).
      */
     void serveBatch(std::size_t worker_id, CollectedBatch &batch);
     /** Fail a request whose deadline lapsed before it was solved. */
@@ -500,8 +513,8 @@ class InferenceServer
     ServerOptions options_;
     ButcherTableau tableau_;
     RequestQueue queue_;
-    /** Coalescing stage between the queue and the workers; null when
-     *  maxBatch == 1 (workers pop the queue directly). */
+    /** Coalescing stage between the queue and the workers; every
+     *  dispatch comes out of it. */
     std::unique_ptr<Batcher> batcher_;
     /** Two-tier cross-solve cache; null when cache.enabled is false. */
     std::unique_ptr<SolveCache> solveCache_;

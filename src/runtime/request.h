@@ -158,8 +158,8 @@ struct InferResponse
 
     /**
      * How many requests shared the batched solve that produced this
-     * response. 1 for the solo path and for requests that never reached
-     * a solve (cancelled / expired before dispatch).
+     * response. 1 for a dispatch of one and for requests that never
+     * reached a solve (cancelled / expired / cache hit).
      */
     std::size_t batchSize = 1;
 

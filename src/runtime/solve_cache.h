@@ -122,14 +122,15 @@ class SolveCache
     bool registerPending(const Hash128 &key);
 
     /**
-     * Dispatch-time screen: true when a ready value exists (the key may
-     * have become ready while the request sat in the queue). Copies the
-     * value into `out` and bumps the LRU. Pending entries miss.
+     * Dispatch-time screen (the batcher's pop screen): true when a
+     * ready value exists (the key may have become ready while the
+     * request sat in the queue). Copies the value into `out` and bumps
+     * the LRU. Pending entries miss.
      */
     bool tryServe(const Hash128 &key, Tensor &out);
 
-    /** Lock-and-peek variant of tryServe without the value copy (the
-     *  batcher's pop screen; the worker re-runs tryServe at dispatch). */
+    /** Lock-and-peek variant of tryServe without the value copy or
+     *  the LRU bump (does not count as a hit). */
     bool isReady(const Hash128 &key) const;
 
     /**

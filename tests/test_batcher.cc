@@ -334,25 +334,30 @@ TEST(Batching, FullBatchResultsBitwiseMatchSoloPath)
 
 TEST(Batching, BatchOfOneServerPathBitwiseMatchesSoloServer)
 {
-    // Batching enabled but requests arriving one at a time: every
-    // solve is a batch of one and must still match the solo path bit
-    // for bit (the acceptance bar for enabling maxBatch by default).
-    InferenceServer server(makeReferenceModel, batchedOptions(1, 4));
-    for (std::size_t i = 0; i < 3; i++) {
-        const Tensor input = makeInput(100 + i);
-        auto sub = server.submit(input);
-        ASSERT_TRUE(sub.accepted);
-        InferResponse r = sub.result.get(); // wait: next batch seeds fresh
-        EXPECT_EQ(r.status, RequestStatus::Ok);
-        EXPECT_EQ(r.batchSize, 1u);
-        EXPECT_TRUE(bitwiseEqual(r.output, referenceForward(input)));
+    // Requests arriving one at a time: every solve is a batch of one
+    // and must still match the solo NodeModel::forward bit for bit —
+    // with batching enabled, and at maxBatch 1, where every dispatch
+    // takes the same batcher and batched-solve path.
+    for (const std::size_t max_batch : {std::size_t{4}, std::size_t{1}}) {
+        SCOPED_TRACE("maxBatch " + std::to_string(max_batch));
+        InferenceServer server(makeReferenceModel,
+                               batchedOptions(1, max_batch));
+        for (std::size_t i = 0; i < 3; i++) {
+            const Tensor input = makeInput(100 + i);
+            auto sub = server.submit(input);
+            ASSERT_TRUE(sub.accepted);
+            InferResponse r = sub.result.get(); // next batch seeds fresh
+            EXPECT_EQ(r.status, RequestStatus::Ok);
+            EXPECT_EQ(r.batchSize, 1u);
+            EXPECT_TRUE(bitwiseEqual(r.output, referenceForward(input)));
+        }
+        server.stop();
+        const MetricsSummary s = server.metrics().summary();
+        EXPECT_EQ(s.batchesDispatched, 3u);
+        EXPECT_EQ(s.batchedRequests, 3u);
+        ASSERT_GE(s.batchSizeCounts.size(), 1u);
+        EXPECT_EQ(s.batchSizeCounts[0], 3u);
     }
-    server.stop();
-    const MetricsSummary s = server.metrics().summary();
-    EXPECT_EQ(s.batchesDispatched, 3u);
-    EXPECT_EQ(s.batchedRequests, 3u);
-    ASSERT_GE(s.batchSizeCounts.size(), 1u);
-    EXPECT_EQ(s.batchSizeCounts[0], 3u);
 }
 
 TEST(Batcher, IncompatibleShapeClosesBatchAndSeedsNext)

@@ -733,6 +733,66 @@ TEST(Watchdog, TripsOnHungSolveAndWorkerRecovers)
     EXPECT_EQ(s.deadlineMisses, 0u);
 }
 
+/**
+ * Sleeps in its second reset(). Under underflowOptions() the rung-0
+ * solve fails at the first layer (one reset), so the second reset is
+ * the start of the rung-1 retry, which this sample's slot controller
+ * runs.
+ */
+class StallOnRetryController : public FixedFactorController
+{
+  public:
+    void
+    reset(double initial_dt) override
+    {
+        if (++resets_ == 2)
+            std::this_thread::sleep_for(std::chrono::milliseconds(400));
+        FixedFactorController::reset(initial_dt);
+    }
+
+  private:
+    int resets_ = 0;
+};
+
+TEST(Watchdog, TakeoverDuringRetrySkipsTheFallback)
+{
+    // The watchdog fails the request while its rung-1 retry is stalled,
+    // and the retry aborts at its next accepted step. The worker must
+    // not go on to run the fixed-step fallback: the watchdog's response
+    // already won, so the fallback's result could only be thrown away.
+    setLogLevel(LogLevel::Silent);
+    for (const std::size_t max_batch : {std::size_t{1}, std::size_t{2}}) {
+        SCOPED_TRACE("maxBatch " + std::to_string(max_batch));
+        ServerOptions opts = underflowOptions();
+        opts.maxBatch = max_batch;
+        opts.degrade.watchdogMs = 100.0;
+        opts.traceEnabled = true;
+        InferenceServer server(makeReferenceModel, opts, [] {
+            return std::make_unique<StallOnRetryController>();
+        });
+        auto sub = server.submit(makeInput(0));
+        ASSERT_TRUE(sub.accepted);
+        InferResponse r = sub.result.get();
+        EXPECT_EQ(r.status, RequestStatus::Failed);
+        EXPECT_EQ(r.solveStatus, SolveStatus::DeadlineExceeded);
+        server.stop(); // waits for the worker to finish the dispatch
+        EXPECT_EQ(server.metrics().summary().watchdogTrips, 1u);
+
+        std::size_t retries = 0, fallbacks = 0;
+        for (const TraceEvent &e : Tracer::instance().snapshot()) {
+            if (e.name == nullptr)
+                continue;
+            retries += std::string(e.name) == "request.retry";
+            fallbacks += std::string(e.name) == "request.fallback";
+        }
+        EXPECT_EQ(retries, 1u);
+        EXPECT_EQ(fallbacks, 0u) << "fallback ran after a watchdog takeover";
+    }
+    Tracer::instance().arm(1); // flush this test's events
+    Tracer::instance().disarm();
+    setLogLevel(LogLevel::Info);
+}
+
 TEST(InferenceServer, InjectedAdmissionRejection)
 {
     // A forced queue-full rejection at the second submit: the client
