@@ -44,9 +44,8 @@ ReLU::backward(const Tensor &grad_out)
 Tensor
 Tanh::forward(const Tensor &x)
 {
-    Tensor out = x;
-    for (std::size_t i = 0; i < out.numel(); i++)
-        out.at(i) = std::tanh(out.at(i));
+    Tensor out;
+    forwardBatched(x, out); // pointwise: any shape is one flat sweep
     cachedOutput_ = out;
     return out;
 }
@@ -65,11 +64,13 @@ Tensor
 Tanh::backward(const Tensor &grad_out)
 {
     ENODE_ASSERT(!cachedOutput_.empty(), "Tanh backward before forward");
+    ENODE_ASSERT(grad_out.numel() == cachedOutput_.numel(),
+                 "Tanh grad_out shape mismatch");
     Tensor grad_in = grad_out;
-    for (std::size_t i = 0; i < grad_in.numel(); i++) {
-        const float y = cachedOutput_.at(i);
-        grad_in.at(i) *= 1.0f - y * y;
-    }
+    float *gi = grad_in.data();
+    const float *y = cachedOutput_.data();
+    for (std::size_t i = 0; i < grad_in.numel(); i++)
+        gi[i] *= 1.0f - y[i] * y[i];
     return grad_in;
 }
 

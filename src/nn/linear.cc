@@ -92,21 +92,24 @@ Linear::backward(const Tensor &grad_out)
                      grad_out.shape().dim(0) == outFeatures_,
                  "Linear grad_out shape mismatch");
 
+    // Both products run on the elementwise axpy kernel (y[i] += x[i] * a,
+    // per-op rounding), so every backend reproduces the scalar
+    // per-element order bitwise: gw[o][i] += g[o] * x[i], and
+    // grad_in[i] = ((0 + W[0][i] g[0]) + W[1][i] g[1]) + ... with o
+    // ascending.
+    const SimdOps &ops = simdOps();
+    const float *g = grad_out.data();
+    const float *x = cachedInput_.data();
+    const float *wd = weight_.data();
+    float *gw = weightGrad_.data();
+    float *gb = withBias_ ? biasGrad_.data() : nullptr;
+    Tensor grad_in(Shape{inFeatures_}); // zero filled
+    float *gi = grad_in.data();
     for (std::size_t o = 0; o < outFeatures_; o++) {
-        const float g = grad_out.at(o);
-        float *gw_row = weightGrad_.data() + o * inFeatures_;
-        for (std::size_t i = 0; i < inFeatures_; i++)
-            gw_row[i] += g * cachedInput_.at(i);
-        if (withBias_)
-            biasGrad_.at(o) += g;
-    }
-
-    Tensor grad_in(Shape{inFeatures_});
-    for (std::size_t i = 0; i < inFeatures_; i++) {
-        float acc = 0.0f;
-        for (std::size_t o = 0; o < outFeatures_; o++)
-            acc += weight_.data()[o * inFeatures_ + i] * grad_out.at(o);
-        grad_in.at(i) = acc;
+        ops.axpy(gw + o * inFeatures_, g[o], x, inFeatures_);
+        ops.axpy(gi, g[o], wd + o * inFeatures_, inFeatures_);
+        if (gb)
+            gb[o] += g[o];
     }
     return grad_in;
 }

@@ -208,7 +208,7 @@ solveIvpBatched(BatchedOdeFunction &f, const std::vector<const Tensor *> &y0,
 
             double decision_norm = 0.0;
             if (tableau.hasEmbedded()) {
-                const auto d = tableau.errorWeights();
+                const auto &d = tableau.errorWeights();
                 Tensor &e = slot.errorState;
                 e.resize(state_shape);
                 e.fill(0.0f);

@@ -20,6 +20,11 @@ ButcherTableau::ButcherTableau(std::string name, int order,
       fsal_(fsal)
 {
     validate();
+    if (hasEmbedded()) {
+        errorWeights_.resize(b_.size());
+        for (std::size_t j = 0; j < b_.size(); j++)
+            errorWeights_[j] = b_[j] - bErr_[j];
+    }
 }
 
 void
@@ -56,14 +61,11 @@ ButcherTableau::validate() const
     }
 }
 
-std::vector<double>
+const std::vector<double> &
 ButcherTableau::errorWeights() const
 {
     ENODE_ASSERT(hasEmbedded(), "no embedded estimator in ", name_);
-    std::vector<double> d(b_.size());
-    for (std::size_t j = 0; j < b_.size(); j++)
-        d[j] = b_[j] - bErr_[j];
-    return d;
+    return errorWeights_;
 }
 
 const ButcherTableau &

@@ -52,8 +52,11 @@ class ButcherTableau
     /** Embedded lower-order weights b*; empty when !hasEmbedded(). */
     const std::vector<double> &bErr() const { return bErr_; }
 
-    /** d_j = b_j - b*_j, the error-state weights (e in Fig. 2c). */
-    std::vector<double> errorWeights() const;
+    /**
+     * d_j = b_j - b*_j, the error-state weights (e in Fig. 2c). Computed
+     * once at construction: the solvers read them on every trial.
+     */
+    const std::vector<double> &errorWeights() const;
 
     /** Forward Euler (the ResNet residual block, Fig. 1a). */
     static const ButcherTableau &euler();
@@ -89,6 +92,7 @@ class ButcherTableau
     std::vector<std::vector<double>> a_;
     std::vector<double> b_;
     std::vector<double> bErr_;
+    std::vector<double> errorWeights_; // b - bErr; empty when !hasEmbedded()
     bool fsal_;
 };
 

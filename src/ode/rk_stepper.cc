@@ -65,7 +65,7 @@ RkStepper::stepInto(OdeFunction &f, double t, const Tensor &y, double dt,
     if (tableau_.hasEmbedded()) {
         // e = dt * sum_j (b_j - b*_j) k_j, accumulated from the partial
         // error states e_i as each k_j becomes available (Fig. 6a).
-        const auto d = tableau_.errorWeights();
+        const auto &d = tableau_.errorWeights();
         Tensor &e = result.errorState;
         e.resize(y.shape());
         e.fill(0.0f);

@@ -13,11 +13,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "core/aca_trainer.h"
 #include "core/node_model.h"
 #include "nn/loss.h"
@@ -430,6 +432,51 @@ TEST(AcaTrainer, BackwardAllocationsIndependentOfTrajectoryLength)
             << "warm backward allocations scale with trajectory length "
                "at dt="
             << dt << " (" << aca.stats.backwardSteps << " steps)";
+    }
+}
+
+TEST(AcaTrainer, BackwardBitwiseIdenticalAcrossSimdBackends)
+{
+    // Every kernel under the backward is bitwise identical across SIMD
+    // backends (elementwise axpy in the Linear VJP and the stage sums,
+    // fixed-lane dot in the local forward), so the whole ACA pass must
+    // be too. Shape of the serving benchmark's online-training model:
+    // 2 layers, dim 16, hidden 64, f depth 2, RK23 at tolerance 1e-3.
+    Rng rng(43);
+    auto model = NodeModel::makeMlp(2, 16, 64, 2, rng);
+    const Tensor x0 = Tensor::randn(Shape{16}, rng, 0.5f);
+    const Tensor target = x0 * 0.5f;
+    FixedFactorController ctrl;
+    IvpOptions opts;
+    opts.tolerance = 1e-3;
+    opts.initialDt = 0.05;
+
+    auto fwd = model->forward(x0, ButcherTableau::rk23(), ctrl, opts);
+    ASSERT_EQ(fwd.status, SolveStatus::Ok);
+    auto loss = mseLoss(fwd.output, target);
+
+    const auto gradientsUnder = [&](SimdBackend backend) {
+        ScopedSimdBackend force(backend);
+        EXPECT_TRUE(force.applied());
+        model->zeroGrad();
+        auto aca = acaBackward(*model, ButcherTableau::rk23(), fwd, loss.grad);
+        std::vector<float> flat(aca.gradInput.data(),
+                                aca.gradInput.data() + aca.gradInput.numel());
+        for (auto &slot : model->paramSlots())
+            flat.insert(flat.end(), slot.grad->data(),
+                        slot.grad->data() + slot.grad->numel());
+        return flat;
+    };
+
+    const std::vector<float> reference = gradientsUnder(SimdBackend::Scalar);
+    ASSERT_EQ(reference.size(), 16 + model->paramCount());
+    for (SimdBackend backend : availableSimdBackends()) {
+        const std::vector<float> got = gradientsUnder(backend);
+        ASSERT_EQ(got.size(), reference.size());
+        EXPECT_EQ(std::memcmp(got.data(), reference.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << simdBackendName(backend) << " backward diverged from scalar";
     }
 }
 

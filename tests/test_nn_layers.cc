@@ -5,11 +5,14 @@
  */
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "nn/activation.h"
 #include "nn/concat_time.h"
 #include "nn/conv2d.h"
@@ -193,6 +196,83 @@ TEST(Linear, GradientsMatchFiniteDifferences)
     Tensor x = Tensor::randn(Shape{6}, rng, 1.0f);
     checkInputGradient(lin, x, rng);
     checkParamGradients(lin, x, rng);
+}
+
+/** Number of positions where a and b differ in any bit. */
+std::size_t
+bitMismatches(const float *a, const float *b, std::size_t n)
+{
+    std::size_t bad = 0;
+    for (std::size_t i = 0; i < n; i++)
+        bad += std::memcmp(a + i, b + i, sizeof(float)) != 0;
+    return bad;
+}
+
+TEST(Linear, BackwardBitwiseMatchesScalarLoopsOnEveryBackend)
+{
+    // The backward runs on the elementwise axpy kernel: per-op rounding
+    // and the same per-element order as the plain loops below, so the
+    // weight, bias and input gradients equal them bit for bit on every
+    // backend. Weight and bias gradients accumulate onto non-zero
+    // values, as they do across a training batch.
+    for (std::size_t in : {1, 3, 17, 64}) {
+        for (std::size_t out : {1, 16, 64}) {
+            for (bool with_bias : {false, true}) {
+                Rng rng(in * 1000 + out * 10 + with_bias);
+                Linear lin(in, out, rng, with_bias);
+                const Tensor x = Tensor::randn(Shape{in}, rng, 1.0f);
+                const Tensor g = Tensor::randn(Shape{out}, rng, 1.0f);
+                const Tensor gw0 = Tensor::randn(Shape{out, in}, rng, 1.0f);
+                const Tensor gb0 = Tensor::randn(Shape{out}, rng, 1.0f);
+
+                Tensor gw = gw0, gb = gb0, gi(Shape{in});
+                const float *w = lin.weight().data();
+                const float *xd = x.data();
+                const float *gd = g.data();
+                for (std::size_t o = 0; o < out; o++) {
+                    for (std::size_t i = 0; i < in; i++)
+                        gw.data()[o * in + i] += gd[o] * xd[i];
+                    gb.data()[o] += gd[o];
+                }
+                for (std::size_t i = 0; i < in; i++) {
+                    float acc = 0.0f;
+                    for (std::size_t o = 0; o < out; o++)
+                        acc += w[o * in + i] * gd[o];
+                    gi.data()[i] = acc;
+                }
+
+                for (SimdBackend backend : availableSimdBackends()) {
+                    ScopedSimdBackend force(backend);
+                    ASSERT_TRUE(force.applied());
+                    const auto slots = lin.paramSlots();
+                    ASSERT_EQ(slots.size(), with_bias ? 2u : 1u);
+                    slots[0].grad->copyFrom(gw0);
+                    if (with_bias)
+                        slots[1].grad->copyFrom(gb0);
+                    lin.forward(x);
+                    const Tensor got = lin.backward(g);
+
+                    const std::string where =
+                        std::string(simdBackendName(backend)) + " in=" +
+                        std::to_string(in) + " out=" + std::to_string(out) +
+                        " bias=" + std::to_string(with_bias);
+                    ASSERT_EQ(got.numel(), in) << where;
+                    EXPECT_EQ(bitMismatches(slots[0].grad->data(), gw.data(),
+                                            in * out),
+                              0u)
+                        << "weight grad, " << where;
+                    if (with_bias) {
+                        EXPECT_EQ(bitMismatches(slots[1].grad->data(),
+                                                gb.data(), out),
+                                  0u)
+                            << "bias grad, " << where;
+                    }
+                    EXPECT_EQ(bitMismatches(got.data(), gi.data(), in), 0u)
+                        << "input grad, " << where;
+                }
+            }
+        }
+    }
 }
 
 TEST(Pooling, ForwardAndGradients)

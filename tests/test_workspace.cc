@@ -19,6 +19,7 @@
 
 #include "common/rng.h"
 #include "common/trace_span.h"
+#include "core/node_model.h"
 #include "ode/ivp.h"
 #include "ode/ode_function.h"
 #include "ode/step_control.h"
@@ -285,6 +286,87 @@ TEST(Workspace, SolveIvpAllocatesNothingAfterWarmup)
     EXPECT_EQ(recorded.checkpoints.size(), recorded.stats.evalPoints);
     EXPECT_EQ(recorded.trialsPerPoint.size(), recorded.stats.evalPoints);
     EXPECT_TRUE(Tensor::allClose(recorded.yFinal, expected, 0.0, 0.0));
+}
+
+TEST(Workspace, WarmSolveIvpMakesNoHeapCalls)
+{
+    // Stronger than "no pool misses": a warmed solo solve makes no
+    // operator-new call at all — no per-trial scratch (the error
+    // weights are the tableau's, computed once) and nothing per step.
+    Rng rng(11);
+    const Tensor y0 = Tensor::randn(Shape{4, 16, 16}, rng, 0.5f);
+    DecayOde f;
+    FixedFactorController ctrl;
+    IvpOptions opts;
+    opts.tolerance = 1e-4;
+    opts.recordCheckpoints = false;
+    IvpWorkspace solver_ws;
+
+    const auto solveOnce = [&] {
+        return solveIvp(f, y0, 0.0, 1.0, ButcherTableau::rk23(), ctrl, opts,
+                        nullptr, &solver_ws);
+    };
+    solveOnce();
+    solveOnce();
+
+    const std::uint64_t before =
+        g_heap_allocs.load(std::memory_order_relaxed);
+    const IvpResult res = solveOnce();
+    const std::uint64_t delta =
+        g_heap_allocs.load(std::memory_order_relaxed) - before;
+    ASSERT_GT(res.stats.trials, 1u);
+    EXPECT_EQ(delta, 0u) << "warm solve made heap calls over "
+                         << res.stats.trials << " trials";
+}
+
+TEST(Workspace, WarmBatchedSolveHeapCallsIndependentOfTrialCount)
+{
+    // A batched forward returns freshly built per-sample vectors, a
+    // fixed per-call footprint. Nothing may scale with the number of
+    // trials: a tighter tolerance (more trials) makes the same number
+    // of operator-new calls as a looser one.
+    Rng rng(17);
+    auto model = NodeModel::makeMlp(1, 16, 64, 2, rng);
+    std::vector<Tensor> xs;
+    for (int i = 0; i < 4; i++)
+        xs.push_back(Tensor::randn(Shape{16}, rng, 0.5f));
+    std::vector<FixedFactorController> ctrls(xs.size());
+    std::vector<StepController *> ctrl_ptrs;
+    for (auto &c : ctrls)
+        ctrl_ptrs.push_back(&c);
+
+    struct Count
+    {
+        std::uint64_t heapCalls;
+        std::uint64_t trials;
+    };
+    const auto warmCount = [&](double tolerance) {
+        IvpOptions opts;
+        opts.tolerance = tolerance;
+        opts.initialDt = 0.05;
+        opts.recordCheckpoints = false;
+        const auto run = [&] {
+            return model->forwardBatched(xs, ButcherTableau::rk23(),
+                                         ctrl_ptrs, opts);
+        };
+        run();
+        run();
+        const std::uint64_t before =
+            g_heap_allocs.load(std::memory_order_relaxed);
+        const BatchedForwardResult res = run();
+        Count c{g_heap_allocs.load(std::memory_order_relaxed) - before, 0};
+        for (const IvpStats &st : res.stats)
+            c.trials += st.trials;
+        return c;
+    };
+
+    const Count loose = warmCount(1e-2);
+    const Count tight = warmCount(1e-5);
+    ASSERT_GT(tight.trials, loose.trials);
+    EXPECT_EQ(tight.heapCalls, loose.heapCalls)
+        << "heap calls grew with trials: " << loose.trials << " trials -> "
+        << loose.heapCalls << " calls, " << tight.trials << " trials -> "
+        << tight.heapCalls << " calls";
 }
 
 TEST(Workspace, DisarmedTraceProbesAllocateNothing)
