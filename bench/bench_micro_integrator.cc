@@ -8,7 +8,8 @@
  * accepted RK step — zero after warm-up) and merges the numbers into
  * BENCH_kernels.json next to the convolution entries, together with a
  * per-SIMD-backend sweep of the stepper's element kernels (WRMS norm,
- * axpy, FP16 quantization; speedup vs the forced scalar backend).
+ * axpy, FP16 quantization) and the MLP f's kernels (tanh, Linear
+ * matvec), each with its speedup vs the forced scalar backend.
  */
 
 #include <cstdio>
@@ -219,9 +220,11 @@ emitIntegratorReport()
 }
 
 /**
- * Per-SIMD-backend sweep of the stepper's element kernels: the WRMS
+ * Per-SIMD-backend sweep of the stepper's element kernels — the WRMS
  * error norm (Tensor::l2Norm), the stage-combination axpy, and the FP16
- * datapath quantization, each on a 4096-element state. Every compiled
+ * datapath quantization, each on a 4096-element state — and of the MLP
+ * f's kernels at the hidden width of the perfbench models: tanh over
+ * 64 activations and one 64x64 Linear matvec with bias. Every compiled
  * and supported backend is forced in turn; speedup is against the
  * forced scalar backend (always first in availableSimdBackends()).
  */
@@ -229,33 +232,52 @@ void
 emitBackendSweep()
 {
     constexpr std::size_t kN = 4096;
+    constexpr std::size_t kHidden = 64;
     Rng rng(7);
     Tensor y = Tensor::randn(Shape{kN}, rng, 1.0f);
     Tensor x = Tensor::randn(Shape{kN}, rng, 1.0f);
     Tensor q = Tensor::randn(Shape{kN}, rng, 1.0f);
+    Tensor act = Tensor::randn(Shape{kHidden}, rng, 1.0f);
+    Tensor w = Tensor::randn(Shape{kHidden, kHidden}, rng, 0.125f);
+    Tensor bias = Tensor::randn(Shape{kHidden}, rng, 0.1f);
+    Tensor out(Shape{kHidden});
     double sink = 0.0;
 
     struct Kernel
     {
         const char *name;
+        const char *size; ///< entry-name suffix
         double flops; ///< per call; 0 when GFLOP/s is not meaningful
         std::function<void()> fn;
     };
     const Kernel kernels[] = {
-        {"wrms_norm", 2.0 * kN,
+        {"wrms_norm", "4096", 2.0 * kN,
          [&] {
              sink += y.l2Norm();
              benchmark::DoNotOptimize(sink);
          }},
-        {"axpy", 2.0 * kN,
+        {"axpy", "4096", 2.0 * kN,
          [&] {
              y.axpy(1e-7f, x);
              benchmark::DoNotOptimize(y.data());
          }},
-        {"fp16_quantize", 0.0,
+        {"fp16_quantize", "4096", 0.0,
          [&] {
              q.quantizeFp16();
              benchmark::DoNotOptimize(q.data());
+         }},
+        {"tanh", "64", 0.0,
+         [&] {
+             simdOps().tanh(out.data(), act.data(), kHidden);
+             benchmark::DoNotOptimize(out.data());
+             benchmark::ClobberMemory();
+         }},
+        {"linear_matvec", "64x64", 2.0 * kHidden * kHidden,
+         [&] {
+             simdOps().matvec(out.data(), w.data(), bias.data(), act.data(),
+                              kHidden, kHidden);
+             benchmark::DoNotOptimize(out.data());
+             benchmark::ClobberMemory();
          }},
     };
 
@@ -270,8 +292,9 @@ emitBackendSweep()
             if (backend == SimdBackend::Scalar)
                 scalar_ns = ns;
             bench::KernelBenchEntry e;
-            e.name = std::string(k.name) + "_" +
-                     simdBackendName(backend) + "_4096";
+            e.name = k.name;
+            e.name.append("_").append(simdBackendName(backend));
+            e.name.append("_").append(k.size);
             e.nsPerOp = ns;
             e.gflops = k.flops > 0.0 ? k.flops / ns : 0.0;
             e.speedupVsScalar = scalar_ns > 0.0 ? scalar_ns / ns : 0.0;

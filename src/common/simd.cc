@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -39,6 +40,16 @@ struct VecF
     static VecF broadcast(float x) { return {x}; }
     VecF add(VecF o) const { return {v + o.v}; }
     VecF mul(VecF o) const { return {v * o.v}; }
+    VecF div(VecF o) const { return {v / o.v}; }
+    VecF min(VecF o) const { return {v < o.v ? v : o.v}; }
+    VecF max(VecF o) const { return {v > o.v ? v : o.v}; }
+    VecF abs() const { return {std::fabs(v)}; }
+    static VecF
+    selectLess(VecF a, VecF b, VecF x, VecF y)
+    {
+        return {a.v < b.v ? x.v : y.v};
+    }
+    static void transpose(VecF[1]) {}
 };
 
 struct VecD

@@ -23,13 +23,16 @@
  *    translation units are compiled with -ffp-contract=off to keep the
  *    compiler from re-fusing them.
  *  - Reductions use a *fixed lane structure* independent of register
- *    width: dot products accumulate into 16 float lanes (AVX-512 uses
- *    one 16-wide register, AVX2 two 8-wide, NEON four 4-wide, scalar a
- *    16-element array) and sum-of-squares into 8 double lanes, with a
- *    serial tail and a serial final reduction in fixed lane order.
- *    Backends are therefore bitwise identical *to each other*; they
- *    differ from a plain serial sum only by the documented
- *    reduction-order tolerance.
+ *    width: dot products (and each matvec row) accumulate into 16
+ *    float lanes (AVX-512 uses one 16-wide register, AVX2 two 8-wide,
+ *    NEON four 4-wide, scalar a 16-element array) and sum-of-squares
+ *    into 8 double lanes, with a serial tail and a serial final
+ *    reduction in fixed lane order. Backends are therefore bitwise
+ *    identical *to each other*; they differ from a plain serial sum
+ *    only by the documented reduction-order tolerance.
+ *  - tanh is a rational approximation built from rounded add, mul,
+ *    div, min, max and select with pinned NaN semantics, so it too is
+ *    bitwise identical across backends (but not equal to libm).
  *  - allFinite is exact (a NaN/Inf anywhere flips it, no FP rounding
  *    involved). quantizeFp16 is bitwise identical across backends for
  *    every non-NaN input; hardware converters (F16C, NEON fcvt) may
@@ -80,6 +83,15 @@ struct SimdOps
     void (*subInPlace)(float *y, const float *x, std::size_t n);
     /** dst[i] = src[i]; memcpy semantics (regions must not overlap). */
     void (*copy)(float *dst, const float *src, std::size_t n);
+    /**
+     * dst[i] = tanh(src[i]) by a clamped 13/6 rational approximation
+     * (Eigen's float tanh, |x| < 4e-4 returns x), not libm: the bits
+     * depend only on the input, identically on every backend and
+     * platform. Within 6 ulp and 4.2e-7 absolute of the exact tanh
+     * (DESIGN.md §11 gives the sweep); NaN stays NaN, +-inf maps to
+     * +-1, tanh(-x) == -tanh(x) bitwise. dst may equal src.
+     */
+    void (*tanh)(float *dst, const float *src, std::size_t n);
 
     /**
      * Conv 3-tap row pass: acc[i] += w[0]*row[i] + w[1]*row[i+1] +
@@ -111,6 +123,16 @@ struct SimdOps
      * zero lanes, accumDot16, then the serial tail-first reduction.
      */
     float (*dot)(const float *a, const float *b, std::size_t n);
+    /**
+     * Row-major matvec under dot's fixed-lane contract: out[r] =
+     * bias[r] + dot(w + r*n, x, n) for r < rows, or the bare dot when
+     * bias is null. Each row keeps dot's 16 lanes, serial tail and
+     * tail-first reduce, so every output equals the per-row dot plus
+     * bias bitwise; the kernel only reduces several rows at once.
+     * `out` must not alias w, bias or x.
+     */
+    void (*matvec)(float *out, const float *w, const float *bias,
+                   const float *x, std::size_t rows, std::size_t n);
 
     /**
      * Sum of squares in double precision under a fixed 8-double-lane
@@ -223,12 +245,6 @@ inline void
 copy(float *dst, const float *src, std::size_t n)
 {
     simdOps().copy(dst, src, n);
-}
-
-inline float
-dot(const float *a, const float *b, std::size_t n)
-{
-    return simdOps().dot(a, b, n);
 }
 
 inline double

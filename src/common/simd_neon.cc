@@ -38,6 +38,33 @@ struct VecF
     static VecF broadcast(float x) { return {vdupq_n_f32(x)}; }
     VecF add(VecF o) const { return {vaddq_f32(v, o.v)}; }
     VecF mul(VecF o) const { return {vmulq_f32(v, o.v)}; }
+    VecF div(VecF o) const { return {vdivq_f32(v, o.v)}; }
+    // NEON fmin/fmax return NaN for a NaN operand; compare + select
+    // reproduces the x86 minps/maxps result the kernels are specified by.
+    VecF min(VecF o) const { return {vbslq_f32(vcltq_f32(v, o.v), v, o.v)}; }
+    VecF max(VecF o) const { return {vbslq_f32(vcgtq_f32(v, o.v), v, o.v)}; }
+    VecF abs() const { return {vabsq_f32(v)}; }
+    static VecF
+    selectLess(VecF a, VecF b, VecF x, VecF y)
+    {
+        return {vbslq_f32(vcltq_f32(a.v, b.v), x.v, y.v)};
+    }
+
+    /** 4x4 transpose: trn pairs of rows, then recombine 64-bit halves. */
+    static void
+    transpose(VecF r[4])
+    {
+        const float32x4x2_t p01 = vtrnq_f32(r[0].v, r[1].v);
+        const float32x4x2_t p23 = vtrnq_f32(r[2].v, r[3].v);
+        r[0].v = vcombine_f32(vget_low_f32(p01.val[0]),
+                              vget_low_f32(p23.val[0]));
+        r[1].v = vcombine_f32(vget_low_f32(p01.val[1]),
+                              vget_low_f32(p23.val[1]));
+        r[2].v = vcombine_f32(vget_high_f32(p01.val[0]),
+                              vget_high_f32(p23.val[0]));
+        r[3].v = vcombine_f32(vget_high_f32(p01.val[1]),
+                              vget_high_f32(p23.val[1]));
+    }
 };
 
 struct VecD

@@ -22,10 +22,16 @@ namespace {
  *   ybar_j = kbar_j^T df/dy_j           (VJP through f)
  *   dL/dh  = abar + sum_j ybar_j
  *
- * Stages whose kbar is structurally zero are skipped entirely. For the
- * FSAL RK23 this skips k4 — matching the paper's observation that "the
- * backward pass only computes the integral states k1, k2 and k3"
- * (Sec. IV.B).
+ * Stages whose kbar is structurally zero are skipped entirely, in the
+ * local forward and in the reverse sweep. For the FSAL RK23 this skips
+ * k4 — matching the paper's observation that "the backward pass only
+ * computes the integral states k1, k2 and k3" (Sec. IV.B).
+ *
+ * Each VJP needs the layers to hold its stage's activations. The last
+ * stage the local forward evaluates is the first one the reverse sweep
+ * visits, so its VJP runs on the activations already there; every
+ * other stage is re-evaluated first. An RK23 step therefore costs 3
+ * local-forward evaluations, 2 re-evaluations and 3 VJPs.
  */
 Tensor
 adjointStep(EmbeddedNet &net, const ButcherTableau &tableau, double t,
@@ -36,6 +42,17 @@ adjointStep(EmbeddedNet &net, const ButcherTableau &tableau, double t,
     const auto &a = tableau.a();
     const auto &b = tableau.b();
     const auto &c = tableau.c();
+
+    // Structural zero test on tableau coefficients only: stage j
+    // contributes nothing if b_j = 0 and no later stage reads k_j. A
+    // stage that reads k_l makes l contribute, so the local forward
+    // always has every k it combines.
+    const auto contributes = [&](std::size_t j) {
+        bool used = b[j] != 0.0;
+        for (std::size_t m = j + 1; m < s && !used; m++)
+            used = a[m][j] != 0.0;
+        return used;
+    };
 
     // Size the workspace once per tableau; subsequent steps reuse every
     // buffer (the Tensor assignments below recycle storage through the
@@ -49,9 +66,13 @@ adjointStep(EmbeddedNet &net, const ButcherTableau &tableau, double t,
         ws.ybarSet.resize(s);
     std::fill(ws.ybarSet.begin(), ws.ybarSet.end(), char{0});
 
-    // 1) Local forward step: recover the training states (stage inputs).
-    //    This is the "local forward step" of the ACA backward pass.
+    // 1) Local forward step: recover the training states (stage inputs)
+    //    of the contributing stages. This is the "local forward step"
+    //    of the ACA backward pass.
+    std::size_t evaluated = s; // stage whose activations the layers hold
     for (std::size_t j = 0; j < s; j++) {
+        if (!contributes(j))
+            continue;
         Tensor &yj = ws.stageInputs[j];
         yj.copyFrom(h);
         for (std::size_t l = 0; l < j; l++) {
@@ -60,18 +81,14 @@ adjointStep(EmbeddedNet &net, const ButcherTableau &tableau, double t,
         }
         ws.stages[j] = net.eval(t + c[j] * dt, yj);
         stats.localForwardEvals++;
+        evaluated = j;
     }
 
     // 2+3) Adjoint and parameter-gradient calculation, reverse stage
     //      order (the counter-clockwise loop around the ring, Fig. 7d).
     ws.hbar.copyFrom(abar);
     for (std::size_t j = s; j-- > 0;) {
-        // Structural zero test on tableau coefficients only: the stage
-        // contributes nothing if b_j = 0 and no later stage reads k_j.
-        bool contributes = b[j] != 0.0;
-        for (std::size_t m = j + 1; m < s && !contributes; m++)
-            contributes = a[m][j] != 0.0;
-        if (!contributes)
+        if (!contributes(j))
             continue;
 
         ws.kbar.copyFrom(abar);
@@ -83,11 +100,15 @@ adjointStep(EmbeddedNet &net, const ButcherTableau &tableau, double t,
                 ws.kbar.axpy(static_cast<float>(dt * a[m][j]), ws.ybar[m]);
         }
 
-        // Re-establish the layer caches at stage j, then pull the VJP.
-        // The re-evaluation models reading the stored training states; it
-        // is not counted as algorithmic forward work (the hardware reads
-        // the states from the training state buffer instead).
-        net.eval(t + c[j] * dt, ws.stageInputs[j]);
+        // Re-establish the layer caches at stage j unless they already
+        // hold it, then pull the VJP. The re-evaluation models reading
+        // the stored training states; it is not counted as algorithmic
+        // forward work (the hardware reads the states from the training
+        // state buffer instead).
+        if (j != evaluated) {
+            net.eval(t + c[j] * dt, ws.stageInputs[j]);
+            evaluated = j;
+        }
         ws.ybar[j] = net.vjp(ws.kbar);
         ws.ybarSet[j] = 1;
         stats.adjointVjps++;

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/simd.h"
 
 namespace enode {
 
@@ -54,10 +55,7 @@ void
 Tanh::forwardBatched(const Tensor &xs, Tensor &out)
 {
     out.resize(xs.shape());
-    const float *src = xs.data();
-    float *dst = out.data();
-    for (std::size_t i = 0; i < xs.numel(); i++)
-        dst[i] = std::tanh(src[i]);
+    simdOps().tanh(out.data(), xs.data(), xs.numel());
 }
 
 Tensor

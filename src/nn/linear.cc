@@ -8,27 +8,6 @@
 
 namespace enode {
 
-namespace {
-
-/**
- * out[o] = bias[o] + weight[o] . x — the Linear matvec, one fixed-lane
- * SIMD dot per output row. Solo forward and the batched per-sample loop
- * both call exactly this, so a batched solve reproduces the solo
- * outputs bitwise at every batch size (the batched-vs-solo contract the
- * runtime tests pin), with no scalar-remainder cliff at small batches.
- */
-void
-matvec(const SimdOps &ops, const float *wd, const float *bd, std::size_t O,
-       std::size_t I, const float *x, float *out)
-{
-    for (std::size_t o = 0; o < O; o++) {
-        const float sum = ops.dot(wd + o * I, x, I);
-        out[o] = bd ? bd[o] + sum : sum;
-    }
-}
-
-} // namespace
-
 Linear::Linear(std::size_t in_features, std::size_t out_features, Rng &rng,
                bool with_bias)
     : inFeatures_(in_features),
@@ -53,8 +32,9 @@ Linear::forward(const Tensor &x)
                  "Linear expects (", inFeatures_, "), got ", x.shape().str());
     cachedInput_ = x;
     Tensor out(Shape{outFeatures_});
-    matvec(simdOps(), weight_.data(), withBias_ ? bias_.data() : nullptr,
-           outFeatures_, inFeatures_, x.data(), out.data());
+    simdOps().matvec(out.data(), weight_.data(),
+                     withBias_ ? bias_.data() : nullptr, x.data(),
+                     outFeatures_, inFeatures_);
     return out;
 }
 
@@ -69,19 +49,17 @@ Linear::forwardBatched(const Tensor &xs, Tensor &out)
     const float *xd = xs.data();
     float *od = out.data();
 
-    // Per-sample matvec, the exact solo kernel. The previous scheme
-    // blocked samples eight at a time through a transposed scratch to
-    // manufacture SIMD width from sample parallelism, which left every
-    // batch smaller than eight (and every remainder) on a scalar path —
-    // the source of the non-monotone serving-throughput dip at batch 4.
-    // With the dot itself vectorized through the fixed-lane SIMD
-    // kernel, width comes from the feature dimension instead and every
-    // batch size takes the same path.
+    // Per-sample matvec, the exact solo kernel, so a batched solve
+    // reproduces the solo outputs bitwise at every batch size (the
+    // batched-vs-solo contract the runtime tests pin). SIMD width comes
+    // from the feature dimension (the fixed-lane dot rows), not from
+    // sample parallelism, so every batch size takes the same path with
+    // no scalar-remainder cliff at small batches.
     const SimdOps &ops = simdOps();
     const float *bd = withBias_ ? bias_.data() : nullptr;
     for (std::size_t s = 0; s < n; s++)
-        matvec(ops, weight_.data(), bd, outFeatures_, inFeatures_,
-               xd + s * inFeatures_, od + s * outFeatures_);
+        ops.matvec(od + s * outFeatures_, weight_.data(), bd,
+                   xd + s * inFeatures_, outFeatures_, inFeatures_);
 }
 
 Tensor

@@ -287,9 +287,122 @@ TEST(AcaTrainer, BackwardSkipsFsalStage)
 
     // 3 VJPs per step, not 4.
     EXPECT_EQ(aca.stats.adjointVjps, 3 * aca.stats.backwardSteps);
-    // Local forward evaluates all 4 stages.
-    EXPECT_EQ(aca.stats.localForwardEvals, 4 * aca.stats.backwardSteps);
+    // The local forward evaluates k1, k2 and k3 only.
+    EXPECT_EQ(aca.stats.localForwardEvals, 3 * aca.stats.backwardSteps);
     EXPECT_EQ(aca.stats.backwardSteps, fwd.totalStats.evalPoints);
+}
+
+/**
+ * The discrete adjoint of one RK step without any evaluation trimming:
+ * the local forward evaluates every stage, and every contributing stage
+ * is re-evaluated right before its VJP. Same arithmetic, in the same
+ * order, as the trainer's adjointStep.
+ */
+Tensor
+reevaluatingAdjointStep(EmbeddedNet &net, const ButcherTableau &tab,
+                        const Checkpoint &ck, const Tensor &abar)
+{
+    const std::size_t s = tab.stages();
+    const auto &a = tab.a();
+    const auto &b = tab.b();
+    const auto &c = tab.c();
+    std::vector<Tensor> k(s), y(s), ybar(s);
+    for (std::size_t j = 0; j < s; j++) {
+        y[j].copyFrom(ck.state);
+        for (std::size_t l = 0; l < j; l++) {
+            if (a[j][l] != 0.0)
+                y[j].axpy(static_cast<float>(ck.dt * a[j][l]), k[l]);
+        }
+        k[j] = net.eval(ck.t + c[j] * ck.dt, y[j]);
+    }
+    Tensor hbar;
+    hbar.copyFrom(abar);
+    for (std::size_t j = s; j-- > 0;) {
+        bool contributes = b[j] != 0.0;
+        for (std::size_t m = j + 1; m < s; m++)
+            contributes = contributes || a[m][j] != 0.0;
+        if (!contributes)
+            continue;
+        Tensor kbar;
+        kbar.copyFrom(abar);
+        kbar.scale(static_cast<float>(ck.dt * b[j]));
+        for (std::size_t m = j + 1; m < s; m++) {
+            if (a[m][j] != 0.0 && !ybar[m].empty())
+                kbar.axpy(static_cast<float>(ck.dt * a[m][j]), ybar[m]);
+        }
+        net.eval(ck.t + c[j] * ck.dt, y[j]);
+        ybar[j] = net.vjp(kbar);
+        hbar += ybar[j];
+    }
+    return hbar;
+}
+
+/** Input adjoint followed by every parameter gradient, flattened. */
+std::vector<float>
+flatGradients(NodeModel &model, const Tensor &grad_input)
+{
+    std::vector<float> flat(grad_input.data(),
+                            grad_input.data() + grad_input.numel());
+    for (auto &slot : model.paramSlots())
+        flat.insert(flat.end(), slot.grad->data(),
+                    slot.grad->data() + slot.grad->numel());
+    return flat;
+}
+
+TEST(AcaTrainer, Rk23BackwardStepCostsFiveEvaluations)
+{
+    // Per RK23 step: k1, k2, k3 in the local forward (k4 feeds nothing
+    // the gradient reads), then VJPs for k3, k2, k1. k3's activations
+    // are still in the layers from the local forward, so only k2 and k1
+    // are re-evaluated: 5 evaluations of f, against 7 when every stage
+    // is evaluated and every VJP re-evaluates. The gradients must be
+    // bitwise those of the re-evaluating step. Train-mix-shaped MLP.
+    const ButcherTableau &rk23 = ButcherTableau::rk23();
+    Rng rng(47);
+    auto model = NodeModel::makeMlp(1, 16, 64, 2, rng);
+    EmbeddedNet &net = model->net(0);
+    const Tensor x0 = Tensor::randn(Shape{16}, rng, 0.5f);
+    const Tensor seed = Tensor::randn(Shape{16}, rng, 1.0f);
+    FixedFactorController ctrl;
+    IvpOptions opts;
+    opts.tolerance = 1e-3;
+    opts.initialDt = 0.05;
+    auto fwd = model->forward(x0, rk23, ctrl, opts);
+    ASSERT_EQ(fwd.status, SolveStatus::Ok);
+    const std::vector<Checkpoint> &steps = fwd.layers[0].checkpoints;
+    ASSERT_GE(steps.size(), 3u);
+
+    // Walk the trajectory back one step per call so every step's cost
+    // is counted on its own.
+    model->zeroGrad();
+    Tensor abar = seed;
+    for (std::size_t i = steps.size(); i-- > 0;) {
+        IvpResult one;
+        one.checkpoints = {steps[i]};
+        net.resetCounters();
+        auto step = acaBackwardLayer(net, rk23, one, abar);
+        EXPECT_EQ(net.evalCount(), 5u) << "step " << i;
+        EXPECT_EQ(net.vjpCount(), 3u) << "step " << i;
+        EXPECT_EQ(step.stats.localForwardEvals, 3u);
+        EXPECT_EQ(step.stats.adjointVjps, 3u);
+        abar = std::move(step.gradInput);
+    }
+    const std::vector<float> got = flatGradients(*model, abar);
+
+    model->zeroGrad();
+    Tensor ref = seed;
+    for (std::size_t i = steps.size(); i-- > 0;) {
+        net.resetCounters();
+        ref = reevaluatingAdjointStep(net, rk23, steps[i], ref);
+        EXPECT_EQ(net.evalCount(), 7u);
+    }
+    const std::vector<float> expected = flatGradients(*model, ref);
+
+    ASSERT_EQ(got.size(), expected.size());
+    EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                          got.size() * sizeof(float)),
+              0)
+        << "trimmed backward diverged from the re-evaluating step";
 }
 
 TEST(AcaTrainer, TrainingReducesRegressionLoss)

@@ -7,6 +7,9 @@
  *  - elementwise kernels and the fixed-lane reductions (16-float dot,
  *    8-double sum of squares) are *bitwise identical* across backends,
  *    at every size including ragged tails;
+ *  - every matvec row equals the per-row dot plus bias bitwise;
+ *  - tanh is bitwise identical across backends, odd, maps NaN to NaN
+ *    and +-inf to +-1, and stays within a pinned error of std::tanh;
  *  - the fixed-lane reductions sit within a documented reduction-order
  *    tolerance of a plain serial sum;
  *  - allFinite is exact; the fp16 conversions are bitwise against the
@@ -20,6 +23,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -281,6 +285,209 @@ TEST_F(SimdKernelEquivalence, DotIsBitwiseUnderFixedLaneContract)
         const std::vector<float> b = testData(n, 61);
         return std::vector<float>{ops.dot(a.data(), b.data(), n)};
     });
+}
+
+/** Inputs at tanh's branch points, specials, and the subnormal range. */
+std::vector<float>
+tanhEdgeInputs()
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    std::vector<float> out = {0.0f,
+                              -0.0f,
+                              inf,
+                              -inf,
+                              std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::denorm_min(),
+                              std::numeric_limits<float>::min(),
+                              std::numeric_limits<float>::max(),
+                              1e-30f,
+                              1e-42f};
+    // A few ulps either side of the clamp and of the |x| < 4e-4 branch.
+    for (float edge : {7.90531110763549805f, 4e-4f, 1.0f}) {
+        float lo = edge, hi = edge;
+        for (int k = 0; k < 4; k++) {
+            out.push_back(lo);
+            out.push_back(hi);
+            lo = std::nextafter(lo, 0.0f);
+            hi = std::nextafter(hi, inf);
+        }
+    }
+    const std::size_t positive = out.size();
+    for (std::size_t i = 0; i < positive; i++)
+        out.push_back(-out[i]);
+    return out;
+}
+
+TEST_F(SimdKernelEquivalence, Tanh)
+{
+    expectBitwiseAcrossBackends([](const SimdOps &ops, std::size_t n) {
+        const std::vector<float> x = testData(n, 97);
+        std::vector<float> y(n, -1.0f);
+        ops.tanh(y.data(), x.data(), n);
+        return y;
+    });
+    // In place, at a scale where every branch of the approximation runs.
+    expectBitwiseAcrossBackends([](const SimdOps &ops, std::size_t n) {
+        std::vector<float> y = testData(n, 101);
+        for (std::size_t i = 0; i < n; i++)
+            y[i] = y[i] * 1e-29f + static_cast<float>(i % 23) - 11.0f;
+        ops.tanh(y.data(), y.data(), n);
+        return y;
+    });
+}
+
+TEST_F(SimdKernelEquivalence, TanhEdgeInputs)
+{
+    const std::vector<float> x = tanhEdgeInputs();
+    std::vector<float> scalarOut(x.size());
+    {
+        ScopedSimdBackend forced(SimdBackend::Scalar);
+        ASSERT_TRUE(forced.applied());
+        simdOps().tanh(scalarOut.data(), x.data(), x.size());
+    }
+    for (SimdBackend b : vectorBackends()) {
+        ScopedSimdBackend forced(b);
+        ASSERT_TRUE(forced.applied());
+        // Every alignment of the edge set against the vector width, so
+        // each input also goes through the padded tail.
+        for (std::size_t offset = 0; offset < 17; offset++) {
+            std::vector<float> y(x.size() - offset);
+            simdOps().tanh(y.data(), x.data() + offset, y.size());
+            for (std::size_t i = 0; i < y.size(); i++)
+                EXPECT_EQ(simd_detail::f32Bits(y[i]),
+                          simd_detail::f32Bits(scalarOut[offset + i]))
+                    << simdBackendName(b) << " tanh(" << x[offset + i]
+                    << ") diverged from scalar";
+        }
+    }
+}
+
+TEST(SimdTanh, OddNanAndInfinity)
+{
+    std::vector<float> x = tanhEdgeInputs();
+    for (int i = 0; i < 4000; i++)
+        x.push_back(std::ldexp(static_cast<float>(i % 97) + 0.37f,
+                               i % 40 - 36));
+    const std::size_t n = x.size();
+    for (std::size_t i = 0; i < n; i++)
+        x.push_back(-x[i]);
+
+    for (SimdBackend b : availableSimdBackends()) {
+        ScopedSimdBackend forced(b);
+        ASSERT_TRUE(forced.applied());
+        std::vector<float> y(x.size());
+        simdOps().tanh(y.data(), x.data(), x.size());
+        for (std::size_t i = 0; i < n; i++) {
+            if (std::isnan(x[i])) {
+                EXPECT_TRUE(std::isnan(y[i]) && std::isnan(y[n + i]))
+                    << simdBackendName(b);
+                continue;
+            }
+            EXPECT_EQ(simd_detail::f32Bits(y[n + i]),
+                      simd_detail::f32Bits(-y[i]))
+                << simdBackendName(b) << " tanh(-x) != -tanh(x) at "
+                << x[i];
+            EXPECT_LE(std::fabs(y[i]), 1.0f) << simdBackendName(b);
+            if (std::isinf(x[i])) {
+                EXPECT_EQ(y[i], std::copysign(1.0f, x[i]))
+                    << simdBackendName(b);
+            }
+        }
+    }
+}
+
+/** Largest distance in representable floats between y and tanh(x). */
+struct TanhError
+{
+    std::uint32_t ulps = 0;
+    double abs = 0.0;
+    float worstX = 0.0f;
+};
+
+TanhError
+tanhErrorOverSweep(float from, float to, std::uint32_t stride)
+{
+    std::vector<float> x;
+    for (std::uint32_t u = simd_detail::f32Bits(from);
+         u <= simd_detail::f32Bits(to); u += stride)
+        x.push_back(simd_detail::f32FromBits(u));
+    std::vector<float> y(x.size());
+    simdOps().tanh(y.data(), x.data(), x.size());
+    TanhError err;
+    for (std::size_t i = 0; i < x.size(); i++) {
+        const double exact = std::tanh(static_cast<double>(x[i]));
+        const std::uint32_t a = simd_detail::f32Bits(y[i]);
+        const std::uint32_t b =
+            simd_detail::f32Bits(static_cast<float>(exact));
+        const std::uint32_t d = a > b ? a - b : b - a;
+        if (d > err.ulps) {
+            err.ulps = d;
+            err.worstX = x[i];
+        }
+        err.abs = std::max(err.abs,
+                           std::fabs(static_cast<double>(y[i]) - exact));
+    }
+    return err;
+}
+
+TEST(SimdTanh, WithinPinnedErrorOfStdTanh)
+{
+    // tanh is the one kernel whose result is not the libm value: a
+    // clamped 13/6 rational approximation. Its error bound is part of
+    // the contract (DESIGN.md §11). Bitwise equality across backends is
+    // pinned above, so the active backend speaks for all of them.
+    // Positive inputs suffice: oddness is pinned bitwise above.
+    const TanhError dense = tanhErrorOverSweep(1e-6f, 12.0f, 7);
+    EXPECT_LE(dense.ulps, 6u) << "worst at x = " << dense.worstX;
+    EXPECT_LE(dense.abs, 4.2e-7);
+
+    // Below 1e-6 the |x| < 4e-4 branch returns x, which is tanh(x)
+    // correctly rounded or one ulp off; without it p/q loses the low
+    // bits of x near the smallest normals (about 100 ulp).
+    const TanhError tiny = tanhErrorOverSweep(
+        std::numeric_limits<float>::denorm_min(), 1e-6f, 1021);
+    EXPECT_LE(tiny.ulps, 1u) << "worst at x = " << tiny.worstX;
+
+    // From the clamp on the result is exactly 1.
+    std::vector<float> big;
+    for (std::uint32_t u = simd_detail::f32Bits(7.90531110763549805f);
+         u <= simd_detail::f32Bits(1e30f); u += 4099)
+        big.push_back(simd_detail::f32FromBits(u));
+    std::vector<float> one(big.size());
+    simdOps().tanh(one.data(), big.data(), big.size());
+    for (std::size_t i = 0; i < big.size(); i++)
+        EXPECT_EQ(one[i], 1.0f) << "tanh(" << big[i] << ")";
+}
+
+TEST(SimdMatvec, RowsEqualPerRowDotPlusBiasOnEveryBackend)
+{
+    const std::size_t widths[] = {1, 15, 16, 17, 33, 64, 65};
+    for (SimdBackend b : availableSimdBackends()) {
+        ScopedSimdBackend forced(b);
+        ASSERT_TRUE(forced.applied());
+        const SimdOps &ops = simdOps();
+        for (std::size_t n : widths) {
+            const std::vector<float> x = testData(n, 103);
+            for (std::size_t rows = 1; rows <= 33; rows++) {
+                const std::vector<float> w = testData(rows * n, 107 + rows);
+                const std::vector<float> bias = testData(rows, 109);
+                for (const float *bd : {bias.data(),
+                                        static_cast<const float *>(nullptr)}) {
+                    std::vector<float> expected(rows);
+                    for (std::size_t r = 0; r < rows; r++) {
+                        const float sum =
+                            ops.dot(w.data() + r * n, x.data(), n);
+                        expected[r] = bd ? bd[r] + sum : sum;
+                    }
+                    std::vector<float> got(rows, -1.0f);
+                    ops.matvec(got.data(), w.data(), bd, x.data(), rows, n);
+                    EXPECT_TRUE(bitwiseEqual(got, expected))
+                        << simdBackendName(b) << " rows=" << rows
+                        << " n=" << n << " bias=" << (bd != nullptr);
+                }
+            }
+        }
+    }
 }
 
 TEST_F(SimdKernelEquivalence, SumSquaresIsBitwiseUnderFixedLaneContract)

@@ -247,15 +247,24 @@ TEST(TrainingService, HotSwapUnderLoadLosesNothingAndReconciles)
                                             /*publish_every=*/1));
     service.start([](std::uint64_t i) { return makeExample(i % 16); });
 
+    // Each producer submits at least kPerProducer requests and stops
+    // only after one it submitted once a publication was visible, so
+    // traffic always straddles a publish: on a loaded or instrumented
+    // host the first training step can otherwise finish after the last
+    // request, leaving nothing to swap for. kMaxPerProducer bounds the
+    // wait; a service that never publishes fails the checks below.
     constexpr std::size_t kProducers = 2;
     constexpr std::size_t kPerProducer = 60;
+    constexpr std::size_t kMaxPerProducer = 20000;
     std::vector<std::vector<std::future<InferResponse>>> futures(
         kProducers);
     std::atomic<std::uint64_t> submitted{0};
     std::vector<std::thread> producers;
     for (std::size_t p = 0; p < kProducers; p++) {
         producers.emplace_back([&, p] {
-            for (std::size_t i = 0; i < kPerProducer; i++) {
+            for (std::size_t i = 0; i < kMaxPerProducer; i++) {
+                const bool after_publish =
+                    server.registry().published() > 0;
                 auto sub = server.submit(makeInput(p * kPerProducer + i),
                                          /*stream=*/1);
                 if (sub.accepted) {
@@ -264,6 +273,8 @@ TEST(TrainingService, HotSwapUnderLoadLosesNothingAndReconciles)
                 }
                 std::this_thread::sleep_for(
                     std::chrono::microseconds(200));
+                if (i + 1 >= kPerProducer && after_publish)
+                    break;
             }
         });
     }
