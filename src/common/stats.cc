@@ -227,22 +227,40 @@ StatGroup::StatGroup(std::string name) : name_(std::move(name)) {}
 void
 StatGroup::set(const std::string &key, double value)
 {
-    values_[key] = value;
+    values_[key] = {value, StatKind::Gauge};
+}
+
+void
+StatGroup::setCounter(const std::string &key, double value)
+{
+    values_[key] = {value, StatKind::Counter};
 }
 
 void
 StatGroup::add(const std::string &key, double value)
 {
-    values_[key] += value;
+    values_[key].value += value;
 }
 
-double
-StatGroup::get(const std::string &key) const
+const StatGroup::Entry &
+StatGroup::find(const std::string &key) const
 {
     auto it = values_.find(key);
     if (it == values_.end())
         ENODE_FATAL("unknown stat '", key, "' in group '", name_, "'");
     return it->second;
+}
+
+double
+StatGroup::get(const std::string &key) const
+{
+    return find(key).value;
+}
+
+StatKind
+StatGroup::kind(const std::string &key) const
+{
+    return find(key).kind;
 }
 
 bool
@@ -268,7 +286,7 @@ StatGroup::dump() const
     for (const auto &kv : values_) {
         if (!name_.empty())
             oss << name_ << ".";
-        oss << kv.first << " = " << kv.second << "\n";
+        oss << kv.first << " = " << kv.second.value << "\n";
     }
     return oss.str();
 }

@@ -148,26 +148,43 @@ class SampleSeries
     mutable bool sorted_ = true;
 };
 
+/** How a published scalar reads over time. */
+enum class StatKind
+{
+    /** A point-in-time value that may rise or fall. */
+    Gauge,
+    /** Counts events, or accumulates time, since its owner started. */
+    Counter,
+};
+
 /**
  * A named collection of scalar statistics.
  *
  * Components own their numeric stats and publish them by name; the group
  * stores name -> value snapshots on dump. Hierarchical names use '.' as
- * the separator (e.g. "core0.peArray.macs").
+ * the separator (e.g. "core0.peArray.macs"). Each value carries the
+ * kind its publisher declared, so exporters never guess it from the
+ * name.
  */
 class StatGroup
 {
   public:
     explicit StatGroup(std::string name = "");
 
-    /** Record (or overwrite) a named scalar. */
+    /** Record (or overwrite) a named gauge. */
     void set(const std::string &key, double value);
 
-    /** Add to a named scalar, creating it at zero if absent. */
+    /** Record (or overwrite) a named counter. */
+    void setCounter(const std::string &key, double value);
+
+    /** Add to a named scalar, creating it as a zero gauge if absent. */
     void add(const std::string &key, double value);
 
     /** Look up a scalar; fatal if missing. */
     double get(const std::string &key) const;
+
+    /** The kind the key was declared with; fatal if missing. */
+    StatKind kind(const std::string &key) const;
 
     /** True if the key exists. */
     bool has(const std::string &key) const;
@@ -183,8 +200,16 @@ class StatGroup
     void clear() { values_.clear(); }
 
   private:
+    struct Entry
+    {
+        double value = 0.0;
+        StatKind kind = StatKind::Gauge;
+    };
+
+    const Entry &find(const std::string &key) const;
+
     std::string name_;
-    std::map<std::string, double> values_;
+    std::map<std::string, Entry> values_;
 };
 
 } // namespace enode

@@ -268,9 +268,9 @@ AdmissionController::snapshot() const
     StatGroup group("overload");
     const int level = level_.load(std::memory_order_relaxed);
     group.set("overload.brownout_level", static_cast<double>(level));
-    group.set("overload.sheds", static_cast<double>(sheds_));
-    group.set("overload.relaxed_solves", static_cast<double>(relaxed_));
-    group.set("overload.transitions", static_cast<double>(transitions_));
+    group.setCounter("overload.sheds", sheds_);
+    group.setCounter("overload.relaxed_solves", relaxed_);
+    group.setCounter("overload.transitions", transitions_);
     group.set("overload.load_score", loadScoreLocked());
     group.set("overload.shed_rate", shedRate_);
     group.set("overload.queue_delay_ewma_ms", queueDelayMs_.value);
@@ -280,7 +280,8 @@ AdmissionController::snapshot() const
         double ms = residencyMs_[l];
         if (l == level)
             ms += toMs(RuntimeClock::now() - levelSince_);
-        group.set("overload.residency_l" + std::to_string(l) + "_ms", ms);
+        group.setCounter("overload.residency_l" + std::to_string(l) + "_ms",
+                         ms);
     }
     return group;
 }

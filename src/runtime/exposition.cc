@@ -6,56 +6,6 @@
 
 namespace enode {
 
-namespace {
-
-/**
- * Keys under these prefixes are monotone event counts between resets;
- * everything else is a point-in-time value.
- */
-bool
-isCounterKey(const std::string &key)
-{
-    static const char *kPrefixes[] = {"requests.", "solve.", "watchdog.",
-                                      "publisher.", "batch.size."};
-    for (const char *prefix : kPrefixes)
-        if (key.rfind(prefix, 0) == 0)
-            return true;
-    // The batch family mixes counts (dispatched/requests/partial
-    // failures, plus the size histogram above) with point-in-time
-    // occupancy and wait-percentile gauges.
-    // The overload family mixes counters (sheds, relaxed solves,
-    // transitions) with level/score/residency gauges, so its counters
-    // are listed exactly rather than by prefix.
-    // Same story for the model-registry family (published/swap counts
-    // vs. the live-version and history-depth gauges) and the training
-    // family (task/step counts vs. the last-loss gauge).
-    static const char *kExact[] = {"batch.dispatched",
-                                   "batch.requests",
-                                   "batch.partial_failure",
-                                   "cache.exact_hit",
-                                   "cache.warm_hit",
-                                   "cache.miss",
-                                   "cache.evict",
-                                   "cache.insert",
-                                   "cache.single_flight_waits",
-                                   "overload.sheds",
-                                   "overload.relaxed_solves",
-                                   "overload.transitions",
-                                   "model.published",
-                                   "model.swaps",
-                                   "train.tasks",
-                                   "train.task_failures",
-                                   "train.task_retries",
-                                   "train.steps",
-                                   "train.published"};
-    for (const char *exact : kExact)
-        if (key == exact)
-            return true;
-    return false;
-}
-
-} // namespace
-
 std::string
 prometheusMetricName(const std::string &key, const std::string &ns)
 {
@@ -82,7 +32,8 @@ prometheusText(const StatGroup &group, const std::string &ns)
         os << "# HELP " << name << ' ' << group.name()
            << (group.name().empty() ? "" : " ") << key << '\n';
         os << "# TYPE " << name << ' '
-           << (isCounterKey(key) ? "counter" : "gauge") << '\n';
+           << (group.kind(key) == StatKind::Counter ? "counter" : "gauge")
+           << '\n';
         os << name << ' ' << value << '\n';
     }
     return os.str();

@@ -9,11 +9,10 @@
  * one `# HELP` / `# TYPE` header pair followed by the sample line per
  * metric. Hierarchical stat keys ("latency.total.p99_ms") become legal
  * metric names by mapping separators to underscores and prefixing a
- * namespace ("enode_latency_total_p99_ms"). Monotone request/solve
- * counters are typed `counter`; everything else (latencies, gauges,
- * percentiles) is typed `gauge`. Non-finite values are skipped — the
- * format has no representation for them and scrapers reject the whole
- * page otherwise.
+ * namespace ("enode_latency_total_p99_ms"). Each sample is typed with
+ * the StatKind its producer declared (StatGroup::setCounter vs. set).
+ * Non-finite values are skipped — the format has no representation for
+ * them and scrapers reject the whole page otherwise.
  */
 
 #include <string>

@@ -464,13 +464,12 @@ InferenceServer::serveTrain(std::size_t worker_id, QueueEntry &entry)
         trainTaskFailures_.fetch_add(1, std::memory_order_relaxed);
 
     // Deliver through the slot: the watchdog may have taken this task
-    // over while it was wedged (its Failed response wins). Training
-    // terminals never touch recordCompletion — see Sample::train.
+    // over while it was wedged (its Failed response wins).
     std::promise<InferResponse> to_deliver;
     const bool deliver = flight.claim(0, to_deliver);
     flight.retire();
     if (deliver)
-        to_deliver.set_value(std::move(response));
+        deliverTerminal(to_deliver, std::move(response), /*train=*/true);
 }
 
 void
@@ -544,22 +543,17 @@ InferenceServer::stop(bool drain)
     resume(); // paused workers must wake to drain or exit
 
     const auto cancelEntry = [this](QueueEntry &entry) {
-        // A full Cancelled response through recordCompletion — the
-        // single terminal-state accounting path — so admitted ==
-        // completed + expired + failed + cancelled holds exactly.
+        // A full Cancelled response, so admitted == completed + expired
+        // + failed + cancelled holds exactly. A gradient task's
+        // TrainingService sees the status through its future and gives
+        // up the step.
         InferResponse response;
         response.id = entry.request.id;
         response.status = RequestStatus::Cancelled;
         response.queueWaitMs = toMs(RuntimeClock::now() - entry.enqueueTime);
         response.totalMs = response.queueWaitMs;
-        // Gradient tasks never passed recordAdmitted, so they must not
-        // reach recordCompletion either — the TrainingService sees the
-        // Cancelled status through its future and gives up the step.
-        if (entry.request.train == nullptr) {
-            response.completionIndex = nextCompletionIndex_.fetch_add(1);
-            metrics_.recordCompletion(response);
-        }
-        entry.promise.set_value(std::move(response));
+        deliverTerminal(entry.promise, std::move(response),
+                        entry.request.train != nullptr);
     };
 
     // Cancelled entries may own pending cache entries with attached
@@ -619,10 +613,8 @@ InferenceServer::metricsText() const
     queue_stats.set("queue.depth", static_cast<double>(queue_.size()));
     queue_stats.set("queue.peak_depth",
                     static_cast<double>(queue_.peakSize()));
-    queue_stats.set("queue.rejected",
-                    static_cast<double>(queue_.rejected()));
-    queue_stats.set("queue.closed_rejected",
-                    static_cast<double>(queue_.closedRejected()));
+    queue_stats.setCounter("queue.rejected", queue_.rejected());
+    queue_stats.setCounter("queue.closed_rejected", queue_.closedRejected());
     text += prometheusText(queue_stats);
     if (solveCache_ != nullptr)
         text += prometheusText(solveCache_->snapshot());
@@ -632,11 +624,11 @@ InferenceServer::metricsText() const
         text += prometheusText(publisher_->snapshot());
     text += prometheusText(registry_.snapshotStats());
     StatGroup train_stats("train");
-    train_stats.set("train.tasks", static_cast<double>(trainTasks_.load(
-                                       std::memory_order_relaxed)));
-    train_stats.set("train.task_failures",
-                    static_cast<double>(trainTaskFailures_.load(
-                        std::memory_order_relaxed)));
+    train_stats.setCounter("train.tasks",
+                           trainTasks_.load(std::memory_order_relaxed));
+    train_stats.setCounter(
+        "train.task_failures",
+        trainTaskFailures_.load(std::memory_order_relaxed));
     text += prometheusText(train_stats);
     return text;
 }
@@ -693,6 +685,17 @@ InferenceServer::maybeSwapReplica(std::size_t worker_id)
 }
 
 void
+InferenceServer::deliverTerminal(std::promise<InferResponse> &promise,
+                                 InferResponse response, bool train)
+{
+    if (!train) {
+        response.completionIndex = nextCompletionIndex_.fetch_add(1);
+        metrics_.recordCompletion(response);
+    }
+    promise.set_value(std::move(response));
+}
+
+void
 InferenceServer::deliverCacheHit(std::size_t worker_id, QueueEntry &entry,
                                  Tensor value)
 {
@@ -705,7 +708,6 @@ InferenceServer::deliverCacheHit(std::size_t worker_id, QueueEntry &entry,
     // A cached value is the admission version's bytes by construction
     // (the key embeds that version's digest).
     response.modelVersion = entry.request.modelVersion;
-    response.completionIndex = nextCompletionIndex_.fetch_add(1);
     if (now > entry.request.deadline) {
         // Same terminal status the request would have received from the
         // queue: a follower (or queued hit) whose deadline lapsed while
@@ -721,8 +723,7 @@ InferenceServer::deliverCacheHit(std::size_t worker_id, QueueEntry &entry,
         response.output = std::move(value);
         response.deadlineMet = true;
     }
-    metrics_.recordCompletion(response);
-    entry.promise.set_value(std::move(response));
+    deliverTerminal(entry.promise, std::move(response));
 }
 
 void
@@ -740,9 +741,7 @@ InferenceServer::redispatchFollowers(std::vector<QueueEntry> followers)
         response.status = RequestStatus::Cancelled;
         response.queueWaitMs = toMs(RuntimeClock::now() - f.enqueueTime);
         response.totalMs = response.queueWaitMs;
-        response.completionIndex = nextCompletionIndex_.fetch_add(1);
-        metrics_.recordCompletion(response);
-        f.promise.set_value(std::move(response));
+        deliverTerminal(f.promise, std::move(response));
     }
 }
 
@@ -811,14 +810,12 @@ InferenceServer::shedEntry(QueueEntry &entry, double estimateMs)
     response.status = RequestStatus::Shed;
     response.deadlineMet = false;
     response.totalMs = toMs(RuntimeClock::now() - entry.enqueueTime);
-    response.completionIndex = nextCompletionIndex_.fetch_add(1);
     Tracer::instance().instant(
         "request.shed", "overload",
         {{"id", static_cast<double>(entry.request.id)},
          {"stream", static_cast<double>(entry.request.stream)},
          {"estimate_ms", estimateMs}});
-    metrics_.recordCompletion(response);
-    entry.promise.set_value(std::move(response));
+    deliverTerminal(entry.promise, std::move(response));
 }
 
 void
@@ -835,7 +832,6 @@ InferenceServer::expireEntry(std::size_t worker_id, QueueEntry &entry)
     response.totalMs = response.queueWaitMs;
     response.deadlineMet = false;
     response.workerId = worker_id;
-    response.completionIndex = nextCompletionIndex_.fetch_add(1);
     // An expiry is the strongest queue-delay signal the brownout
     // monitor can get: this request waited itself to death. The worker
     // sweeping it counts as busy, as in serveBatch.
@@ -844,8 +840,7 @@ InferenceServer::expireEntry(std::size_t worker_id, QueueEntry &entry)
             response.queueWaitMs,
             std::min(1.0, static_cast<double>(activeWorkers() + 1) /
                               static_cast<double>(workers_.size())));
-    metrics_.recordCompletion(response);
-    entry.promise.set_value(std::move(response));
+    deliverTerminal(entry.promise, std::move(response));
 }
 
 void
@@ -1145,9 +1140,7 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
                 any_ok = true;
             else
                 any_failed = true;
-            response.completionIndex = nextCompletionIndex_.fetch_add(1);
-            metrics_.recordCompletion(response);
-            to_deliver.set_value(std::move(response));
+            deliverTerminal(to_deliver, std::move(response));
         } else {
             any_failed = true; // watchdog responses are always Failed
         }
@@ -1235,15 +1228,9 @@ InferenceServer::watchdogMain()
                     {{"id", static_cast<double>(f.response.id)},
                      {"worker", static_cast<double>(i)},
                      {"solve_ms", f.response.solveMs}});
-                // Training takeovers count the trip but stay out of the
-                // inference terminal accounting (never admitted there);
-                // the TrainingService retries off the Failed status.
-                if (!f.train) {
-                    f.response.completionIndex =
-                        nextCompletionIndex_.fetch_add(1);
-                    metrics_.recordCompletion(f.response);
-                }
-                f.promise.set_value(std::move(f.response));
+                // A training takeover counts the trip; the
+                // TrainingService retries off the Failed status.
+                deliverTerminal(f.promise, std::move(f.response), f.train);
             }
         }
     }

@@ -467,6 +467,15 @@ class InferenceServer
      */
     Hash128 digestFor(std::uint64_t version) const;
     /**
+     * End one request, the only way any request ends: an inference
+     * terminal takes the next completionIndex and is counted once
+     * through recordCompletion; a training terminal (`train`) is
+     * neither, as gradient tasks never passed recordAdmitted. Then the
+     * promise is fulfilled.
+     */
+    void deliverTerminal(std::promise<InferResponse> &promise,
+                         InferResponse response, bool train = false);
+    /**
      * Answer `entry` with a copy of the cached `value` (exact-tier
      * hit or single-flight follower delivery): full Ok response with
      * cacheHit set, zero solver stats, routed through the single

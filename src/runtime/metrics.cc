@@ -8,21 +8,21 @@ void
 MetricsRegistry::recordAdmitted()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    admitted_++;
+    counts_.admitted++;
 }
 
 void
 MetricsRegistry::recordRejected()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    rejected_++;
+    counts_.rejected++;
 }
 
 void
 MetricsRegistry::recordWatchdogTrip()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    watchdogTrips_++;
+    counts_.watchdogTrips++;
 }
 
 void
@@ -30,9 +30,12 @@ MetricsRegistry::recordBatchDispatch(std::size_t size)
 {
     ENODE_ASSERT(size >= 1, "a dispatched batch carries >= 1 request");
     std::lock_guard<std::mutex> lock(mutex_);
-    batchesDispatched_++;
-    batchedRequests_ += size;
-    batchSize_.add(static_cast<double>(size));
+    counts_.batchesDispatched++;
+    counts_.batchedRequests += size;
+    std::vector<std::uint64_t> &sizes = counts_.batchSizeCounts;
+    if (sizes.size() < size)
+        sizes.resize(size, 0);
+    sizes[size - 1]++;
 }
 
 void
@@ -46,7 +49,7 @@ void
 MetricsRegistry::recordPartialFailure()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    partialFailures_++;
+    counts_.partialFailures++;
 }
 
 void
@@ -56,19 +59,19 @@ MetricsRegistry::countFailureClassLocked(SolveStatus status)
       case SolveStatus::Ok:
         return;
       case SolveStatus::NonFinite:
-        solveNonFinite_++;
+        counts_.solveNonFinite++;
         return;
       case SolveStatus::StepUnderflow:
-        solveStepUnderflow_++;
+        counts_.solveStepUnderflow++;
         return;
       case SolveStatus::TrialBudgetExhausted:
-        solveTrialBudget_++;
+        counts_.solveTrialBudget++;
         return;
       case SolveStatus::EvalBudgetExhausted:
-        solveEvalBudget_++;
+        counts_.solveEvalBudget++;
         return;
       case SolveStatus::DeadlineExceeded:
-        solveDeadline_++;
+        counts_.solveDeadline++;
         return;
     }
     ENODE_PANIC("unknown SolveStatus");
@@ -79,13 +82,13 @@ MetricsRegistry::recordCompletion(const InferResponse &response)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!response.deadlineMet)
-        deadlineMisses_++;
-    retries_ += response.retries;
+        counts_.deadlineMisses++;
+    counts_.retries += response.retries;
     switch (response.status) {
       case RequestStatus::Ok:
-        completed_++;
+        counts_.completed++;
         if (response.brownoutRelaxed)
-            brownoutRelaxed_++;
+            counts_.brownoutRelaxed++;
         queueWaitMs_.add(response.queueWaitMs);
         solveMs_.add(response.solveMs);
         totalMs_.add(response.totalMs);
@@ -93,12 +96,12 @@ MetricsRegistry::recordCompletion(const InferResponse &response)
             // No solver work behind this response; feeding its zero
             // stats into the solver series would make cache hits look
             // like impossibly cheap solves.
-            cacheHits_++;
+            counts_.cacheHits++;
         } else {
             fEvals_.add(static_cast<double>(response.stats.fEvals));
             trials_.add(static_cast<double>(response.stats.trials));
             if (response.warmStarted)
-                warmStarted_++;
+                counts_.warmStarted++;
             if (response.stats.evalPoints > 0) {
                 const double tpp =
                     static_cast<double>(response.stats.trials) /
@@ -109,27 +112,27 @@ MetricsRegistry::recordCompletion(const InferResponse &response)
             }
         }
         if (response.degraded) {
-            degraded_++;
+            counts_.degraded++;
             degradedMs_.add(response.totalMs);
             countFailureClassLocked(response.solveStatus);
         }
         return;
       case RequestStatus::DeadlineExceeded:
-        expired_++;
+        counts_.expired++;
         return;
       case RequestStatus::Failed:
-        failed_++;
+        counts_.failed++;
         countFailureClassLocked(response.solveStatus);
         return;
       case RequestStatus::Cancelled:
         // Shutdown routes each undrained request here exactly once;
         // this is the only place cancellations are counted.
-        cancelled_++;
+        counts_.cancelled++;
         return;
       case RequestStatus::Shed:
         // Refused at submit by admission control: counted admitted (a
         // decision was taken), terminal here, never queued or solved.
-        shed_++;
+        counts_.shed++;
         return;
     }
     ENODE_PANIC("unknown RequestStatus");
@@ -140,23 +143,7 @@ MetricsRegistry::summary() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     MetricsSummary s;
-    s.admitted = admitted_;
-    s.rejected = rejected_;
-    s.completed = completed_;
-    s.cancelled = cancelled_;
-    s.deadlineMisses = deadlineMisses_;
-    s.expired = expired_;
-    s.failed = failed_;
-    s.shed = shed_;
-    s.brownoutRelaxed = brownoutRelaxed_;
-    s.degraded = degraded_;
-    s.retries = retries_;
-    s.watchdogTrips = watchdogTrips_;
-    s.solveNonFinite = solveNonFinite_;
-    s.solveStepUnderflow = solveStepUnderflow_;
-    s.solveTrialBudget = solveTrialBudget_;
-    s.solveEvalBudget = solveEvalBudget_;
-    s.solveDeadline = solveDeadline_;
+    static_cast<MetricsCounts &>(s) = counts_;
     s.queueWaitP50Ms = queueWaitMs_.percentile(50.0);
     s.queueWaitP95Ms = queueWaitMs_.percentile(95.0);
     s.queueWaitP99Ms = queueWaitMs_.percentile(99.0);
@@ -172,23 +159,15 @@ MetricsRegistry::summary() const
     s.degradedP99Ms = degradedMs_.percentile(99.0);
     s.meanFEvals = fEvals_.mean();
     s.meanTrials = trials_.mean();
-    s.cacheHits = cacheHits_;
-    s.warmStarted = warmStarted_;
     s.trialsPerPointWarm = trialsPerPointWarm_.mean();
     s.trialsPerPointCold = trialsPerPointCold_.mean();
-    s.batchesDispatched = batchesDispatched_;
-    s.batchedRequests = batchedRequests_;
-    s.partialFailures = partialFailures_;
     s.batchOccupancyMean =
-        batchesDispatched_ ? static_cast<double>(batchedRequests_) /
-                                 static_cast<double>(batchesDispatched_)
-                           : 0.0;
+        s.batchesDispatched ? static_cast<double>(s.batchedRequests) /
+                                  static_cast<double>(s.batchesDispatched)
+                            : 0.0;
     s.coalesceWaitP50Ms = coalesceWaitMs_.percentile(50.0);
     s.coalesceWaitP95Ms = coalesceWaitMs_.percentile(95.0);
     s.coalesceWaitP99Ms = coalesceWaitMs_.percentile(99.0);
-    s.batchSizeCounts.resize(batchSize_.bins());
-    for (std::size_t i = 0; i < batchSize_.bins(); i++)
-        s.batchSizeCounts[i] = batchSize_.binCount(i);
     return s;
 }
 
@@ -197,28 +176,34 @@ MetricsRegistry::snapshot(const std::string &group_name) const
 {
     const MetricsSummary s = summary();
     StatGroup group(group_name);
-    group.set("requests.admitted", static_cast<double>(s.admitted));
-    group.set("requests.rejected", static_cast<double>(s.rejected));
-    group.set("requests.completed", static_cast<double>(s.completed));
-    group.set("requests.cancelled", static_cast<double>(s.cancelled));
-    group.set("requests.expired", static_cast<double>(s.expired));
-    group.set("requests.failed", static_cast<double>(s.failed));
-    group.set("requests.shed", static_cast<double>(s.shed));
-    group.set("requests.brownout_relaxed",
-              static_cast<double>(s.brownoutRelaxed));
-    group.set("requests.deadline_misses",
-              static_cast<double>(s.deadlineMisses));
-    group.set("solve.non_finite", static_cast<double>(s.solveNonFinite));
-    group.set("solve.step_underflow",
-              static_cast<double>(s.solveStepUnderflow));
-    group.set("solve.trial_budget",
-              static_cast<double>(s.solveTrialBudget));
-    group.set("solve.eval_budget", static_cast<double>(s.solveEvalBudget));
-    group.set("solve.deadline_exceeded",
-              static_cast<double>(s.solveDeadline));
-    group.set("solve.degraded", static_cast<double>(s.degraded));
-    group.set("solve.retries", static_cast<double>(s.retries));
-    group.set("watchdog.trips", static_cast<double>(s.watchdogTrips));
+    group.setCounter("requests.admitted", s.admitted);
+    group.setCounter("requests.rejected", s.rejected);
+    group.setCounter("requests.completed", s.completed);
+    group.setCounter("requests.cancelled", s.cancelled);
+    group.setCounter("requests.expired", s.expired);
+    group.setCounter("requests.failed", s.failed);
+    group.setCounter("requests.shed", s.shed);
+    group.setCounter("requests.brownout_relaxed", s.brownoutRelaxed);
+    group.setCounter("requests.deadline_misses", s.deadlineMisses);
+    group.setCounter("requests.cache_hits", s.cacheHits);
+    group.setCounter("requests.warm_started", s.warmStarted);
+    group.setCounter("solve.non_finite", s.solveNonFinite);
+    group.setCounter("solve.step_underflow", s.solveStepUnderflow);
+    group.setCounter("solve.trial_budget", s.solveTrialBudget);
+    group.setCounter("solve.eval_budget", s.solveEvalBudget);
+    group.setCounter("solve.deadline_exceeded", s.solveDeadline);
+    group.setCounter("solve.degraded", s.degraded);
+    group.setCounter("solve.retries", s.retries);
+    group.setCounter("watchdog.trips", s.watchdogTrips);
+    group.setCounter("batch.dispatched", s.batchesDispatched);
+    group.setCounter("batch.requests", s.batchedRequests);
+    group.setCounter("batch.partial_failure", s.partialFailures);
+    // Only populated sizes, so a batch-of-1 server does not dump a row
+    // per size up to its largest batch into every snapshot.
+    for (std::size_t i = 0; i < s.batchSizeCounts.size(); i++)
+        if (s.batchSizeCounts[i] > 0)
+            group.setCounter("batch.size.bin_" + std::to_string(i + 1),
+                             s.batchSizeCounts[i]);
     group.set("latency.queue_wait.p50_ms", s.queueWaitP50Ms);
     group.set("latency.queue_wait.p95_ms", s.queueWaitP95Ms);
     group.set("latency.queue_wait.p99_ms", s.queueWaitP99Ms);
@@ -234,63 +219,13 @@ MetricsRegistry::snapshot(const std::string &group_name) const
     group.set("latency.degraded.p99_ms", s.degradedP99Ms);
     group.set("solver.mean_f_evals", s.meanFEvals);
     group.set("solver.mean_trials", s.meanTrials);
-    group.set("requests.cache_hits", static_cast<double>(s.cacheHits));
-    group.set("requests.warm_started", static_cast<double>(s.warmStarted));
     group.set("solver.trials_per_point.warm_mean", s.trialsPerPointWarm);
     group.set("solver.trials_per_point.cold_mean", s.trialsPerPointCold);
-    group.set("batch.dispatched", static_cast<double>(s.batchesDispatched));
-    group.set("batch.requests", static_cast<double>(s.batchedRequests));
-    group.set("batch.partial_failure",
-              static_cast<double>(s.partialFailures));
     group.set("batch.occupancy_mean", s.batchOccupancyMean);
     group.set("batch.wait.p50_ms", s.coalesceWaitP50Ms);
     group.set("batch.wait.p95_ms", s.coalesceWaitP95Ms);
     group.set("batch.wait.p99_ms", s.coalesceWaitP99Ms);
-    // Only populated bins, so a batch-of-1 server does not dump 32 zero
-    // rows into every snapshot.
-    for (std::size_t i = 0; i < s.batchSizeCounts.size(); i++)
-        if (s.batchSizeCounts[i] > 0)
-            group.set("batch.size.bin_" + std::to_string(i + 1),
-                      static_cast<double>(s.batchSizeCounts[i]));
     return group;
-}
-
-void
-MetricsRegistry::reset()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    admitted_ = 0;
-    rejected_ = 0;
-    completed_ = 0;
-    cancelled_ = 0;
-    deadlineMisses_ = 0;
-    expired_ = 0;
-    failed_ = 0;
-    shed_ = 0;
-    brownoutRelaxed_ = 0;
-    degraded_ = 0;
-    retries_ = 0;
-    watchdogTrips_ = 0;
-    solveNonFinite_ = 0;
-    solveStepUnderflow_ = 0;
-    solveTrialBudget_ = 0;
-    solveEvalBudget_ = 0;
-    solveDeadline_ = 0;
-    batchesDispatched_ = 0;
-    batchedRequests_ = 0;
-    partialFailures_ = 0;
-    queueWaitMs_.reset();
-    solveMs_.reset();
-    totalMs_.reset();
-    degradedMs_.reset();
-    fEvals_.reset();
-    trials_.reset();
-    coalesceWaitMs_.reset();
-    cacheHits_ = 0;
-    warmStarted_ = 0;
-    trialsPerPointWarm_.reset();
-    trialsPerPointCold_.reset();
-    batchSize_.reset();
 }
 
 } // namespace enode

@@ -23,8 +23,12 @@
 
 namespace enode {
 
-/** Aggregated view of the serving metrics (one consistent snapshot). */
-struct MetricsSummary
+/**
+ * The registry's event counts, each one monotone since the server
+ * started. MetricsRegistry keeps one instance and records into it;
+ * snapshot() publishes every field as a counter.
+ */
+struct MetricsCounts
 {
     std::uint64_t admitted = 0;
     std::uint64_t rejected = 0;
@@ -55,6 +59,28 @@ struct MetricsSummary
     std::uint64_t solveEvalBudget = 0;
     std::uint64_t solveDeadline = 0;
 
+    /** Ok responses answered from the exact-dedup cache. */
+    std::uint64_t cacheHits = 0;
+    /** Ok responses whose solve replayed a cached dt-schedule. */
+    std::uint64_t warmStarted = 0;
+
+    /** Batched solves dispatched (each covers >= 1 request). */
+    std::uint64_t batchesDispatched = 0;
+    /** Requests carried by those batched solves. Reconciliation: every
+     *  batched request terminates through recordCompletion, so this
+     *  never exceeds completed + expired + failed. */
+    std::uint64_t batchedRequests = 0;
+    /** Batches whose samples mixed Ok and non-Ok outcomes. */
+    std::uint64_t partialFailures = 0;
+    /** batchSizeCounts[i] = batches dispatched with size i + 1, grown
+     *  to the largest batch seen, so sizes count exactly at any
+     *  maxBatch. */
+    std::vector<std::uint64_t> batchSizeCounts;
+};
+
+/** Aggregated view of the serving metrics (one consistent snapshot). */
+struct MetricsSummary : MetricsCounts
+{
     double queueWaitP50Ms = 0.0, queueWaitP95Ms = 0.0, queueWaitP99Ms = 0.0;
     double solveP50Ms = 0.0, solveP95Ms = 0.0, solveP99Ms = 0.0;
     double totalP50Ms = 0.0, totalP95Ms = 0.0, totalP99Ms = 0.0;
@@ -67,10 +93,6 @@ struct MetricsSummary
     double meanFEvals = 0.0;
     double meanTrials = 0.0;
 
-    /** Ok responses answered from the exact-dedup cache. */
-    std::uint64_t cacheHits = 0;
-    /** Ok responses whose solve replayed a cached dt-schedule. */
-    std::uint64_t warmStarted = 0;
     /** Mean accepted-trials per evaluation point, split by whether the
      *  solve replayed a cached schedule — the bench's headline for the
      *  tier-2 win (cold search pays multiple trials per point; a good
@@ -78,21 +100,11 @@ struct MetricsSummary
     double trialsPerPointWarm = 0.0;
     double trialsPerPointCold = 0.0;
 
-    /** Batched solves dispatched (each covers >= 1 request). */
-    std::uint64_t batchesDispatched = 0;
-    /** Requests carried by those batched solves. Reconciliation: every
-     *  batched request terminates through recordCompletion, so this
-     *  never exceeds completed + expired + failed. */
-    std::uint64_t batchedRequests = 0;
-    /** Batches whose samples mixed Ok and non-Ok outcomes. */
-    std::uint64_t partialFailures = 0;
     /** Mean requests per dispatched batch (0 when none). */
     double batchOccupancyMean = 0.0;
     /** Coalesce-window wait (first pop to dispatch) percentiles. */
     double coalesceWaitP50Ms = 0.0, coalesceWaitP95Ms = 0.0,
            coalesceWaitP99Ms = 0.0;
-    /** batchSizeCounts[i] = batches dispatched with size i + 1. */
-    std::vector<std::uint64_t> batchSizeCounts;
 };
 
 /** Thread-safe per-request metrics collection. */
@@ -129,37 +141,18 @@ class MetricsRegistry
 
     /**
      * Flat StatGroup snapshot ("requests.completed",
-     * "latency.total.p99_ms", ...) for table/report plumbing.
+     * "latency.total.p99_ms", ...) for table/report plumbing and the
+     * exposition: every MetricsCounts field is set as a counter, the
+     * percentiles and means as gauges.
      */
     StatGroup snapshot(const std::string &group_name = "runtime") const;
-
-    void reset();
 
   private:
     /** Bump the counter of the response's originating failure class. */
     void countFailureClassLocked(SolveStatus status);
 
     mutable std::mutex mutex_;
-    std::uint64_t admitted_ = 0;
-    std::uint64_t rejected_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t cancelled_ = 0;
-    std::uint64_t deadlineMisses_ = 0;
-    std::uint64_t expired_ = 0;
-    std::uint64_t failed_ = 0;
-    std::uint64_t shed_ = 0;
-    std::uint64_t brownoutRelaxed_ = 0;
-    std::uint64_t degraded_ = 0;
-    std::uint64_t retries_ = 0;
-    std::uint64_t watchdogTrips_ = 0;
-    std::uint64_t solveNonFinite_ = 0;
-    std::uint64_t solveStepUnderflow_ = 0;
-    std::uint64_t solveTrialBudget_ = 0;
-    std::uint64_t solveEvalBudget_ = 0;
-    std::uint64_t solveDeadline_ = 0;
-    std::uint64_t batchesDispatched_ = 0;
-    std::uint64_t batchedRequests_ = 0;
-    std::uint64_t partialFailures_ = 0;
+    MetricsCounts counts_;
     SampleSeries queueWaitMs_;
     SampleSeries solveMs_;
     SampleSeries totalMs_;
@@ -167,12 +160,8 @@ class MetricsRegistry
     SampleSeries fEvals_;
     SampleSeries trials_;
     SampleSeries coalesceWaitMs_;
-    std::uint64_t cacheHits_ = 0;
-    std::uint64_t warmStarted_ = 0;
     SampleSeries trialsPerPointWarm_;
     SampleSeries trialsPerPointCold_;
-    /** Bin i counts batches of size i + 1 (clamping at 32). */
-    Histogram batchSize_{0.5, 32.5, 32};
 };
 
 } // namespace enode

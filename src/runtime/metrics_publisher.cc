@@ -91,7 +91,7 @@ MetricsPublisher::snapshot(const std::string &group_name) const
         group.set(gauge.name + ".min", gauge.series.min());
         group.set(gauge.name + ".max", gauge.series.max());
     }
-    group.set("publisher.samples", static_cast<double>(samples_));
+    group.setCounter("publisher.samples", samples_);
     return group;
 }
 

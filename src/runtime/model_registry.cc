@@ -108,8 +108,8 @@ ModelRegistry::snapshotStats() const
 {
     StatGroup stats("model");
     stats.set("model.version", static_cast<double>(latestVersion()));
-    stats.set("model.published", static_cast<double>(published()));
-    stats.set("model.swaps", static_cast<double>(swapsApplied()));
+    stats.setCounter("model.published", published());
+    stats.setCounter("model.swaps", swapsApplied());
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stats.set("model.history", static_cast<double>(history_.size()));

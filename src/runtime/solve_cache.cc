@@ -261,13 +261,12 @@ StatGroup
 SolveCache::snapshot() const
 {
     StatGroup group("cache");
-    group.set("cache.exact_hit", static_cast<double>(exactHits()));
-    group.set("cache.warm_hit", static_cast<double>(warmHits()));
-    group.set("cache.miss", static_cast<double>(misses()));
-    group.set("cache.evict", static_cast<double>(evictions()));
-    group.set("cache.insert", static_cast<double>(inserts()));
-    group.set("cache.single_flight_waits",
-              static_cast<double>(singleFlightWaits()));
+    group.setCounter("cache.exact_hit", exactHits());
+    group.setCounter("cache.warm_hit", warmHits());
+    group.setCounter("cache.miss", misses());
+    group.setCounter("cache.evict", evictions());
+    group.setCounter("cache.insert", inserts());
+    group.setCounter("cache.single_flight_waits", singleFlightWaits());
     group.set("cache.exact_size", static_cast<double>(exactSize()));
     group.set("cache.warm_size", static_cast<double>(warmSize()));
     group.set("cache.exact_capacity",

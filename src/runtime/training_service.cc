@@ -230,13 +230,11 @@ StatGroup
 TrainingService::snapshotStats() const
 {
     StatGroup stats("train");
-    stats.set("train.steps", static_cast<double>(stepsDone_.load()));
-    stats.set("train.tasks", static_cast<double>(tasksSubmitted_.load()));
-    stats.set("train.task_failures",
-              static_cast<double>(taskFailures_.load()));
-    stats.set("train.task_retries",
-              static_cast<double>(taskRetries_.load()));
-    stats.set("train.published", static_cast<double>(published_.load()));
+    stats.setCounter("train.steps", stepsDone_.load());
+    stats.setCounter("train.tasks", tasksSubmitted_.load());
+    stats.setCounter("train.task_failures", taskFailures_.load());
+    stats.setCounter("train.task_retries", taskRetries_.load());
+    stats.setCounter("train.published", published_.load());
     stats.set("train.last_loss", lastLoss_.load());
     return stats;
 }

@@ -360,6 +360,42 @@ TEST(Batching, BatchOfOneServerPathBitwiseMatchesSoloServer)
     }
 }
 
+TEST(Batching, BatchSizeCountsStayExactPastThirtyTwo)
+{
+    // Sizes are counted exactly at any maxBatch: one worker collects
+    // all 40 queued requests into one dispatch, counted as one batch
+    // of 40 in the summary and in the snapshot.
+    const std::size_t n = 40;
+    InferenceServer server(makeReferenceModel,
+                           batchedOptions(1, n, /*paused=*/true));
+    std::vector<std::future<InferResponse>> futures;
+    for (std::size_t i = 0; i < n; i++) {
+        auto sub = server.submit(makeInput(i));
+        ASSERT_TRUE(sub.accepted);
+        futures.push_back(std::move(sub.result));
+    }
+    server.resume();
+    for (auto &future : futures) {
+        const InferResponse r = future.get();
+        EXPECT_EQ(r.status, RequestStatus::Ok);
+        EXPECT_EQ(r.batchSize, n);
+    }
+    server.stop();
+
+    const MetricsSummary s = server.metrics().summary();
+    EXPECT_EQ(s.batchedRequests, n);
+    std::uint64_t batches = 0, requests = 0;
+    for (std::size_t i = 0; i < s.batchSizeCounts.size(); i++) {
+        batches += s.batchSizeCounts[i];
+        requests += s.batchSizeCounts[i] * (i + 1);
+    }
+    EXPECT_EQ(batches, s.batchesDispatched);
+    EXPECT_EQ(requests, s.batchedRequests);
+    ASSERT_EQ(s.batchSizeCounts.size(), n);
+    EXPECT_EQ(s.batchSizeCounts[n - 1], 1u);
+    EXPECT_EQ(server.metrics().snapshot().get("batch.size.bin_40"), 1.0);
+}
+
 TEST(Batcher, IncompatibleShapeClosesBatchAndSeedsNext)
 {
     // Mixed request shapes must never stack into one solve. The

@@ -324,6 +324,21 @@ TEST(StatGroup, SetAddGetDump)
     EXPECT_NE(stats.dump().find("core0.macs = 15"), std::string::npos);
 }
 
+TEST(StatGroup, EachValueKeepsTheKindItWasSetWith)
+{
+    StatGroup stats("core0");
+    stats.set("occupancy", 0.5);
+    stats.setCounter("macs", 10.0);
+    stats.add("macs", 5.0); // an add keeps the declared kind
+    stats.add("hits", 1.0); // and creates a gauge when absent
+    EXPECT_EQ(stats.kind("occupancy"), StatKind::Gauge);
+    EXPECT_EQ(stats.kind("macs"), StatKind::Counter);
+    EXPECT_DOUBLE_EQ(stats.get("macs"), 15.0);
+    EXPECT_EQ(stats.kind("hits"), StatKind::Gauge);
+    stats.set("macs", 1.0); // the latest declaration wins
+    EXPECT_EQ(stats.kind("macs"), StatKind::Gauge);
+}
+
 TEST(Table, RendersAlignedCells)
 {
     Table t("demo");

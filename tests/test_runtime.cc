@@ -12,6 +12,8 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -987,7 +989,7 @@ TEST(MetricsPublisher, SamplesGaugesIntoLastAndSeriesStats)
 TEST(Exposition, RendersPrometheusTextWithTypesAndSanitizedNames)
 {
     StatGroup group("runtime");
-    group.set("requests.admitted", 12.0);
+    group.setCounter("requests.admitted", 12.0);
     group.set("latency.total.p99_ms", 4.25);
     group.set("broken.value", std::numeric_limits<double>::quiet_NaN());
     const std::string text = prometheusText(group);
@@ -1009,6 +1011,77 @@ TEST(Exposition, RendersPrometheusTextWithTypesAndSanitizedNames)
     EXPECT_EQ(prometheusMetricName("latency.total.p99_ms"),
               "enode_latency_total_p99_ms");
     EXPECT_EQ(prometheusMetricName("9lives", ""), "_9lives");
+}
+
+TEST(Exposition, LiveServerTypesEachFamilyOnceAsItsProducerDeclared)
+{
+    // Every module metricsText() bundles is on: registry, queue, cache,
+    // overload, publisher, model and train.
+    ServerOptions opts = serverOptions(1, 2, /*paused=*/true);
+    opts.cache.enabled = true;
+    opts.overload.enabled = true;
+    opts.publishPeriodMs = 5.0;
+    InferenceServer server(makeReferenceModel, opts);
+    std::vector<std::future<InferResponse>> futures;
+    for (std::size_t i = 0; i < 2; i++) {
+        auto sub = server.submit(makeInput(i));
+        ASSERT_TRUE(sub.accepted);
+        futures.push_back(std::move(sub.result));
+    }
+    EXPECT_FALSE(server.submit(makeInput(2)).accepted); // queue full
+    server.resume();
+    for (auto &future : futures)
+        EXPECT_EQ(future.get().status, RequestStatus::Ok);
+    server.stop();
+
+    struct Family
+    {
+        int helps = 0;
+        int types = 0;
+        std::string type;
+    };
+    std::map<std::string, Family> families;
+    const std::string text = server.metricsText();
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+        std::istringstream words(line);
+        std::string hash, tag, name, type;
+        words >> hash >> tag >> name >> type;
+        if (hash != "#")
+            continue;
+        Family &family = families[name];
+        if (tag == "HELP") {
+            family.helps++;
+        } else {
+            ASSERT_EQ(tag, "TYPE");
+            family.types++;
+            family.type = type;
+        }
+    }
+    ASSERT_FALSE(families.empty());
+    for (const auto &[name, family] : families) {
+        EXPECT_EQ(family.helps, 1) << name;
+        EXPECT_EQ(family.types, 1) << name;
+    }
+    const auto typeOf = [&families](const std::string &name) {
+        const auto it = families.find(name);
+        return it == families.end() ? std::string("missing")
+                                    : it->second.type;
+    };
+
+    // Counts and accumulated time are counters wherever they are set.
+    for (const char *name :
+         {"enode_queue_rejected", "enode_queue_closed_rejected",
+          "enode_overload_residency_l0_ms", "enode_overload_residency_l1_ms",
+          "enode_overload_residency_l2_ms", "enode_overload_residency_l3_ms",
+          "enode_requests_admitted", "enode_cache_exact_hit",
+          "enode_model_swaps", "enode_train_tasks"})
+        EXPECT_EQ(typeOf(name), "counter") << name;
+    for (const char *name :
+         {"enode_latency_total_p99_ms", "enode_queue_depth",
+          "enode_overload_brownout_level"})
+        EXPECT_EQ(typeOf(name), "gauge") << name;
+    EXPECT_NE(text.find("enode_queue_rejected 1\n"), std::string::npos);
 }
 
 TEST(InferenceServer, PublisherGaugesAppearInMetricsText)
