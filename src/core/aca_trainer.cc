@@ -131,13 +131,23 @@ threadWorkspace()
 AcaBackwardResult
 acaBackwardLayer(EmbeddedNet &net, const ButcherTableau &tableau,
                  const IvpResult &fwd, const Tensor &grad_output,
-                 AcaWorkspace *ws)
+                 AcaWorkspace *ws, SolveGuard *guard)
 {
     AcaWorkspace &work = ws ? *ws : threadWorkspace();
     AcaBackwardResult result;
     Tensor abar = grad_output;
     // Checkpoints are ordered forward in time; walk them back (T -> 0).
+    // Only abar and the gradient slots carry from one step to the next,
+    // so each step boundary is where the guard may stop or pause it.
     for (std::size_t i = fwd.checkpoints.size(); i-- > 0;) {
+        if (guard != nullptr) {
+            IvpStats progress;
+            progress.evalPoints = result.stats.backwardSteps;
+            progress.fEvals = result.stats.localForwardEvals;
+            result.status = guard->check(progress);
+            if (result.status != SolveStatus::Ok)
+                break;
+        }
         const Checkpoint &ck = fwd.checkpoints[i];
         abar = adjointStep(net, tableau, ck.t, ck.state, ck.dt, abar,
                            result.stats, work);
@@ -150,17 +160,20 @@ acaBackwardLayer(EmbeddedNet &net, const ButcherTableau &tableau,
 AcaBackwardResult
 acaBackward(NodeModel &model, const ButcherTableau &tableau,
             const NodeForwardResult &fwd, const Tensor &grad_output,
-            AcaWorkspace *ws)
+            AcaWorkspace *ws, SolveGuard *guard)
 {
     ENODE_ASSERT(fwd.layers.size() == model.numLayers(),
                  "forward record does not match the model");
     AcaBackwardResult total;
     Tensor abar = grad_output;
     for (std::size_t layer = model.numLayers(); layer-- > 0;) {
-        auto layer_result = acaBackwardLayer(model.net(layer), tableau,
-                                             fwd.layers[layer], abar, ws);
+        auto layer_result = acaBackwardLayer(
+            model.net(layer), tableau, fwd.layers[layer], abar, ws, guard);
         abar = std::move(layer_result.gradInput);
         total.stats.accumulate(layer_result.stats);
+        total.status = layer_result.status;
+        if (total.status != SolveStatus::Ok)
+            break;
     }
     total.gradInput = std::move(abar);
     return total;
@@ -209,8 +222,9 @@ regressionTrainStep(NodeModel &model, const Tensor &x0, const Tensor &target,
     auto loss = mseLoss(fwd.output, target);
     out.loss = loss.value;
 
-    auto aca = acaBackward(model, tableau, fwd, loss.grad, ws);
+    auto aca = acaBackward(model, tableau, fwd, loss.grad, ws, guard);
     out.backwardStats = aca.stats;
+    out.backwardStatus = aca.status;
     return out;
 }
 

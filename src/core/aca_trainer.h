@@ -78,6 +78,9 @@ struct AcaBackwardResult
 {
     Tensor gradInput; ///< dL/dh(0) of this layer (the adjoint at t = 0)
     AcaStats stats;
+    /** Ok, or the guard's verdict when it stopped the pass before a
+     *  step; the gradients are then partial and must not be used. */
+    SolveStatus status = SolveStatus::Ok;
 };
 
 /**
@@ -89,23 +92,30 @@ struct AcaBackwardResult
  * @param fwd The layer's forward IvpResult (checkpoints + stepsizes).
  * @param grad_output a(T) = dL/dh(T), the adjoint seed (Eq. 4).
  * @param ws Reusable buffers; nullptr selects a thread-local workspace.
+ * @param guard Optional; checked before every backward step with the
+ *        layer's progress (evalPoints = steps done, fEvals = local
+ *        forward evaluations). A non-Ok verdict stops the pass there
+ *        and becomes the result's status.
  */
 AcaBackwardResult acaBackwardLayer(EmbeddedNet &net,
                                    const ButcherTableau &tableau,
                                    const IvpResult &fwd,
                                    const Tensor &grad_output,
-                                   AcaWorkspace *ws = nullptr);
+                                   AcaWorkspace *ws = nullptr,
+                                   SolveGuard *guard = nullptr);
 
 /**
  * Backward pass over a full NodeModel: layers are processed last-first,
- * chaining the adjoint between them.
+ * chaining the adjoint between them. The guard is checked before every
+ * backward step of every layer, as in acaBackwardLayer.
  *
  * @return dL/d(input of the first layer), for chaining into an encoder.
  */
 AcaBackwardResult acaBackward(NodeModel &model, const ButcherTableau &tableau,
                               const NodeForwardResult &fwd,
                               const Tensor &grad_output,
-                              AcaWorkspace *ws = nullptr);
+                              AcaWorkspace *ws = nullptr,
+                              SolveGuard *guard = nullptr);
 
 /** One full training iteration of a NodeClassifier on a single image. */
 struct TrainStepResult
@@ -115,6 +125,9 @@ struct TrainStepResult
     /** Forward solve outcome; when non-Ok the backward pass was skipped
      *  and no gradients were accumulated for this step. */
     SolveStatus forwardStatus = SolveStatus::Ok;
+    /** Backward outcome; non-Ok when the guard stopped the backward,
+     *  leaving the gradients partial. */
+    SolveStatus backwardStatus = SolveStatus::Ok;
     IvpStats forwardStats;
     AcaStats backwardStats;
 };
@@ -133,10 +146,12 @@ TrainStepResult classifierTrainStep(NodeClassifier &model,
 
 /**
  * One regression training step: MSE between h(T) and a target state.
- * The optional guard is threaded into the forward solve (the serving
- * runtime's watchdog aborts wedged training tasks through it). When
- * the forward comes back non-Ok the step reports forwardStatus and
- * returns without touching the gradients.
+ * The optional guard runs after every accepted forward step and before
+ * every backward step (the serving runtime aborts wedged training
+ * tasks, and yields them to queued inference, through it). When the
+ * forward comes back non-Ok the step reports forwardStatus and returns
+ * without touching the gradients; when the guard stops the backward
+ * the step reports backwardStatus and the gradients are partial.
  */
 TrainStepResult regressionTrainStep(NodeModel &model, const Tensor &x0,
                                     const Tensor &target,

@@ -34,8 +34,14 @@ Batcher::Batcher(RequestQueue &queue, std::size_t maxBatch,
 }
 
 bool
-Batcher::takeCached(QueueEntry &entry, CollectedBatch &out)
+Batcher::divert(QueueEntry &entry, CollectedBatch &out)
 {
+    if (expiredAt(entry, RuntimeClock::now())) {
+        out.expired.push_back(std::move(entry));
+        return true;
+    }
+    // A request whose result is already cached never seeds (or
+    // occupies a slot of) a batch.
     if (cache_ == nullptr || !entry.request.cacheKey.valid())
         return false;
     Tensor value;
@@ -65,10 +71,11 @@ Batcher::compatible(const QueueEntry &a, const QueueEntry &b)
 }
 
 bool
-Batcher::takeStash(QueueEntry &out)
+Batcher::takeStash(QueueEntry &out, const QueueEntry *task)
 {
     std::lock_guard<std::mutex> lock(stashMutex_);
-    if (stash_.empty())
+    if (stash_.empty() ||
+        (task != nullptr && !queue_.preempts(stash_.front(), *task)))
         return false;
     out = std::move(stash_.front());
     stash_.pop_front();
@@ -83,6 +90,26 @@ Batcher::putStash(QueueEntry entry)
     // closed them before either seeds its next batch.
     std::lock_guard<std::mutex> lock(stashMutex_);
     stash_.push_back(std::move(entry));
+}
+
+template <typename Pop>
+void
+Batcher::fill(CollectedBatch &out, Pop pop)
+{
+    while (out.entries.size() < maxBatch_) {
+        QueueEntry next;
+        if (!pop(next))
+            break;
+        if (divert(next, out))
+            continue; // expired or answered from cache; keep the slot open
+        if (!compatible(out.entries.front(), next)) {
+            // The incompatible request seeds the next batch rather
+            // than being solved out of order or dropped.
+            putStash(std::move(next));
+            break;
+        }
+        out.entries.push_back(std::move(next));
+    }
 }
 
 bool
@@ -121,15 +148,8 @@ Batcher::collect(CollectedBatch &out)
                     return false;
             }
         }
-        if (expiredAt(seed, RuntimeClock::now())) {
-            out.expired.push_back(std::move(seed));
-            continue;
-        }
-        // A request whose result is already cached never seeds (or
-        // delays) a batch: divert it and keep hunting for real work.
-        if (takeCached(seed, out))
-            continue;
-        break;
+        if (!divert(seed, out))
+            break;
     }
 
     out.firstPop = RuntimeClock::now();
@@ -153,25 +173,10 @@ Batcher::collect(CollectedBatch &out)
             out.firstPop +
             std::chrono::duration_cast<RuntimeClock::duration>(
                 std::chrono::duration<double, std::micro>(wait_us));
-        while (out.entries.size() < maxBatch_) {
-            QueueEntry next;
-            const PopStatus status = queue_.popUntil(next, window_close);
-            if (status != PopStatus::Ok)
-                break; // window lapsed, or queue closed: ship what we have
-            if (expiredAt(next, RuntimeClock::now())) {
-                out.expired.push_back(std::move(next));
-                continue;
-            }
-            if (takeCached(next, out))
-                continue; // answered from cache; keep the slot open
-            if (!compatible(out.entries.front(), next)) {
-                // The incompatible request seeds the next batch rather
-                // than being solved out of order or dropped.
-                putStash(std::move(next));
-                break;
-            }
-            out.entries.push_back(std::move(next));
-        }
+        // A lapsed window or a closed queue ships what we have.
+        fill(out, [&](QueueEntry &next) {
+            return queue_.popUntil(next, window_close) == PopStatus::Ok;
+        });
         out.collectWaitMs = toMs(RuntimeClock::now() - out.firstPop);
     }
 
@@ -190,6 +195,29 @@ Batcher::collect(CollectedBatch &out)
         }
     }
     out.entries.resize(kept);
+    return true;
+}
+
+bool
+Batcher::collectAhead(const QueueEntry &task, CollectedBatch &out)
+{
+    out.entries.clear();
+    out.expired.clear();
+    out.cacheHits.clear();
+    out.collectWaitMs = 0.0;
+
+    // Stash first, as in collect(): the queue dispatched it earlier.
+    QueueEntry seed;
+    for (;;) {
+        if (!takeStash(seed, &task) && !queue_.tryPopAhead(task, seed))
+            return !out.expired.empty() || !out.cacheHits.empty();
+        if (!divert(seed, out))
+            break;
+    }
+    out.firstPop = RuntimeClock::now();
+    out.entries.push_back(std::move(seed));
+    fill(out,
+         [&](QueueEntry &next) { return queue_.tryPopAhead(task, next); });
     return true;
 }
 

@@ -78,6 +78,10 @@ struct CollectedBatch
  * subsequent batches in stash order, ahead of anything still queued.
  * With maxBatch 1 the collector degenerates to a plain pop with the
  * deadline and cache screens applied.
+ *
+ * collectAhead() is the non-blocking variant a running training task
+ * yields through: it takes only inference requests that preempt the
+ * task (RequestQueue::preempts), as they stand, with no collect window.
  */
 class Batcher
 {
@@ -108,6 +112,16 @@ class Batcher
      */
     bool collect(CollectedBatch &out);
 
+    /**
+     * Never blocks: the next batch of the inference requests that
+     * preempt `task`, the entry a training task running on the calling
+     * worker was popped as, taken from the stash or the queue as they
+     * stand, with the deadline, cache and stash handling of collect()
+     * and no collect window.
+     * @return false when nothing waiting preempts `task`.
+     */
+    bool collectAhead(const QueueEntry &task, CollectedBatch &out);
+
     std::size_t maxBatch() const { return maxBatch_; }
     double maxWaitUs() const { return maxWaitUs_; }
 
@@ -115,13 +129,20 @@ class Batcher
     /** True when a and b may share one batched solve. */
     static bool compatible(const QueueEntry &a, const QueueEntry &b);
 
-    /** Move the oldest stashed entry into `out` if one is waiting. */
-    bool takeStash(QueueEntry &out);
+    /** Move the oldest stashed entry into `out` if one is waiting and,
+     *  when `task` is given, it preempts that training task. */
+    bool takeStash(QueueEntry &out, const QueueEntry *task = nullptr);
     void putStash(QueueEntry entry);
 
-    /** Divert `entry` to out.cacheHits when its exact-cache value is
-     *  ready (the value is taken now); false leaves it untouched. */
-    bool takeCached(QueueEntry &entry, CollectedBatch &out);
+    /** The pop screens: divert `entry` to out.expired when its deadline
+     *  lapsed, or to out.cacheHits when its exact-cache value is ready
+     *  (the value is taken now). False leaves it untouched. */
+    bool divert(QueueEntry &entry, CollectedBatch &out);
+
+    /** Grow a seeded batch to maxBatch with entries from `pop` until it
+     *  reports none; an incompatible one is stashed and ends the batch. */
+    template <typename Pop>
+    void fill(CollectedBatch &out, Pop pop);
 
     RequestQueue &queue_;
     const std::size_t maxBatch_;

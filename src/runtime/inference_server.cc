@@ -109,7 +109,6 @@ InferenceServer::InferenceServer(ModelFactory make_model,
     // Build the replicas sequentially on this thread: user factories
     // are free to capture shared state (e.g. one Rng) without locking.
     workers_.reserve(options_.numWorkers);
-    inflight_.reserve(options_.numWorkers);
     for (std::size_t i = 0; i < options_.numWorkers; i++) {
         auto worker = std::make_unique<Worker>();
         worker->model = modelFactory_();
@@ -131,7 +130,6 @@ InferenceServer::InferenceServer(ModelFactory make_model,
             worker->warmScratch.resize(worker->controllers.size());
         }
         workers_.push_back(std::move(worker));
-        inflight_.push_back(std::make_unique<InFlight>());
     }
 
     // Replica 0 is the weight master: stamp its parameters into every
@@ -372,11 +370,44 @@ InferenceServer::submitTrainTask(TrainTask &task)
     return sub;
 }
 
+/**
+ * A training task's guard, checked after every accepted forward step
+ * and before every backward step: the watchdog's abort flag first, then
+ * one relaxed load asking whether inference heads the queue. When it
+ * does, the worker serves a batch of the inference that preempts the
+ * task before the task takes its next step.
+ */
+class InferenceServer::TrainGuard final : public SolveGuard
+{
+  public:
+    TrainGuard(InferenceServer &server, std::size_t worker_id,
+               const QueueEntry &task, const std::atomic<bool> &abort)
+        : server_(server), workerId_(worker_id), task_(task), abort_(abort)
+    {
+    }
+
+    SolveStatus
+    check(const IvpStats &) override
+    {
+        if (abort_.load(std::memory_order_acquire))
+            return SolveStatus::DeadlineExceeded;
+        if (server_.queue_.inferenceHeads())
+            server_.yieldTo(workerId_, task_);
+        return SolveStatus::Ok;
+    }
+
+  private:
+    InferenceServer &server_;
+    const std::size_t workerId_;
+    const QueueEntry &task_;
+    const std::atomic<bool> &abort_;
+};
+
 void
-InferenceServer::serveTrain(std::size_t worker_id, QueueEntry &entry)
+InferenceServer::serveTrain(std::size_t worker_id, QueueEntry &entry,
+                            InFlight &flight)
 {
     Worker &worker = *workers_[worker_id];
-    InFlight &flight = *inflight_[worker_id];
     TrainTask &task = *entry.request.train;
     const auto start = RuntimeClock::now();
 
@@ -403,46 +434,39 @@ InferenceServer::serveTrain(std::size_t worker_id, QueueEntry &entry)
         worker.trainStep = task.step;
     }
     worker.trainModel->zeroGrad();
+    // Read the task now: once the slot is published the watchdog may
+    // take the task over, and its service then retries or reuses it.
+    const Tensor target = task.target;
+    const IvpOptions ivp = task.ivp;
+    const std::uint64_t version = task.weights->version;
 
     // Publish to the in-flight slot (train-flagged) so the watchdog
     // aborts a wedged training solve exactly like an inference one —
     // without feeding the inference metrics on takeover.
     flight.publish({&entry, 1}, start);
 
-    activeWorkers_.fetch_add(1, std::memory_order_relaxed);
+    // Chaos probe: a stall here models a training task wedging; the
+    // watchdog must fail it while this thread sleeps, and the late
+    // finish must leave the task to its retry.
+    FaultInjector::instance().maybeStall("train.stall");
 
     // No deadline and no f-eval budget — training has all the time the
     // scheduler gives it — but the watchdog's abort flag still guards
     // against a wedged solve costing a worker.
-    DeadlineGuard guard;
-    guard.abortFlag = &flight.abort;
+    TrainGuard guard(*this, worker_id, entry, flight.abort);
+    const TrainStepResult result = regressionTrainStep(
+        *worker.trainModel, entry.request.input, target, tableau_,
+        *worker.trainController, ivp, nullptr, &worker.acaWs, &guard);
 
-    TrainStepResult result = regressionTrainStep(
-        *worker.trainModel, entry.request.input, task.target, tableau_,
-        *worker.trainController, task.ivp, nullptr, &worker.acaWs, &guard);
-
-    bool ok = result.forwardStatus == SolveStatus::Ok;
-    if (ok) {
-        // Harvest the gradients into the task's fixed slot. A
-        // non-finite gradient fails the task: the service's reduction
-        // must never ingest NaNs into the master weights.
-        const auto slots = worker.trainModel->paramSlots();
-        auto &grads = *task.grads;
-        ENODE_ASSERT(grads.size() == slots.size(),
-                     "train task grad slot count mismatch");
-        for (std::size_t s = 0; s < slots.size() && ok; s++) {
-            if (!slots[s].grad->isFinite())
-                ok = false;
-            else
-                grads[s].copyFrom(*slots[s].grad);
-        }
-        task.loss = result.loss;
-        task.forwardStats = result.forwardStats;
-        task.backwardStats = result.backwardStats;
-    }
-    task.forwardStatus = result.forwardStatus;
-
-    activeWorkers_.fetch_sub(1, std::memory_order_relaxed);
+    const SolveStatus status = result.forwardStatus != SolveStatus::Ok
+                                   ? result.forwardStatus
+                                   : result.backwardStatus;
+    // A non-finite gradient fails the task: the service's reduction
+    // must never ingest NaNs into the master weights.
+    const auto slots = worker.trainModel->paramSlots();
+    bool ok = status == SolveStatus::Ok;
+    for (std::size_t s = 0; s < slots.size() && ok; s++)
+        ok = slots[s].grad->isFinite();
 
     const auto end = RuntimeClock::now();
     InferResponse response;
@@ -450,26 +474,57 @@ InferenceServer::serveTrain(std::size_t worker_id, QueueEntry &entry)
     response.status = ok ? RequestStatus::Ok : RequestStatus::Failed;
     response.solveStatus =
         ok ? SolveStatus::Ok
-           : (result.forwardStatus != SolveStatus::Ok
-                  ? result.forwardStatus
-                  : SolveStatus::NonFinite);
+           : (status != SolveStatus::Ok ? status : SolveStatus::NonFinite);
     response.queueWaitMs = toMs(start - entry.enqueueTime);
     response.solveMs = toMs(end - start);
     response.totalMs = toMs(end - entry.enqueueTime);
     response.workerId = worker_id;
-    response.modelVersion = task.weights->version;
+    response.modelVersion = version;
     span.arg("status", static_cast<double>(response.status));
 
     if (!ok)
         trainTaskFailures_.fetch_add(1, std::memory_order_relaxed);
 
-    // Deliver through the slot: the watchdog may have taken this task
-    // over while it was wedged (its Failed response wins).
+    // Claim before writing into the task: the watchdog may have taken
+    // it over while it was wedged (its Failed response won), and then
+    // the task belongs to its retry.
     std::promise<InferResponse> to_deliver;
     const bool deliver = flight.claim(0, to_deliver);
     flight.retire();
-    if (deliver)
-        deliverTerminal(to_deliver, std::move(response), /*train=*/true);
+    if (!deliver)
+        return;
+    if (ok) {
+        // Harvest the gradients into the task's fixed slot.
+        auto &grads = *task.grads;
+        ENODE_ASSERT(grads.size() == slots.size(),
+                     "train task grad slot count mismatch");
+        for (std::size_t s = 0; s < slots.size(); s++)
+            grads[s].copyFrom(*slots[s].grad);
+        task.loss = result.loss;
+        task.forwardStats = result.forwardStats;
+        task.backwardStats = result.backwardStats;
+    }
+    task.forwardStatus = result.forwardStatus;
+    deliverTerminal(to_deliver, std::move(response), /*train=*/true);
+}
+
+void
+InferenceServer::yieldTo(std::size_t worker_id, const QueueEntry &task)
+{
+    // One batch per yield point: the task takes its next step before
+    // the next batch, so it advances however much inference keeps
+    // arriving, and a request queued behind that batch waits one step
+    // more.
+    Worker &worker = *workers_[worker_id];
+    if (!batcher_->collectAhead(task, worker.yieldBatch))
+        return;
+    // The task's clock stops: the watchdog times the batch on slots[1]
+    // instead, and the worker is already counted active.
+    InFlight &task_slot = worker.slots[0];
+    task_slot.pause(RuntimeClock::now());
+    serveBatch(worker_id, worker.yieldBatch, worker.slots[1]);
+    task_slot.resume(RuntimeClock::now());
+    trainYields_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
@@ -511,6 +566,22 @@ InferenceServer::InFlight::retire()
 {
     std::lock_guard<std::mutex> lock(mutex);
     active = false;
+}
+
+void
+InferenceServer::InFlight::pause(RuntimeClock::time_point when)
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    paused = true;
+    pausedAt = when;
+}
+
+void
+InferenceServer::InFlight::resume(RuntimeClock::time_point when)
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    paused = false;
+    start += when - pausedAt;
 }
 
 std::unique_ptr<StepController>
@@ -629,6 +700,8 @@ InferenceServer::metricsText() const
     train_stats.setCounter(
         "train.task_failures",
         trainTaskFailures_.load(std::memory_order_relaxed));
+    train_stats.setCounter("train.yields",
+                           trainYields_.load(std::memory_order_relaxed));
     text += prometheusText(train_stats);
     return text;
 }
@@ -773,7 +846,11 @@ InferenceServer::workerMain(std::size_t worker_id)
         waitWhilePaused();
         if (!batcher_->collect(batch))
             break; // closed and drained (stash included)
-        serveBatch(worker_id, batch);
+        // Busy for the whole dispatch, a training task's yields
+        // included, so the worker is counted once.
+        activeWorkers_.fetch_add(1, std::memory_order_relaxed);
+        serveBatch(worker_id, batch, workers_[worker_id]->slots[0]);
+        activeWorkers_.fetch_sub(1, std::memory_order_relaxed);
     }
 }
 
@@ -834,17 +911,18 @@ InferenceServer::expireEntry(std::size_t worker_id, QueueEntry &entry)
     response.workerId = worker_id;
     // An expiry is the strongest queue-delay signal the brownout
     // monitor can get: this request waited itself to death. The worker
-    // sweeping it counts as busy, as in serveBatch.
+    // sweeping it already counts itself busy.
     if (admission_ != nullptr)
         admission_->observeQueueDelay(
             response.queueWaitMs,
-            std::min(1.0, static_cast<double>(activeWorkers() + 1) /
+            std::min(1.0, static_cast<double>(activeWorkers()) /
                               static_cast<double>(workers_.size())));
     deliverTerminal(entry.promise, std::move(response));
 }
 
 void
-InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
+InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch,
+                            InFlight &flight)
 {
     for (auto &entry : batch.expired)
         expireEntry(worker_id, entry);
@@ -858,7 +936,7 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
     // Training tasks ship solo from the batcher (never coalesced, no
     // collect window); route them past the inference machinery.
     if (batch.entries[0].request.train != nullptr) {
-        serveTrain(worker_id, batch.entries[0]);
+        serveTrain(worker_id, batch.entries[0], flight);
         return;
     }
 
@@ -867,7 +945,6 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
     // worker's private replica between dispatches).
     maybeSwapReplica(worker_id);
     Worker &worker = *workers_[worker_id];
-    InFlight &flight = *inflight_[worker_id];
     const std::size_t n = batch.entries.size();
     ENODE_ASSERT(n <= worker.controllers.size(),
                  "batch larger than the configured maxBatch");
@@ -912,8 +989,6 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
 
     metrics_.recordBatchDispatch(n);
     metrics_.recordCoalesceWait(batch.collectWaitMs);
-
-    activeWorkers_.fetch_add(1, std::memory_order_relaxed);
 
     // Per-sample solve inputs. Each sample gets its own deadline guard
     // (the batched solver drops a sample whose deadline passes and
@@ -1148,16 +1223,12 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch)
     flight.retire();
     if (any_ok && any_failed)
         metrics_.recordPartialFailure();
-
-    activeWorkers_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void
 InferenceServer::watchdogMain()
 {
     Tracer::instance().setThreadName("watchdog");
-    const auto threshold = std::chrono::duration<double, std::milli>(
-        options_.degrade.watchdogMs);
     // Poll a few times per threshold, bounded so tiny thresholds do
     // not busy-spin and huge ones still notice shutdown promptly.
     const auto poll = std::chrono::milliseconds(std::min<std::int64_t>(
@@ -1168,71 +1239,78 @@ InferenceServer::watchdogMain()
     while (!watchdogCv_.wait_for(lock, poll,
                                  [this] { return watchdogStop_; })) {
         const auto now = RuntimeClock::now();
-        for (std::size_t i = 0; i < inflight_.size(); i++) {
-            InFlight &flight = *inflight_[i];
-            // One entry per sample the watchdog takes over: the whole
-            // dispatch on a fresh trip, or just the stragglers if the
-            // worker raced ahead delivering part of a batch.
-            struct Failure
-            {
-                std::promise<InferResponse> promise;
-                InferResponse response;
-                bool train = false;
-            };
-            std::vector<Failure> failures;
-            std::size_t batch_size = 1;
-            {
-                std::lock_guard<std::mutex> slot(flight.mutex);
-                if (flight.active && now - flight.start > threshold) {
-                    batch_size = flight.samples.size();
-                    for (InFlight::Sample &sample : flight.samples) {
-                        if (sample.delivered)
-                            continue;
-                        sample.delivered = true;
-                        Failure f;
-                        f.promise = std::move(sample.promise);
-                        f.response.id = sample.id;
-                        f.response.queueWaitMs = sample.queueWaitMs;
-                        f.response.solveMs = toMs(now - flight.start);
-                        f.response.totalMs =
-                            sample.queueWaitMs + f.response.solveMs;
-                        f.response.deadlineMet = now <= sample.deadline;
-                        f.train = sample.train;
-                        failures.push_back(std::move(f));
-                    }
-                    // Cooperative kill: the solve guards see this at
-                    // their next accepted step and abort.
-                    if (!failures.empty())
-                        flight.abort.store(true,
-                                           std::memory_order_release);
-                }
+        for (std::size_t i = 0; i < workers_.size(); i++)
+            for (InFlight &flight : workers_[i]->slots)
+                watchSlot(i, flight, now);
+    }
+}
+
+void
+InferenceServer::watchSlot(std::size_t worker_id, InFlight &flight,
+                           RuntimeClock::time_point now)
+{
+    const auto threshold = std::chrono::duration<double, std::milli>(
+        options_.degrade.watchdogMs);
+    // One entry per sample the watchdog takes over: the whole dispatch
+    // on a fresh trip, or just the stragglers if the worker raced ahead
+    // delivering part of a batch.
+    struct Failure
+    {
+        std::promise<InferResponse> promise;
+        InferResponse response;
+        bool train = false;
+    };
+    std::vector<Failure> failures;
+    std::size_t batch_size = 1;
+    {
+        std::lock_guard<std::mutex> slot(flight.mutex);
+        // A paused slot's training task is yielding: the batch it
+        // yielded to is timed on the worker's other slot.
+        if (flight.active && !flight.paused &&
+            now - flight.start > threshold) {
+            batch_size = flight.samples.size();
+            for (InFlight::Sample &sample : flight.samples) {
+                if (sample.delivered)
+                    continue;
+                sample.delivered = true;
+                Failure f;
+                f.promise = std::move(sample.promise);
+                f.response.id = sample.id;
+                f.response.queueWaitMs = sample.queueWaitMs;
+                f.response.solveMs = toMs(now - flight.start);
+                f.response.totalMs = sample.queueWaitMs + f.response.solveMs;
+                f.response.deadlineMet = now <= sample.deadline;
+                f.train = sample.train;
+                failures.push_back(std::move(f));
             }
-            if (failures.empty())
-                continue;
-            // One trip per wedged dispatch, however many samples it
-            // carried; every taken-over sample gets a full Failed
-            // response through the single accounting path.
-            metrics_.recordWatchdogTrip();
-            ENODE_WARN("watchdog failing ", failures.size(),
-                       " request(s) on worker ", i, " after ",
-                       failures.front().response.solveMs,
-                       " ms (threshold ", options_.degrade.watchdogMs,
-                       " ms)");
-            for (Failure &f : failures) {
-                f.response.status = RequestStatus::Failed;
-                f.response.solveStatus = SolveStatus::DeadlineExceeded;
-                f.response.workerId = i;
-                f.response.batchSize = batch_size;
-                Tracer::instance().instant(
-                    "watchdog.trip", "serve",
-                    {{"id", static_cast<double>(f.response.id)},
-                     {"worker", static_cast<double>(i)},
-                     {"solve_ms", f.response.solveMs}});
-                // A training takeover counts the trip; the
-                // TrainingService retries off the Failed status.
-                deliverTerminal(f.promise, std::move(f.response), f.train);
-            }
+            // Cooperative kill: the solve guards see this at their next
+            // step boundary and abort.
+            if (!failures.empty())
+                flight.abort.store(true, std::memory_order_release);
         }
+    }
+    if (failures.empty())
+        return;
+    // One trip per wedged dispatch, however many samples it carried;
+    // every taken-over sample gets a full Failed response through the
+    // single accounting path.
+    metrics_.recordWatchdogTrip();
+    ENODE_WARN("watchdog failing ", failures.size(), " request(s) on worker ",
+               worker_id, " after ", failures.front().response.solveMs,
+               " ms (threshold ", options_.degrade.watchdogMs, " ms)");
+    for (Failure &f : failures) {
+        f.response.status = RequestStatus::Failed;
+        f.response.solveStatus = SolveStatus::DeadlineExceeded;
+        f.response.workerId = worker_id;
+        f.response.batchSize = batch_size;
+        Tracer::instance().instant(
+            "watchdog.trip", "serve",
+            {{"id", static_cast<double>(f.response.id)},
+             {"worker", static_cast<double>(worker_id)},
+             {"solve_ms", f.response.solveMs}});
+        // A training takeover counts the trip; the TrainingService
+        // retries off the Failed status.
+        deliverTerminal(f.promise, std::move(f.response), f.train);
     }
 }
 

@@ -27,6 +27,7 @@
  * (tests/test_runtime.cc and tests/test_batcher.cc prove this).
  */
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <future>
@@ -101,7 +102,9 @@ struct DegradePolicy
      * immediately (status Failed for every still-pending sample, one
      * watchdog.trips tick per wedged dispatch) and its solve is
      * flagged to abort at the next accepted step, so a wedged solve
-     * costs one dispatch, not a worker.
+     * costs one dispatch, not a worker. A training task's clock stops
+     * while it yields to inference: each yielded batch is watched on
+     * its own.
      */
     double watchdogMs = 0.0;
 };
@@ -295,7 +298,8 @@ class InferenceServer
     /** Background gauge sampler; null unless publishPeriodMs > 0. */
     const MetricsPublisher *publisher() const { return publisher_.get(); }
 
-    /** Workers serving a dispatch right now (publisher gauge source). */
+    /** Workers serving a dispatch right now (publisher gauge source);
+     *  a training task's yields do not count its worker twice. */
     std::size_t activeWorkers() const
     {
         return activeWorkers_.load(std::memory_order_relaxed);
@@ -336,6 +340,74 @@ class InferenceServer
     const ModelRegistry &registry() const { return registry_; }
 
   private:
+    /**
+     * In-flight work slot, shared between a worker and the watchdog.
+     * One slot covers one dispatch — every request of an inference
+     * batch, or one training task — so the hang watchdog protects both
+     * identically. Exactly one of worker/watchdog delivers each
+     * sample's response: the first to flip that sample's `delivered`
+     * flag under the slot mutex owns its promise. `abort` is the
+     * cooperative kill switch the solve guards poll (one shared flag:
+     * a wedged batched solve is one wedged thread, so the whole
+     * dispatch aborts together).
+     */
+    struct InFlight
+    {
+        /** One response channel; a batch of n publishes n of these. */
+        struct Sample
+        {
+            std::promise<InferResponse> promise;
+            bool delivered = false; ///< its response has been set
+            std::uint64_t id = 0;
+            /**
+             * Must default to "no deadline" exactly like
+             * InferRequest::deadline. A value-initialized time_point is
+             * the clock epoch, which made the watchdog's deadlineMet
+             * check read a stale epoch deadline as "missed" for any
+             * slot that tripped before its first publish.
+             */
+            RuntimeClock::time_point deadline =
+                RuntimeClock::time_point::max();
+            double queueWaitMs = 0.0;
+            /**
+             * Training-task sample: the watchdog still protects it (a
+             * wedged training solve is failed and aborted like any
+             * other), but its terminal must NOT feed the inference
+             * metrics — training entries are never recordAdmitted, so
+             * counting their completions would break the reconciled
+             * admitted == completed + ... identity.
+             */
+            bool train = false;
+        };
+
+        std::mutex mutex;
+        bool active = false; ///< a solve is running right now
+        /** Its training task is yielding: the watchdog skips the slot. */
+        bool paused = false;
+        RuntimeClock::time_point start{};
+        RuntimeClock::time_point pausedAt{};
+        std::vector<Sample> samples;
+        std::atomic<bool> abort{false};
+
+        /**
+         * Hand the watchdog a dispatch started at `when`: one sample
+         * per entry, each entry's promise moved into its sample.
+         */
+        void publish(std::span<QueueEntry> entries,
+                     RuntimeClock::time_point when);
+        /**
+         * Take sample i's promise for delivery. False when the watchdog
+         * already answered it (its response won; discard ours).
+         */
+        bool claim(std::size_t i, std::promise<InferResponse> &out);
+        /** The dispatch is over: the watchdog stops watching it. */
+        void retire();
+        /** Stop the dispatch's clock at `when`; resume() restarts it
+         *  with the paused time left out of its age. */
+        void pause(RuntimeClock::time_point when);
+        void resume(RuntimeClock::time_point when);
+    };
+
     struct Worker
     {
         std::unique_ptr<NodeModel> model;
@@ -374,79 +446,38 @@ class InferenceServer
         AcaWorkspace acaWs;
         /** Step whose weights trainModel currently holds (~0 = none). */
         std::uint64_t trainStep = ~std::uint64_t{0};
+        /**
+         * The slots the watchdog watches: slots[0] holds the worker's
+         * dispatch; slots[1] holds a batch a running training task
+         * yields to, while slots[0] is paused.
+         */
+        std::array<InFlight, 2> slots;
+        /** The batch a yield collects into (reused, as workerMain's). */
+        CollectedBatch yieldBatch;
         std::thread thread;
     };
 
-    /**
-     * Per-worker in-flight work slot, shared between the worker and
-     * the watchdog. One slot covers one dispatch — every request of an
-     * inference batch, or one training task — so the hang watchdog
-     * protects both identically. Exactly one of worker/watchdog
-     * delivers each sample's response: the first to flip that sample's
-     * `delivered` flag under the slot mutex owns its promise. `abort`
-     * is the cooperative kill switch the solve guards poll (one shared
-     * flag: a wedged batched solve is one wedged thread, so the whole
-     * dispatch aborts together).
-     */
-    struct InFlight
-    {
-        /** One response channel; a batch of n publishes n of these. */
-        struct Sample
-        {
-            std::promise<InferResponse> promise;
-            bool delivered = false; ///< its response has been set
-            std::uint64_t id = 0;
-            /**
-             * Must default to "no deadline" exactly like
-             * InferRequest::deadline. A value-initialized time_point is
-             * the clock epoch, which made the watchdog's deadlineMet
-             * check read a stale epoch deadline as "missed" for any
-             * slot that tripped before its first publish.
-             */
-            RuntimeClock::time_point deadline =
-                RuntimeClock::time_point::max();
-            double queueWaitMs = 0.0;
-            /**
-             * Training-task sample: the watchdog still protects it (a
-             * wedged training solve is failed and aborted like any
-             * other), but its terminal must NOT feed the inference
-             * metrics — training entries are never recordAdmitted, so
-             * counting their completions would break the reconciled
-             * admitted == completed + ... identity.
-             */
-            bool train = false;
-        };
-
-        std::mutex mutex;
-        bool active = false; ///< a solve is running right now
-        RuntimeClock::time_point start{};
-        std::vector<Sample> samples;
-        std::atomic<bool> abort{false};
-
-        /**
-         * Hand the watchdog a dispatch started at `when`: one sample
-         * per entry, each entry's promise moved into its sample.
-         */
-        void publish(std::span<QueueEntry> entries,
-                     RuntimeClock::time_point when);
-        /**
-         * Take sample i's promise for delivery. False when the watchdog
-         * already answered it (its response won; discard ours).
-         */
-        bool claim(std::size_t i, std::promise<InferResponse> &out);
-        /** The dispatch is over: the watchdog stops watching it. */
-        void retire();
-    };
+    /** The training task's solve guard (defined in the .cc). */
+    class TrainGuard;
 
     void workerMain(std::size_t worker_id);
     /** A fresh stepsize controller from the factory (or the default). */
     std::unique_ptr<StepController> makeController() const;
     /**
-     * Serve one gradient task: sync the worker's training replica to
-     * the task's weight snapshot, run forward + ACA backward, write
-     * the gradients into the task's fixed slot, answer Ok/Failed.
+     * Serve one gradient task on `flight`: sync the worker's training
+     * replica to the task's weight snapshot, run forward + ACA
+     * backward, yielding to preempting inference at every step
+     * boundary, and answer Ok/Failed. Only the response's owner (see
+     * InFlight::claim) writes the gradients and stats into the task.
      */
-    void serveTrain(std::size_t worker_id, QueueEntry &entry);
+    void serveTrain(std::size_t worker_id, QueueEntry &entry,
+                    InFlight &flight);
+    /**
+     * A yield point of the training task `task` running on this
+     * worker: pause its slot and serve, on slots[1], the next batch of
+     * the inference that preempts it.
+     */
+    void yieldTo(std::size_t worker_id, const QueueEntry &task);
     /**
      * Dispatch-boundary hot swap: if the registry has published past
      * the worker's replica version, overwrite the replica's weights
@@ -499,13 +530,14 @@ class InferenceServer
      */
     void retractPending(const InferRequest &request);
     /**
-     * Serve one dispatch from the batcher — the only serve path: fail
-     * the expired entries, answer the cache hits, hand a training task
-     * to serveTrain, otherwise run the batched solve (any size >= 1)
-     * and walk the degradation ladder per failing sample (its
-     * batchmates are unaffected).
+     * Serve one dispatch from the batcher on `flight` — the only serve
+     * path: fail the expired entries, answer the cache hits, hand a
+     * training task to serveTrain, otherwise run the batched solve
+     * (any size >= 1) and walk the degradation ladder per failing
+     * sample (its batchmates are unaffected).
      */
-    void serveBatch(std::size_t worker_id, CollectedBatch &batch);
+    void serveBatch(std::size_t worker_id, CollectedBatch &batch,
+                    InFlight &flight);
     /** Fail a request whose deadline lapsed before it was solved. */
     void expireEntry(std::size_t worker_id, QueueEntry &entry);
     /**
@@ -517,6 +549,10 @@ class InferenceServer
     /** Rung 2: fixed-step coarse integration of every layer. */
     NodeForwardResult fallbackForward(Worker &worker, const Tensor &input);
     void watchdogMain();
+    /** One watchdog pass over one slot of worker `worker_id`: fail
+     *  and abort its dispatch if it has run past the threshold. */
+    void watchSlot(std::size_t worker_id, InFlight &flight,
+                   RuntimeClock::time_point now);
     void waitWhilePaused();
 
     ServerOptions options_;
@@ -544,6 +580,8 @@ class InferenceServer
     /** Training-path counters (outside MetricsRegistry by design). */
     std::atomic<std::uint64_t> trainTasks_{0};
     std::atomic<std::uint64_t> trainTaskFailures_{0};
+    /** Yield points at which a training task served inference. */
+    std::atomic<std::uint64_t> trainYields_{0};
     MetricsRegistry metrics_;
     std::vector<std::unique_ptr<Worker>> workers_;
 
@@ -553,8 +591,6 @@ class InferenceServer
      *  running threads stay bounded even when all workers compute. */
     std::unique_ptr<TaskPool> intraOpPool_;
 
-    /** One slot per worker; index-aligned with workers_. */
-    std::vector<std::unique_ptr<InFlight>> inflight_;
     std::unique_ptr<MetricsPublisher> publisher_;
     std::atomic<std::size_t> activeWorkers_{0};
     std::thread watchdog_;

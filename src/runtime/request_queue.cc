@@ -49,9 +49,30 @@ RequestQueue::tryPush(QueueEntry &entry)
                            return dispatchesAfter(a, b);
                        });
         peakSize_ = std::max(peakSize_, heap_.size());
+        noteHead();
     }
     notEmpty_.notify_one();
     return true;
+}
+
+void
+RequestQueue::popHead(QueueEntry &out)
+{
+    std::pop_heap(heap_.begin(), heap_.end(),
+                  [this](const QueueEntry &a, const QueueEntry &b) {
+                      return dispatchesAfter(a, b);
+                  });
+    out = std::move(heap_.back());
+    heap_.pop_back();
+    noteHead();
+}
+
+void
+RequestQueue::noteHead()
+{
+    inferenceHeads_.store(!heap_.empty() &&
+                              heap_.front().request.train == nullptr,
+                          std::memory_order_relaxed);
 }
 
 bool
@@ -61,12 +82,7 @@ RequestQueue::pop(QueueEntry &out)
     notEmpty_.wait(lock, [this] { return closed_ || !heap_.empty(); });
     if (heap_.empty())
         return false; // closed and drained
-    std::pop_heap(heap_.begin(), heap_.end(),
-                  [this](const QueueEntry &a, const QueueEntry &b) {
-                      return dispatchesAfter(a, b);
-                  });
-    out = std::move(heap_.back());
-    heap_.pop_back();
+    popHead(out);
     return true;
 }
 
@@ -78,13 +94,18 @@ RequestQueue::popUntil(QueueEntry &out, RuntimeClock::time_point deadline)
                          [this] { return closed_ || !heap_.empty(); });
     if (heap_.empty())
         return closed_ ? PopStatus::Closed : PopStatus::TimedOut;
-    std::pop_heap(heap_.begin(), heap_.end(),
-                  [this](const QueueEntry &a, const QueueEntry &b) {
-                      return dispatchesAfter(a, b);
-                  });
-    out = std::move(heap_.back());
-    heap_.pop_back();
+    popHead(out);
     return PopStatus::Ok;
+}
+
+bool
+RequestQueue::tryPopAhead(const QueueEntry &task, QueueEntry &out)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (heap_.empty() || !preempts(heap_.front(), task))
+        return false;
+    popHead(out);
+    return true;
 }
 
 std::vector<QueueEntry>
@@ -97,6 +118,7 @@ RequestQueue::close(bool drain)
         if (!drain) {
             leftovers = std::move(heap_);
             heap_.clear();
+            noteHead();
             // Cancellation order should match admission order, not heap
             // layout.
             std::sort(leftovers.begin(), leftovers.end(),

@@ -16,8 +16,13 @@
  *  - LaterStreamFirst: highest stream tag first (the paper's rule),
  *    tighter deadline breaking ties, then admission order.
  *  - Fifo: strict admission order.
+ *
+ * The same order decides what a running training task yields to: an
+ * inference entry preempts it at its next step boundary when the
+ * order would have dispatched that entry first (preempts()).
  */
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <future>
@@ -79,6 +84,32 @@ class RequestQueue
     PopStatus popUntil(QueueEntry &out, RuntimeClock::time_point deadline);
 
     /**
+     * Non-blocking pop for a training task's yield: take the head only
+     * when it preempts `task` (see preempts()); otherwise leave the
+     * queue untouched and return false.
+     */
+    bool tryPopAhead(const QueueEntry &task, QueueEntry &out);
+
+    /**
+     * True when `entry` is an inference request that dispatches ahead
+     * of `task`, the entry a running training task was popped as.
+     */
+    bool preempts(const QueueEntry &entry, const QueueEntry &task) const
+    {
+        return entry.request.train == nullptr && dispatchesAfter(task, entry);
+    }
+
+    /**
+     * True when an inference request heads the queue: the one relaxed
+     * load a running training task makes at every step boundary. A
+     * hint (the head may not preempt that task); tryPopAhead decides.
+     */
+    bool inferenceHeads() const
+    {
+        return inferenceHeads_.load(std::memory_order_relaxed);
+    }
+
+    /**
      * Close the queue: all further pushes fail and blocked consumers
      * wake. With drain=true queued entries stay poppable; with
      * drain=false they are removed and returned so the caller can
@@ -104,6 +135,11 @@ class RequestQueue
   private:
     /** Heap order: true when a dispatches *after* b. */
     bool dispatchesAfter(const QueueEntry &a, const QueueEntry &b) const;
+    /** Remove the head into `out` and refresh inferenceHeads_; the
+     *  caller holds mutex_ and has checked the heap is non-empty. */
+    void popHead(QueueEntry &out);
+    /** Re-derive inferenceHeads_ from the head; caller holds mutex_. */
+    void noteHead();
 
     const std::size_t capacity_;
     const SelectPolicy policy_;
@@ -111,6 +147,7 @@ class RequestQueue
     mutable std::mutex mutex_;
     std::condition_variable notEmpty_;
     std::vector<QueueEntry> heap_; ///< max-heap under dispatchesAfter
+    std::atomic<bool> inferenceHeads_{false}; ///< written under mutex_
     bool closed_ = false;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t rejected_ = 0;

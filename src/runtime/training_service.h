@@ -11,9 +11,11 @@
  * B examples of a step become B gradient tasks submitted through the
  * same bounded queue and worker pool that serves inference. Training
  * rides the lowest-priority stream with no deadline, so under
- * LaterStreamFirst it loses every dispatch tie — inference latency
- * degrades only by the residency of whichever training solve is
- * already on a worker, never by queue displacement.
+ * LaterStreamFirst it loses every dispatch tie, and a task already on
+ * a worker yields to inference that outranks it after every accepted
+ * forward step and before every backward step. Inference latency
+ * degrades by at most one such step of the task in flight, never by
+ * queue displacement.
  *
  * Determinism: each task's gradient depends only on the step's weight
  * snapshot and the example (the solver is bitwise reproducible), never
@@ -70,7 +72,8 @@ struct TrainTask
      * worker-count-independent.
      */
     std::vector<Tensor> *grads = nullptr;
-    // --- written by the worker ---
+    // --- written, with *grads, by the worker that answers the task;
+    // an attempt the watchdog took over writes nothing ---
     double loss = 0.0;
     SolveStatus forwardStatus = SolveStatus::Ok;
     IvpStats forwardStats;

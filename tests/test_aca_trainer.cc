@@ -24,6 +24,7 @@
 #include "core/node_model.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "ode/ivp.h"
 #include "ode/step_control.h"
 #include "tensor/workspace.h"
 
@@ -614,6 +615,154 @@ TEST(AcaTrainer, TrainStepReportsForwardFailure)
         for (std::size_t i = 0; i < slot.grad->numel(); i++)
             EXPECT_EQ(slot.grad->at(i), 0.0f)
                 << "failed forward leaked gradients";
+}
+
+/**
+ * Raises a watchdog-style abort flag at its k-th check (0-based), that
+ * is once k backward steps are done, and answers as the serving
+ * runtime's guards do: abort flag first.
+ */
+class AbortAfterChecks : public SolveGuard
+{
+  public:
+    explicit AbortAfterChecks(std::uint64_t k) : k_(k)
+    {
+        guard_.abortFlag = &abort_;
+    }
+
+    SolveStatus
+    check(const IvpStats &stats) override
+    {
+        if (checks_++ == k_)
+            abort_.store(true, std::memory_order_release);
+        return guard_.check(stats);
+    }
+
+    std::uint64_t checks() const { return checks_; }
+
+  private:
+    std::atomic<bool> abort_{false};
+    DeadlineGuard guard_;
+    const std::uint64_t k_;
+    std::uint64_t checks_ = 0;
+};
+
+TEST(AcaTrainer, AbortFlagStopsBackwardAfterExactlyKSteps)
+{
+    // The watchdog's abort flag must reach the backward, not just the
+    // forward: raised after k steps, the pass stops before step k + 1
+    // with DeadlineExceeded — including at the boundary between two
+    // layers, and at k = 0.
+    Rng rng(43);
+    auto model = NodeModel::makeMlp(2, 4, 8, 1, rng);
+    Tensor x0 = Tensor::randn(Shape{4}, rng, 0.5f);
+    Tensor target = Tensor::randn(Shape{4}, rng, 0.5f);
+    FixedFactorController ctrl;
+    IvpOptions opts = fixedStepOptions();
+    opts.initialDt = 0.125;
+
+    auto fwd = model->forward(x0, ButcherTableau::rk23(), ctrl, opts);
+    ASSERT_EQ(fwd.status, SolveStatus::Ok);
+    auto loss = mseLoss(fwd.output, target);
+    const std::uint64_t last_layer = fwd.layers.back().checkpoints.size();
+    const std::uint64_t total = last_layer + fwd.layers[0].checkpoints.size();
+    ASSERT_GT(last_layer, 1u);
+
+    AcaWorkspace ws;
+    for (std::uint64_t k : {std::uint64_t{0}, std::uint64_t{1}, last_layer,
+                            total - 1}) {
+        model->zeroGrad();
+        AbortAfterChecks guard(k);
+        auto aca = acaBackward(*model, ButcherTableau::rk23(), fwd, loss.grad,
+                               &ws, &guard);
+        EXPECT_EQ(aca.status, SolveStatus::DeadlineExceeded) << "k=" << k;
+        EXPECT_EQ(aca.stats.backwardSteps, k) << "k=" << k;
+        EXPECT_EQ(guard.checks(), k + 1) << "k=" << k;
+    }
+
+    // A guard that never fires checks before every step and changes
+    // nothing: same gradients, bitwise, as the unguarded pass.
+    model->zeroGrad();
+    acaBackward(*model, ButcherTableau::rk23(), fwd, loss.grad, &ws);
+    std::vector<Tensor> reference;
+    for (auto &slot : model->paramSlots()) {
+        Tensor copy;
+        copy.copyFrom(*slot.grad);
+        reference.push_back(std::move(copy));
+    }
+    model->zeroGrad();
+    AbortAfterChecks never(total + 1);
+    auto aca = acaBackward(*model, ButcherTableau::rk23(), fwd, loss.grad,
+                           &ws, &never);
+    EXPECT_EQ(aca.status, SolveStatus::Ok);
+    EXPECT_EQ(aca.stats.backwardSteps, total);
+    EXPECT_EQ(never.checks(), total);
+    const auto slots = model->paramSlots();
+    for (std::size_t s = 0; s < slots.size(); s++)
+        EXPECT_TRUE(Tensor::allClose(*slots[s].grad, reference[s], 0.0, 0.0))
+            << "guarded backward diverged at slot " << s;
+}
+
+TEST(AcaTrainer, GuardedBackwardSteadyStateAllocatesNothing)
+{
+    // The guard check before every step must not cost the warm
+    // backward its zero-allocation contract.
+    Rng rng(53);
+    auto model = NodeModel::makeMlp(1, 4, 8, 1, rng);
+    Tensor x0 = Tensor::randn(Shape{4}, rng, 0.5f);
+    Tensor target = Tensor::randn(Shape{4}, rng, 0.5f);
+    FixedFactorController ctrl;
+    auto fwd = model->forward(x0, ButcherTableau::rk23(), ctrl,
+                              fixedStepOptions());
+    auto loss = mseLoss(fwd.output, target);
+
+    AcaWorkspace ws;
+    AbortAfterChecks never(~std::uint64_t{0});
+    const auto backwardOnce = [&] {
+        model->zeroGrad();
+        return acaBackward(*model, ButcherTableau::rk23(), fwd, loss.grad,
+                           &ws, &never);
+    };
+    backwardOnce();
+    backwardOnce();
+
+    model->zeroGrad();
+    const std::uint64_t heap_before =
+        g_heap_allocs.load(std::memory_order_relaxed);
+    const auto status =
+        acaBackward(*model, ButcherTableau::rk23(), fwd, loss.grad, &ws,
+                    &never)
+            .status;
+    EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - heap_before,
+              0u)
+        << "steady-state guarded backward touched the heap";
+    EXPECT_EQ(status, SolveStatus::Ok);
+}
+
+TEST(AcaTrainer, TrainStepReportsBackwardAbort)
+{
+    // regressionTrainStep runs one guard through both passes: after
+    // every accepted forward step, then before every backward step. An
+    // abort in the backward surfaces as backwardStatus.
+    Rng rng(47);
+    auto model = NodeModel::makeMlp(1, 3, 6, 1, rng);
+    Tensor x0 = Tensor::randn(Shape{3}, rng, 0.5f);
+    Tensor target = Tensor::randn(Shape{3}, rng, 0.5f);
+    FixedFactorController ctrl;
+    IvpOptions opts = fixedStepOptions();
+
+    const std::uint64_t forward_steps =
+        model->forward(x0, ButcherTableau::rk23(), ctrl, opts)
+            .totalStats.evalPoints;
+    ASSERT_GT(forward_steps, 2u);
+    AbortAfterChecks guard(forward_steps + 2);
+    model->zeroGrad();
+    auto step = regressionTrainStep(*model, x0, target,
+                                    ButcherTableau::rk23(), ctrl, opts,
+                                    nullptr, nullptr, &guard);
+    EXPECT_EQ(step.forwardStatus, SolveStatus::Ok);
+    EXPECT_EQ(step.backwardStatus, SolveStatus::DeadlineExceeded);
+    EXPECT_EQ(step.backwardStats.backwardSteps, 2u);
 }
 
 } // namespace

@@ -529,6 +529,83 @@ TEST(Batcher, TrainTasksShipSoloWithoutCollectWindow)
         EXPECT_EQ(batch.entries[i].request.id, i + 2);
 }
 
+TEST(Batcher, CollectAheadTakesOnlyWhatPreemptsTheRunningTask)
+{
+    // A running training task yields only to inference the queue's own
+    // order would have dispatched first, and collectAhead never blocks
+    // or waits for company: it returns what is queued right now.
+    TrainTask train;
+    const auto entry = [&](std::uint64_t id, std::uint32_t stream,
+                           RuntimeClock::time_point deadline,
+                           TrainTask *task = nullptr) {
+        QueueEntry e;
+        e.request.id = id;
+        e.request.stream = stream;
+        e.request.deadline = deadline;
+        e.request.train = task;
+        e.request.input = Tensor(Shape{kDim});
+        e.enqueueTime = RuntimeClock::now();
+        return e;
+    };
+    const auto never = RuntimeClock::time_point::max();
+    const auto later = RuntimeClock::now() + std::chrono::hours(1);
+
+    RequestQueue queue(16, SelectPolicy::LaterStreamFirst);
+    // A long window that would be felt if collectAhead waited on it.
+    Batcher batcher(queue, /*maxBatch=*/4, /*maxWaitUs=*/500000.0);
+    QueueEntry task = entry(0, 0, never, &train);
+    ASSERT_TRUE(queue.tryPush(task));
+    ASSERT_TRUE(queue.pop(task)); // now running
+
+    CollectedBatch batch;
+    // Same stream, no deadline, admitted after the task: it waits.
+    QueueEntry behind = entry(1, 0, never);
+    ASSERT_TRUE(queue.tryPush(behind));
+    EXPECT_TRUE(queue.inferenceHeads()) << "the hint is only a hint";
+    EXPECT_FALSE(batcher.collectAhead(task, batch));
+    // A later stream, and a tighter deadline on the task's stream, both
+    // preempt it; they coalesce, and the waiting request stays queued.
+    QueueEntry hi = entry(2, 1, never);
+    QueueEntry tight = entry(3, 0, later);
+    ASSERT_TRUE(queue.tryPush(hi));
+    ASSERT_TRUE(queue.tryPush(tight));
+    const auto before = RuntimeClock::now();
+    ASSERT_TRUE(batcher.collectAhead(task, batch));
+    const double elapsed_ms =
+        std::chrono::duration<double, std::milli>(RuntimeClock::now() -
+                                                  before)
+            .count();
+    EXPECT_LT(elapsed_ms, 100.0)
+        << "collectAhead waited out the collect window";
+    ASSERT_EQ(batch.entries.size(), 2u);
+    EXPECT_EQ(batch.entries[0].request.id, 2u);
+    EXPECT_EQ(batch.entries[1].request.id, 3u);
+    EXPECT_FALSE(batcher.collectAhead(task, batch));
+    EXPECT_EQ(queue.size(), 1u);
+
+    // A preempting request already past its deadline comes back
+    // expired, never as work.
+    QueueEntry lapsed =
+        entry(4, 1, RuntimeClock::now() - std::chrono::seconds(1));
+    ASSERT_TRUE(queue.tryPush(lapsed));
+    ASSERT_TRUE(batcher.collectAhead(task, batch));
+    EXPECT_TRUE(batch.entries.empty());
+    ASSERT_EQ(batch.expired.size(), 1u);
+    EXPECT_EQ(batch.expired[0].request.id, 4u);
+
+    // Under Fifo nothing admitted after the task ranks ahead of it, and
+    // another training task never preempts one.
+    RequestQueue fifo(16, SelectPolicy::Fifo);
+    Batcher fifo_batcher(fifo, /*maxBatch=*/1, /*maxWaitUs=*/0.0);
+    QueueEntry fifo_task = entry(5, 0, never, &train);
+    ASSERT_TRUE(fifo.tryPush(fifo_task));
+    ASSERT_TRUE(fifo.pop(fifo_task));
+    QueueEntry fifo_hi = entry(6, 3, later);
+    ASSERT_TRUE(fifo.tryPush(fifo_hi));
+    EXPECT_FALSE(fifo_batcher.collectAhead(fifo_task, batch));
+    EXPECT_FALSE(queue.preempts(entry(7, 3, later, &train), task));
+}
+
 TEST(Batcher, ConcurrentCollectorsWithMixedShapesLoseNothing)
 {
     // Several collectors share one batcher while mixed-shape requests

@@ -12,9 +12,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "ode/step_control.h"
@@ -96,6 +100,65 @@ bitwiseEqual(const Tensor &a, const Tensor &b)
                        a.numel() * sizeof(float)) == 0;
 }
 
+/** A train.* counter of the server (e.g. "yields": the yield points
+ *  at which its training tasks served inference), read from its
+ *  exposition as an operator would. */
+double
+trainCounter(const InferenceServer &server, const std::string &name)
+{
+    const std::string text = server.metricsText();
+    const std::string key = "\nenode_train_" + name + " ";
+    const auto at = text.find(key);
+    EXPECT_NE(at, std::string::npos) << text;
+    return at == std::string::npos ? -1.0
+                                   : std::stod(text.substr(at + key.size()));
+}
+
+/**
+ * A model whose training task runs for milliseconds, not microseconds:
+ * two wider layers, trained at a tight tolerance (slowTrainingOptions).
+ * Long enough that a request submitted once the task is seen running
+ * arrives, and is answered, while the task still runs.
+ */
+std::unique_ptr<NodeModel>
+makeSlowModel()
+{
+    Rng rng(kSeed);
+    return NodeModel::makeMlp(/*num_layers=*/2, kDim, /*hidden=*/64,
+                              /*f_depth=*/2, rng);
+}
+
+TrainingOptions
+slowTrainingOptions(std::size_t batch)
+{
+    TrainingOptions opts = trainingOptions(batch, /*publish_every=*/0);
+    opts.ivp.tolerance = 1e-6;
+    return opts;
+}
+
+/** A stall of `ms` before the first step of each of the first `count`
+ *  training tasks: a window in which a task is known to be running. */
+FaultSpec
+taskStall(double ms, std::uint64_t count = 1)
+{
+    return {"train.stall", FaultKind::Stall, /*firstHit=*/0, count, ms};
+}
+
+/** Run one training step of `examples` on another thread, and return
+ *  once a worker has started its first task. */
+std::future<TrainStepOutcome>
+stepInBackground(InferenceServer &server, TrainingService &service,
+                 std::vector<TrainExample> examples)
+{
+    auto outcome = std::async(std::launch::async,
+                              [&service, examples = std::move(examples)] {
+                                  return service.step(examples);
+                              });
+    while (trainCounter(server, "tasks") == 0.0)
+        std::this_thread::yield();
+    return outcome;
+}
+
 // ---------------------------------------------------------------------
 // Model registry
 // ---------------------------------------------------------------------
@@ -160,18 +223,53 @@ TEST(TrainingService, GradientsBitwiseIdenticalAcrossWorkerCounts)
     // identical whether the tasks ran on 1, 2 or 4 workers. The
     // fixed-slot tree reduction plus the per-task determinism of the
     // solver make the worker count unobservable.
+    //
+    // The last run adds inference traffic on one worker: each task
+    // stalls for a few milliseconds before its first step, and a
+    // producer submits a stream-1 request whenever a task starts, so
+    // the tasks of every step yield to inference at a step boundary.
+    // Serving inference inside a task must not change its gradient.
     constexpr std::size_t kBatch = 4;
     constexpr int kSteps = 3;
 
+    struct Run
+    {
+        std::size_t workers;
+        bool traffic;
+    };
     std::vector<Hash128> reference_digests;
     Hash128 reference_weights;
-    for (std::size_t workers : {std::size_t{1}, std::size_t{2},
-                                std::size_t{4}}) {
+    for (const Run run : {Run{1, false}, Run{2, false}, Run{4, false},
+                          Run{1, true}}) {
+        const std::size_t workers = run.workers;
         InferenceServer server(makeReferenceModel,
                                serverOptions(workers, 64));
         TrainingService service(server, makeReferenceModel(),
                                 trainingOptions(kBatch,
                                                 /*publish_every=*/0));
+        std::optional<ScopedFaultPlan> stall;
+        if (run.traffic)
+            stall.emplace(FaultPlan{0, {taskStall(5.0, UINT64_MAX)}});
+        std::atomic<bool> done{false};
+        std::thread producer;
+        if (run.traffic) {
+            producer = std::thread([&] {
+                double started = 0.0;
+                for (std::uint64_t i = 0; !done.load();) {
+                    const double tasks = trainCounter(server, "tasks");
+                    if (tasks == started) {
+                        std::this_thread::sleep_for(
+                            std::chrono::microseconds(100));
+                        continue;
+                    }
+                    started = tasks;
+                    auto sub = server.submit(makeInput(i++ % 16),
+                                             /*stream=*/1);
+                    if (sub.accepted)
+                        sub.result.get();
+                }
+            });
+        }
         std::vector<Hash128> digests;
         for (int step = 0; step < kSteps; step++) {
             std::vector<TrainExample> batch;
@@ -186,6 +284,13 @@ TEST(TrainingService, GradientsBitwiseIdenticalAcrossWorkerCounts)
         }
         const Hash128 weights =
             ModelRegistry::capture(service.master(), 0)->paramsDigest;
+        done.store(true);
+        if (producer.joinable())
+            producer.join();
+        if (run.traffic) {
+            EXPECT_GT(trainCounter(server, "yields"), 0.0)
+                << "no training task yielded to the traffic";
+        }
         server.stop();
 
         if (reference_digests.empty()) {
@@ -449,6 +554,235 @@ TEST(TrainingService, PreSwapPendingEntryCannotPublishIntoNewVersion)
     EXPECT_TRUE(bitwiseEqual(repeat.output, r.output))
         << "same weights, same input, different results";
     server.stop();
+}
+
+// ---------------------------------------------------------------------
+// Yielding to inference at step boundaries
+// ---------------------------------------------------------------------
+
+TEST(TrainingService, NoInferenceTrafficMeansNoYields)
+{
+    InferenceServer server(makeReferenceModel, serverOptions(1, 64));
+    TrainingService service(server, makeReferenceModel(),
+                            trainingOptions(/*batch=*/4,
+                                            /*publish_every=*/1));
+    std::vector<TrainExample> batch;
+    for (std::size_t b = 0; b < 4; b++)
+        batch.push_back(makeExample(b));
+    for (int step = 0; step < 3; step++)
+        ASSERT_EQ(service.step(batch).tasksFailed, 0u);
+    EXPECT_EQ(trainCounter(server, "yields"), 0.0);
+    server.stop();
+}
+
+TEST(TrainingService, InferenceOvertakesARunningTrainingTask)
+{
+    // One worker, one long training task, submitted directly so the
+    // test sees its response: a request submitted while the task runs
+    // (inside a stall before its first step) is served at the task's
+    // next step boundary, so it completes while the task still runs.
+    // Without the yield it waits out the whole task.
+    ScopedFaultPlan stall(FaultPlan{0, {taskStall(20.0)}});
+    InferenceServer server(makeSlowModel, serverOptions(1, 64));
+    auto master = makeSlowModel();
+    std::vector<Tensor> grads(master->paramSlots().size());
+    const TrainExample example = makeExample(0);
+    TrainTask task;
+    task.step = 1;
+    task.weights = ModelRegistry::capture(*master, 1);
+    task.input = example.input;
+    task.target = example.target;
+    task.ivp = slowTrainingOptions(/*batch=*/1).ivp;
+    task.grads = &grads;
+    const auto task_submitted = RuntimeClock::now();
+    auto training = server.submitTrainTask(task);
+    ASSERT_TRUE(training.accepted);
+    while (trainCounter(server, "tasks") == 0.0)
+        std::this_thread::yield();
+
+    auto sub = server.submit(makeInput(0), /*stream=*/1);
+    const auto request_submitted = RuntimeClock::now();
+    ASSERT_TRUE(sub.accepted);
+    const InferResponse request = sub.result.get();
+    const InferResponse trained = training.result.get();
+    EXPECT_EQ(request.status, RequestStatus::Ok);
+    EXPECT_EQ(trained.status, RequestStatus::Ok);
+
+    // Compare the server's own completion times, not when this thread
+    // wakes: the request's latest possible end against the task's
+    // earliest possible end.
+    const auto ms = [](double v) {
+        return std::chrono::duration_cast<RuntimeClock::duration>(
+            std::chrono::duration<double, std::milli>(v));
+    };
+    EXPECT_LT(request_submitted + ms(request.totalMs),
+              task_submitted + ms(trained.totalMs))
+        << "the request waited for the training task to finish";
+    EXPECT_EQ(trainCounter(server, "yields"), 1.0);
+    server.stop();
+}
+
+TEST(TrainingService, TaskAdvancesUnderSustainedPreemptingLoad)
+{
+    // A producer keeps the queue full of requests that preempt a
+    // running task. Each yield point serves one batch and the task
+    // then takes a step, so it finishes while the flood goes on.
+    ScopedFaultPlan stall(FaultPlan{0, {taskStall(20.0)}});
+    InferenceServer server(makeReferenceModel, serverOptions(1, 8));
+    TrainingService service(server, makeReferenceModel(),
+                            trainingOptions(/*batch=*/1,
+                                            /*publish_every=*/0));
+    auto training = stepInBackground(server, service, {makeExample(0)});
+    std::vector<std::future<InferResponse>> futures;
+    const auto give_up = RuntimeClock::now() + std::chrono::seconds(20);
+    for (std::uint64_t i = 0;
+         training.wait_for(std::chrono::seconds(0)) !=
+             std::future_status::ready &&
+         RuntimeClock::now() < give_up;
+         i++) {
+        auto sub = server.submit(makeInput(i % 16), /*stream=*/1);
+        if (sub.accepted)
+            futures.push_back(std::move(sub.result));
+        else
+            std::this_thread::yield();
+    }
+    ASSERT_EQ(training.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "the task starved under the flood";
+    EXPECT_EQ(training.get().tasksFailed, 0u);
+    EXPECT_GT(trainCounter(server, "yields"), 0.0);
+    server.stop();
+    for (auto &f : futures)
+        EXPECT_EQ(f.get().status, RequestStatus::Ok);
+}
+
+TEST(TrainingService, YieldedInferenceDoesNotAgeTheTaskForTheWatchdog)
+{
+    // The task's own time is well below watchdogMs: a stall of a
+    // quarter of it before its first step, during which three requests
+    // arrive, plus a short solve. The inference it yields to, one
+    // request at each of three step boundaries, totals well over
+    // watchdogMs: each request stalls for 60% of it. The watchdog times
+    // each yielded batch on its own and the paused task not at all, so
+    // nothing trips.
+    constexpr double kWatchdogMs = 200.0;
+    ServerOptions opts = serverOptions(1, 64);
+    opts.degrade.watchdogMs = kWatchdogMs;
+    FaultPlan plan;
+    plan.faults.push_back(taskStall(0.25 * kWatchdogMs));
+    plan.faults.push_back({"worker.stall", FaultKind::Stall, /*firstHit=*/0,
+                           /*count=*/3, /*stallMs=*/0.6 * kWatchdogMs});
+    ScopedFaultPlan scoped(plan);
+
+    InferenceServer server(makeReferenceModel, opts);
+    TrainingService service(server, makeReferenceModel(),
+                            trainingOptions(/*batch=*/1,
+                                            /*publish_every=*/0));
+    auto training = stepInBackground(server, service, {makeExample(0)});
+    std::vector<std::future<InferResponse>> futures;
+    for (std::uint64_t i = 0; i < 3; i++) {
+        auto sub = server.submit(makeInput(i), /*stream=*/1);
+        ASSERT_TRUE(sub.accepted);
+        futures.push_back(std::move(sub.result));
+    }
+    for (auto &f : futures)
+        EXPECT_EQ(f.get().status, RequestStatus::Ok);
+
+    const TrainStepOutcome out = training.get();
+    EXPECT_EQ(out.tasksFailed, 0u);
+    EXPECT_EQ(out.tasksRetried, 0u) << "the watchdog tripped the task";
+    EXPECT_EQ(trainCounter(server, "yields"), 3.0);
+    server.stop();
+    EXPECT_EQ(server.metrics().summary().watchdogTrips, 0u);
+}
+
+TEST(TrainingService, StopWithInferenceQueuedBehindATaskReconciles)
+{
+    // Shutdown while a training task runs (inside a stall before its
+    // first step) with inference queued behind it: stream-1 requests
+    // preempt the task, stream-0 ones without a deadline rank after it.
+    // Whether stop drains them (served inside the task or after it) or
+    // cancels them, every admitted request ends exactly once.
+    for (const bool drain : {true, false}) {
+        ScopedFaultPlan stall(FaultPlan{0, {taskStall(20.0, 2)}});
+        InferenceServer server(makeSlowModel, serverOptions(1, 256));
+        TrainingService service(server, makeSlowModel(),
+                                slowTrainingOptions(/*batch=*/2));
+        auto training = stepInBackground(server, service,
+                                         {makeExample(0), makeExample(1)});
+        std::vector<std::future<InferResponse>> futures;
+        for (std::uint64_t i = 0; i < 32; i++) {
+            auto sub = server.submit(makeInput(i),
+                                     /*stream=*/static_cast<std::uint32_t>(
+                                         i % 2));
+            ASSERT_TRUE(sub.accepted);
+            futures.push_back(std::move(sub.result));
+        }
+        server.stop(drain);
+        std::uint64_t ok = 0;
+        for (auto &f : futures)
+            ok += f.get().status == RequestStatus::Ok ? 1 : 0;
+        training.get();
+
+        const MetricsSummary s = server.metrics().summary();
+        EXPECT_EQ(s.admitted, futures.size()) << "drain=" << drain;
+        EXPECT_EQ(s.admitted,
+                  s.completed + s.expired + s.failed + s.cancelled + s.shed)
+            << "drain=" << drain;
+        EXPECT_EQ(s.completed, ok) << "drain=" << drain;
+        if (drain) {
+            EXPECT_EQ(s.completed, futures.size());
+        }
+    }
+}
+
+TEST(TrainingService, WatchdogTakeoverLeavesTheTaskToItsRetry)
+{
+    // A training task stalls past watchdogMs: the watchdog fails it and
+    // the service retries it on the other worker. The stalled attempt
+    // wakes long after its task has been retried and reused by the
+    // next step, and must neither read nor write that task again. The
+    // two steps' gradients equal a run without the fault.
+    constexpr std::size_t kBatch = 4;
+    const auto stepBatch = [](int step) {
+        std::vector<TrainExample> batch;
+        for (std::size_t b = 0; b < kBatch; b++)
+            batch.push_back(
+                makeExample(static_cast<std::uint64_t>(step) * kBatch + b));
+        return batch;
+    };
+    const auto runSteps = [&](const ServerOptions &opts) {
+        InferenceServer server(makeReferenceModel, opts);
+        TrainingService service(server, makeReferenceModel(),
+                                trainingOptions(kBatch,
+                                                /*publish_every=*/0));
+        std::vector<TrainStepOutcome> outcomes;
+        for (int step = 0; step < 2; step++)
+            outcomes.push_back(service.step(stepBatch(step)));
+        server.stop();
+        EXPECT_EQ(server.metrics().summary().admitted, 0u);
+        return std::make_pair(outcomes,
+                              server.metrics().summary().watchdogTrips);
+    };
+
+    const auto [reference, no_trips] = runSteps(serverOptions(2, 64));
+    EXPECT_EQ(no_trips, 0u);
+
+    ServerOptions opts = serverOptions(2, 64);
+    opts.degrade.watchdogMs = 50.0;
+    ScopedFaultPlan stall(FaultPlan{0, {taskStall(300.0)}});
+    const auto [faulted, trips] = runSteps(opts);
+
+    EXPECT_EQ(trips, 1u);
+    EXPECT_EQ(faulted[0].tasksRetried, 1u) << "the stalled attempt";
+    EXPECT_EQ(faulted[1].tasksRetried, 0u);
+    for (int step = 0; step < 2; step++) {
+        EXPECT_EQ(faulted[step].tasksFailed, 0u) << "step " << step;
+        EXPECT_EQ(faulted[step].gradDigest.hi, reference[step].gradDigest.hi)
+            << "step " << step;
+        EXPECT_EQ(faulted[step].gradDigest.lo, reference[step].gradDigest.lo)
+            << "step " << step;
+    }
 }
 
 // ---------------------------------------------------------------------
