@@ -17,8 +17,10 @@
  * mapping. All randomness is seeded: every bench is reproducible.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <iomanip>
 #include <memory>
 #include <sstream>
@@ -327,18 +329,26 @@ runWorkload(const std::string &name, const RunConfig &cfg)
 // Machine-readable kernel report (BENCH_kernels.json)
 //
 // The micro-benches additionally emit a small JSON file so speedups and
-// allocation counts can be checked by scripts rather than read off the
-// console. The file is merged by entry name: each bench binary rewrites
-// its own entries and preserves everyone else's, so running
-// bench_micro_conv and bench_micro_integrator in either order yields one
-// combined report.
+// allocation counts can be checked by scripts (bench/check_bench.py)
+// rather than read off the console. The file is merged by entry name:
+// each bench binary rewrites its own entries and preserves everyone
+// else's, so running bench_micro_conv and bench_micro_integrator in
+// either order yields one combined report.
 // ---------------------------------------------------------------------
+
+/** Wall-clock ns per op over repeated timing loops. */
+struct NsPerOp
+{
+    double median = 0.0; ///< what every ratio and gate reads
+    double min = 0.0;
+    double max = 0.0;
+};
 
 /** One row of the kernel report. Unused metrics stay at 0. */
 struct KernelBenchEntry
 {
     std::string name;
-    double nsPerOp = 0.0;
+    NsPerOp ns;
     double gflops = 0.0;           ///< arithmetic throughput, when defined
     double allocMissesPerOp = 0.0; ///< heap allocations per op (pool misses)
     double speedupVsRef = 0.0;     ///< fast / reference pairing, when defined
@@ -346,47 +356,68 @@ struct KernelBenchEntry
     /**
      * SIMD-backend sweep: this backend's throughput over the forced
      * scalar backend on the same kernel (scalar entries report 1.0).
-     * The CI bench gate fails if any vector-backend entry drops below
-     * 1.0, and requires >= 1.5 on the conv-forward and WRMS kernels.
+     * bench/check_bench.py fails if any vector-backend entry drops
+     * below 1.0, and requires >= 1.5 on the conv-forward and WRMS
+     * kernels.
      */
     double speedupVsScalar = 0.0;
 };
 
 /**
- * Wall-clock ns per call of fn(), best of `repeats` batches, each batch
- * sized to run at least `min_time_s`. fn is called a few times first as
- * warm-up so pool effects and branch predictors settle.
+ * Wall-clock ns per call of each of `fns`: the median, min and max
+ * over 7 timing loops. Each fn is called a few times first as warm-up
+ * so pool effects and branch predictors settle, and one loop then
+ * sizes its iteration count to run at least 50 ms. The timed loops of
+ * the fns interleave, so a drift in the host's speed reaches them
+ * alike and a ratio between them holds.
  */
-template <typename F>
-inline double
-timeNsPerOp(F &&fn, double min_time_s = 0.05, int repeats = 3)
+inline std::vector<NsPerOp>
+timeNsPerOpInterleaved(const std::vector<std::function<void()>> &fns)
 {
     using Clock = std::chrono::steady_clock;
-    for (int i = 0; i < 3; i++)
-        fn();
-    double best = 0.0;
-    for (int rep = 0; rep < repeats; rep++) {
-        std::size_t iters = 1;
-        for (;;) {
-            const auto start = Clock::now();
-            for (std::size_t i = 0; i < iters; i++)
-                fn();
-            const double elapsed =
-                std::chrono::duration<double>(Clock::now() - start).count();
-            if (elapsed >= min_time_s) {
-                const double ns = 1e9 * elapsed / static_cast<double>(iters);
-                if (best == 0.0 || ns < best)
-                    best = ns;
-                break;
-            }
-            iters = elapsed <= 0.0
-                        ? iters * 2
-                        : static_cast<std::size_t>(
-                              static_cast<double>(iters) *
-                              std::max(2.0, 1.2 * min_time_s / elapsed));
-        }
+    constexpr double kMinLoopNs = 5e7;
+    constexpr int kLoops = 7;
+    const auto loopNs = [](const std::function<void()> &fn,
+                           std::size_t iters) {
+        const auto start = Clock::now();
+        for (std::size_t i = 0; i < iters; i++)
+            fn();
+        return std::chrono::duration<double, std::nano>(Clock::now() -
+                                                        start)
+            .count();
+    };
+    std::vector<std::size_t> iters(fns.size(), 1);
+    for (std::size_t f = 0; f < fns.size(); f++) {
+        for (int i = 0; i < 3; i++)
+            fns[f]();
+        for (double elapsed = loopNs(fns[f], iters[f]);
+             elapsed < kMinLoopNs; elapsed = loopNs(fns[f], iters[f]))
+            iters[f] = elapsed <= 0.0
+                           ? iters[f] * 2
+                           : static_cast<std::size_t>(
+                                 static_cast<double>(iters[f]) *
+                                 std::max(2.0, 1.2 * kMinLoopNs / elapsed));
     }
-    return best;
+    std::vector<std::vector<double>> ns(fns.size());
+    for (int rep = 0; rep < kLoops; rep++)
+        for (std::size_t f = 0; f < fns.size(); f++)
+            ns[f].push_back(loopNs(fns[f], iters[f]) /
+                            static_cast<double>(iters[f]));
+    std::vector<NsPerOp> out;
+    for (auto &v : ns) {
+        std::sort(v.begin(), v.end());
+        out.push_back({v[v.size() / 2], v.front(), v.back()});
+    }
+    return out;
+}
+
+/** Wall-clock ns per call of fn() (timeNsPerOpInterleaved alone). */
+template <typename F>
+inline NsPerOp
+timeNsPerOp(F &&fn)
+{
+    return timeNsPerOpInterleaved({std::function<void()>(std::forward<F>(fn))})
+        .front();
 }
 
 /** Steady-state heap allocations (pool misses) per call of fn(). */
@@ -434,7 +465,8 @@ writeKernelReport(const std::vector<KernelBenchEntry> &entries,
     auto format = [](const KernelBenchEntry &e) {
         std::ostringstream os;
         os << "    {\"name\": \"" << e.name << "\", \"ns_per_op\": "
-           << std::fixed << std::setprecision(1) << e.nsPerOp
+           << std::fixed << std::setprecision(1) << e.ns.median
+           << ", \"ns_min\": " << e.ns.min << ", \"ns_max\": " << e.ns.max
            << ", \"gflops\": " << std::setprecision(3) << e.gflops
            << ", \"alloc_misses_per_op\": " << e.allocMissesPerOp
            << ", \"speedup_vs_ref\": " << e.speedupVsRef

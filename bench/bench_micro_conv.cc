@@ -159,56 +159,58 @@ emitKernelReport()
     auto &f = fixture();
     Tensor out, gx, gw;
 
-    auto entry = [](const char *name, double ns, double miss,
-                    double ref_ns) {
+    auto entry = [](const char *name, bench::NsPerOp ns, double miss,
+                    bench::NsPerOp ref_ns) {
         bench::KernelBenchEntry e;
         e.name = name;
-        e.nsPerOp = ns;
-        e.gflops = kConvFlops / ns;
+        e.ns = ns;
+        e.gflops = kConvFlops / ns.median;
         e.allocMissesPerOp = miss;
-        e.speedupVsRef = ref_ns > 0.0 ? ref_ns / ns : 0.0;
+        e.speedupVsRef = ref_ns.median > 0.0 ? ref_ns.median / ns.median
+                                             : 0.0;
         return e;
     };
 
-    const double fwd_ref_ns = bench::timeNsPerOp(
+    const bench::NsPerOp fwd_ref_ns = bench::timeNsPerOp(
         [&] { benchmark::DoNotOptimize(
                   reference::convForward(f.x, f.weight, f.bias)); });
-    const double fwd_ns = bench::timeNsPerOp(
+    const bench::NsPerOp fwd_ns = bench::timeNsPerOp(
         [&] { convForwardInto(out, f.x, f.weight, f.bias); });
     const double fwd_miss = bench::allocMissesPerOp(
         [&] { convForwardInto(out, f.x, f.weight, f.bias); });
 
-    const double bwd_ref_ns = bench::timeNsPerOp(
+    const bench::NsPerOp bwd_ref_ns = bench::timeNsPerOp(
         [&] { benchmark::DoNotOptimize(
                   reference::convBackwardData(f.grad, f.weight)); });
-    const double bwd_ns = bench::timeNsPerOp(
+    const bench::NsPerOp bwd_ns = bench::timeNsPerOp(
         [&] { convBackwardDataInto(gx, f.grad, f.weight); });
     const double bwd_miss = bench::allocMissesPerOp(
         [&] { convBackwardDataInto(gx, f.grad, f.weight); });
 
-    const double wgt_ref_ns = bench::timeNsPerOp(
+    const bench::NsPerOp wgt_ref_ns = bench::timeNsPerOp(
         [&] { benchmark::DoNotOptimize(
                   reference::convBackwardWeights(f.x, f.grad, 3)); });
-    const double wgt_ns = bench::timeNsPerOp(
+    const bench::NsPerOp wgt_ns = bench::timeNsPerOp(
         [&] { convBackwardWeightsInto(gw, f.x, f.grad, 3); });
     const double wgt_miss = bench::allocMissesPerOp(
         [&] { convBackwardWeightsInto(gw, f.x, f.grad, 3); });
 
     bench::writeKernelReport({
-        entry("conv_forward_ref_8c8m32x32k3", fwd_ref_ns, 0.0, 0.0),
+        entry("conv_forward_ref_8c8m32x32k3", fwd_ref_ns, 0.0, {}),
         entry("conv_forward_8c8m32x32k3", fwd_ns, fwd_miss, fwd_ref_ns),
-        entry("conv_backward_data_ref_8c8m32x32k3", bwd_ref_ns, 0.0, 0.0),
+        entry("conv_backward_data_ref_8c8m32x32k3", bwd_ref_ns, 0.0, {}),
         entry("conv_backward_data_8c8m32x32k3", bwd_ns, bwd_miss,
               bwd_ref_ns),
         entry("conv_backward_weights_ref_8c8m32x32k3", wgt_ref_ns, 0.0,
-              0.0),
+              {}),
         entry("conv_backward_weights_8c8m32x32k3", wgt_ns, wgt_miss,
               wgt_ref_ns),
     });
     std::printf("BENCH_kernels.json: forward %.2fx, backward-data %.2fx, "
                 "backward-weights %.2fx vs reference\n",
-                fwd_ref_ns / fwd_ns, bwd_ref_ns / bwd_ns,
-                wgt_ref_ns / wgt_ns);
+                fwd_ref_ns.median / fwd_ns.median,
+                bwd_ref_ns.median / bwd_ns.median,
+                wgt_ref_ns.median / wgt_ns.median);
 }
 
 /**
@@ -245,17 +247,18 @@ emitBackendSweep()
             ScopedSimdBackend force(backend);
             if (!force.applied())
                 continue;
-            const double ns = bench::timeNsPerOp(k.fn);
+            const bench::NsPerOp ns = bench::timeNsPerOp(k.fn);
             if (backend == SimdBackend::Scalar)
-                scalar_ns = ns;
+                scalar_ns = ns.median;
             bench::KernelBenchEntry e;
             e.name = std::string(k.name) + "_" +
                      simdBackendName(backend) + "_8c8m32x32k3";
-            e.nsPerOp = ns;
-            e.gflops = kConvFlops / ns;
-            e.speedupVsScalar = scalar_ns > 0.0 ? scalar_ns / ns : 0.0;
+            e.ns = ns;
+            e.gflops = kConvFlops / ns.median;
+            e.speedupVsScalar =
+                scalar_ns > 0.0 ? scalar_ns / ns.median : 0.0;
             std::printf("  %-44s %10.0f ns  %6.2fx vs scalar\n",
-                        e.name.c_str(), ns, e.speedupVsScalar);
+                        e.name.c_str(), ns.median, e.speedupVsScalar);
             entries.push_back(std::move(e));
         }
     }

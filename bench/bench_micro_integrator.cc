@@ -6,10 +6,12 @@
  * Besides the google-benchmark console output, the binary measures the
  * solver's steady-state heap-allocation rate (workspace-pool misses per
  * accepted RK step — zero after warm-up) and merges the numbers into
- * BENCH_kernels.json next to the convolution entries, together with a
- * per-SIMD-backend sweep of the stepper's element kernels (WRMS norm,
- * axpy, FP16 quantization) and the MLP f's kernels (tanh, Linear
- * matvec), each with its speedup vs the forced scalar backend.
+ * BENCH_kernels.json next to the convolution entries, together with the
+ * per-sample cost of one batched MLP f evaluation at batch 1 and 4
+ * (what coalescing requests buys) and a per-SIMD-backend sweep of the
+ * stepper's element kernels (WRMS norm, axpy, FP16 quantization) and
+ * the MLP f's kernels (tanh, Linear matvec), each with its speedup vs
+ * the forced scalar backend.
  */
 
 #include <cstdio>
@@ -171,14 +173,14 @@ emitIntegratorReport()
     IvpWorkspace ws;
     FixedFactorController ctrl;
 
-    const double step_ns = bench::timeNsPerOp([&] {
+    const bench::NsPerOp step_ns = bench::timeNsPerOp([&] {
         stepper.stepInto(ode, 0.0, f.x0, 0.1, nullptr, step_result);
     });
     const double step_miss = bench::allocMissesPerOp([&] {
         stepper.stepInto(ode, 0.0, f.x0, 0.1, nullptr, step_result);
     });
 
-    const double solve_ns = bench::timeNsPerOp([&] {
+    const bench::NsPerOp solve_ns = bench::timeNsPerOp([&] {
         benchmark::DoNotOptimize(solveIvp(ode, f.x0, 0.0, 1.0,
                                           ButcherTableau::rk23(), ctrl,
                                           opts, nullptr, &ws));
@@ -205,18 +207,63 @@ emitIntegratorReport()
 
     bench::KernelBenchEntry step_entry;
     step_entry.name = "rk23_step_into_mlp8";
-    step_entry.nsPerOp = step_ns;
+    step_entry.ns = step_ns;
     step_entry.allocMissesPerOp = step_miss;
 
     bench::KernelBenchEntry solve_entry;
     solve_entry.name = "solve_ivp_serving_mlp8";
-    solve_entry.nsPerOp = solve_ns;
+    solve_entry.ns = solve_ns;
     solve_entry.allocMissesPerOp = miss_per_step;
 
     bench::writeKernelReport({step_entry, solve_entry});
     std::printf("BENCH_kernels.json: %.3f heap allocations per accepted "
                 "RK step after warm-up (%llu steps sampled)\n",
                 miss_per_step, static_cast<unsigned long long>(accepted));
+}
+
+/**
+ * Per-sample cost of one shared MLP f evaluation
+ * (EmbeddedNet::evalBatched) at the perfbench models' shape — dim 16,
+ * hidden 64, f depth 2 — over a stack of 1 and of 4 states. A batched
+ * evaluation must not cost more per sample than a batch of one;
+ * bench/check_bench.py gates batch 4 against batch 1, so the two are
+ * timed in interleaved loops.
+ */
+void
+emitBatchedFevalReport()
+{
+    constexpr std::size_t kDim = 16;
+    const std::size_t batches[] = {1, 4};
+    Rng rng(11);
+    auto net = EmbeddedNet::makeMlp(kDim, /*hidden=*/64, /*depth=*/2, rng);
+    std::vector<Tensor> hs, outs(std::size(batches));
+    std::vector<std::vector<double>> ts;
+    for (const std::size_t n : batches) {
+        hs.push_back(Tensor::randn(Shape{n, kDim}, rng, 0.5f));
+        ts.emplace_back(n, 0.5);
+    }
+    std::vector<std::function<void()>> evals;
+    for (std::size_t i = 0; i < std::size(batches); i++)
+        evals.push_back([&, i] {
+            net->evalBatched(ts[i], hs[i], outs[i]);
+            benchmark::DoNotOptimize(outs[i].data());
+            benchmark::ClobberMemory();
+        });
+    const std::vector<bench::NsPerOp> ns =
+        bench::timeNsPerOpInterleaved(evals);
+
+    std::vector<bench::KernelBenchEntry> entries;
+    for (std::size_t i = 0; i < std::size(batches); i++) {
+        const double per_sample = 1.0 / static_cast<double>(batches[i]);
+        bench::KernelBenchEntry e;
+        e.name = "mlp_feval_batch" + std::to_string(batches[i]) + "_16x64x2";
+        e.ns = {ns[i].median * per_sample, ns[i].min * per_sample,
+                ns[i].max * per_sample};
+        std::printf("  %-32s %10.0f ns per sample\n", e.name.c_str(),
+                    e.ns.median);
+        entries.push_back(std::move(e));
+    }
+    bench::writeKernelReport(entries);
 }
 
 /**
@@ -288,18 +335,19 @@ emitBackendSweep()
             ScopedSimdBackend force(backend);
             if (!force.applied())
                 continue;
-            const double ns = bench::timeNsPerOp(k.fn);
+            const bench::NsPerOp ns = bench::timeNsPerOp(k.fn);
             if (backend == SimdBackend::Scalar)
-                scalar_ns = ns;
+                scalar_ns = ns.median;
             bench::KernelBenchEntry e;
             e.name = k.name;
             e.name.append("_").append(simdBackendName(backend));
             e.name.append("_").append(k.size);
-            e.nsPerOp = ns;
-            e.gflops = k.flops > 0.0 ? k.flops / ns : 0.0;
-            e.speedupVsScalar = scalar_ns > 0.0 ? scalar_ns / ns : 0.0;
+            e.ns = ns;
+            e.gflops = k.flops > 0.0 ? k.flops / ns.median : 0.0;
+            e.speedupVsScalar =
+                scalar_ns > 0.0 ? scalar_ns / ns.median : 0.0;
             std::printf("  %-32s %10.0f ns  %6.2fx vs scalar\n",
-                        e.name.c_str(), ns, e.speedupVsScalar);
+                        e.name.c_str(), ns.median, e.speedupVsScalar);
             entries.push_back(std::move(e));
         }
     }
@@ -317,6 +365,7 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     emitIntegratorReport();
+    emitBatchedFevalReport();
     emitBackendSweep();
     return 0;
 }

@@ -88,18 +88,18 @@ sweepKernel(const char *base, double flops, F &&fn,
 
         bench::KernelBenchEntry e;
         e.name = std::string(base) + "_t" + std::to_string(t);
-        e.nsPerOp = bench::timeNsPerOp(fn);
+        e.ns = bench::timeNsPerOp(fn);
         if (flops > 0.0)
-            e.gflops = flops / e.nsPerOp;
+            e.gflops = flops / e.ns.median;
         e.allocMissesPerOp = pooledAllocMissesPerOp(pool, fn);
         if (t == 1)
-            t1_ns = e.nsPerOp;
-        e.speedupVsRef = t1_ns > 0.0 ? t1_ns / e.nsPerOp : 0.0;
+            t1_ns = e.ns.median;
+        e.speedupVsRef = t1_ns > 0.0 ? t1_ns / e.ns.median : 0.0;
         e.parallelEfficiency =
             e.speedupVsRef / static_cast<double>(t);
         entries.push_back(e);
         std::printf("%-32s %10.0f ns/op  %5.2fx  eff %4.2f  miss/op %g\n",
-                    e.name.c_str(), e.nsPerOp, e.speedupVsRef,
+                    e.name.c_str(), e.ns.median, e.speedupVsRef,
                     e.parallelEfficiency, e.allocMissesPerOp);
     }
 }

@@ -22,23 +22,14 @@
  * engages — overload.enter/exit instants, shed requests, and relaxed
  * low-priority solves all land in the exported trace.
  *
- * With `--batch` the demo instead sweeps the micro-batching knob
- * (ServerOptions::maxBatch 1/2/4/8) against a single worker under a
- * fixed closed-loop load and writes the sweep to BENCH_serving.json —
- * the same schema bench_runtime_throughput emits, sized to finish in
- * seconds so CI can sanity-check the batching win on every build.
- *
  * Build & run:
- *   ./build/examples/example_inference_server --trace trace.json
- *   ./build/examples/example_inference_server --batch
+ *   ./build/examples/example_inference_server --trace trace.json --soak
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iomanip>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -273,121 +264,6 @@ runSoakDemo()
                     adm->level());
 }
 
-/** One point of the --batch sweep. */
-struct BatchPoint
-{
-    std::size_t maxBatch = 1;
-    double requestsPerSec = 0.0;
-    double p50Ms = 0.0;
-    double p99Ms = 0.0;
-    double meanOccupancy = 1.0;
-};
-
-/** Closed loop against one worker at the given maxBatch. */
-BatchPoint
-runBatchPoint(std::size_t max_batch, std::size_t clients,
-              std::size_t total)
-{
-    auto factory = [] {
-        Rng rng(99);
-        return NodeModel::makeMlp(/*num_layers=*/2, /*dim=*/8,
-                                  /*hidden=*/32, /*f_depth=*/1, rng);
-    };
-    ServerOptions options;
-    options.numWorkers = 1;
-    options.queueCapacity = 256;
-    options.ivp.tolerance = 1e-4;
-    options.ivp.initialDt = 0.05;
-    options.maxBatch = max_batch;
-    options.batchWaitUs = 2000.0;
-    InferenceServer server(factory, options);
-
-    std::vector<Tensor> inputs;
-    {
-        Rng rng(7);
-        for (std::size_t i = 0; i < 32; i++)
-            inputs.push_back(Tensor::randn(Shape{8}, rng, 0.5f));
-    }
-
-    const auto start = RuntimeClock::now();
-    std::vector<std::thread> threads;
-    const std::size_t per_client = total / clients;
-    for (std::size_t c = 0; c < clients; c++) {
-        threads.emplace_back([&, c] {
-            for (std::size_t j = 0; j < per_client; j++) {
-                auto sub = server.submit(
-                    inputs[(c * per_client + j) % inputs.size()],
-                    static_cast<std::uint32_t>(c % 4));
-                if (sub.accepted)
-                    sub.result.get();
-            }
-        });
-    }
-    for (auto &t : threads)
-        t.join();
-    const double seconds =
-        std::chrono::duration<double>(RuntimeClock::now() - start).count();
-    server.stop();
-
-    const MetricsSummary m = server.metrics().summary();
-    BatchPoint point;
-    point.maxBatch = max_batch;
-    point.requestsPerSec = static_cast<double>(m.completed) / seconds;
-    point.p50Ms = m.totalP50Ms;
-    point.p99Ms = m.totalP99Ms;
-    point.meanOccupancy = m.batchOccupancyMean;
-    return point;
-}
-
-/** The --batch mode: sweep maxBatch, print, write BENCH_serving.json. */
-int
-runBatchSweep()
-{
-    const std::size_t clients = 16;
-    const std::size_t total = 128;
-
-    Table table("Micro-batching sweep (1 worker, " +
-                std::to_string(clients) + " closed-loop clients)");
-    table.setHeader({"max batch", "req/s", "speedup", "p50 ms", "p99 ms",
-                     "mean occupancy"});
-    std::vector<BatchPoint> points;
-    double base_rps = 0.0;
-    for (std::size_t max_batch : {1u, 2u, 4u, 8u}) {
-        BatchPoint p = runBatchPoint(max_batch, clients, total);
-        if (max_batch == 1)
-            base_rps = p.requestsPerSec;
-        table.addRow({std::to_string(max_batch),
-                      Table::num(p.requestsPerSec, 1),
-                      Table::ratio(p.requestsPerSec / base_rps),
-                      Table::num(p.p50Ms), Table::num(p.p99Ms),
-                      Table::num(p.meanOccupancy)});
-        points.push_back(p);
-    }
-    table.print();
-
-    std::ofstream out("BENCH_serving.json", std::ios::trunc);
-    if (!out) {
-        std::fprintf(stderr, "cannot open BENCH_serving.json\n");
-        return 1;
-    }
-    out << "{\n  \"serving\": [\n";
-    for (std::size_t i = 0; i < points.size(); i++) {
-        const BatchPoint &p = points[i];
-        out << "    {\"name\": \"serving/batch=" << p.maxBatch
-            << "\", \"max_batch\": " << p.maxBatch << ", "
-            << std::fixed << std::setprecision(2)
-            << "\"requests_per_sec\": " << p.requestsPerSec
-            << ", \"p50_ms\": " << std::setprecision(3) << p.p50Ms
-            << ", \"p99_ms\": " << p.p99Ms
-            << ", \"mean_batch_occupancy\": " << std::setprecision(2)
-            << p.meanOccupancy << "}"
-            << (i + 1 < points.size() ? ",\n" : "\n");
-    }
-    out << "  ]\n}\n";
-    std::printf("\nwrote BENCH_serving.json\n");
-    return 0;
-}
-
 } // namespace
 
 int
@@ -396,19 +272,13 @@ main(int argc, char **argv)
     setLogLevel(LogLevel::Warn);
 
     const char *trace_path = nullptr;
-    bool batch_mode = false;
     bool soak_mode = false;
     for (int i = 1; i < argc; i++) {
         if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
             trace_path = argv[++i];
-        else if (std::strcmp(argv[i], "--batch") == 0)
-            batch_mode = true;
         else if (std::strcmp(argv[i], "--soak") == 0)
             soak_mode = true;
     }
-
-    if (batch_mode)
-        return runBatchSweep();
 
     // One arming spans every phase, so the exported trace shows the
     // healthy burst, the degraded burst, the pipeline step, and (with

@@ -49,69 +49,6 @@ Accumulator::stddev() const
     return std::sqrt(variance());
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0)
-{
-    ENODE_ASSERT(hi > lo && bins > 0, "bad histogram bounds");
-}
-
-void
-Histogram::add(double sample)
-{
-    const double unit = (sample - lo_) / (hi_ - lo_);
-    auto idx = static_cast<std::int64_t>(unit * counts_.size());
-    idx = std::clamp<std::int64_t>(idx, 0,
-                                   static_cast<std::int64_t>(counts_.size()) - 1);
-    counts_[static_cast<std::size_t>(idx)]++;
-    total_++;
-}
-
-void
-Histogram::reset()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    total_ = 0;
-}
-
-double
-Histogram::binLow(std::size_t i) const
-{
-    ENODE_ASSERT(i < counts_.size(), "histogram bin out of range");
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                     static_cast<double>(counts_.size());
-}
-
-double
-Histogram::percentile(double q) const
-{
-    ENODE_ASSERT(q >= 0.0 && q <= 100.0, "percentile out of range");
-    if (total_ == 0)
-        return 0.0;
-    const double target = q / 100.0 * static_cast<double>(total_);
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    std::uint64_t below = 0;
-    std::size_t last_nonempty = 0;
-    for (std::size_t i = 0; i < counts_.size(); i++) {
-        const std::uint64_t in_bin = counts_[i];
-        if (in_bin == 0)
-            continue;
-        last_nonempty = i;
-        if (static_cast<double>(below + in_bin) >= target) {
-            // Interpolate uniformly within the bin. q = 0 lands here
-            // with frac 0 (low edge of the first occupied bin);
-            // q = 100 with frac 1 (high edge of the last).
-            const double frac = (target - static_cast<double>(below)) /
-                                static_cast<double>(in_bin);
-            return binLow(i) + width * std::clamp(frac, 0.0, 1.0);
-        }
-        below += in_bin;
-    }
-    // Rounding pushed target past the final cumulative count. Answer
-    // with the top of the *occupied* range — returning hi_ here would
-    // jump past trailing empty bins and break monotonicity in q.
-    return binLow(last_nonempty) + width;
-}
-
 namespace {
 
 /** splitmix64 step: deterministic stream for reservoir replacement. */

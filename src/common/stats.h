@@ -20,20 +20,6 @@
 
 namespace enode {
 
-/** A monotonically increasing event counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void increment(std::uint64_t by = 1) { value_ += by; }
-    void reset() { value_ = 0; }
-    std::uint64_t value() const { return value_; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
 /** Running mean / min / max / count accumulator for scalar samples. */
 class Accumulator
 {
@@ -60,33 +46,6 @@ class Accumulator
     double sumSquares_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/** Fixed-bin histogram over [lo, hi); out-of-range samples clamp. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double sample);
-    void reset();
-
-    std::size_t bins() const { return counts_.size(); }
-    std::uint64_t binCount(std::size_t i) const { return counts_.at(i); }
-    double binLow(std::size_t i) const;
-    std::uint64_t total() const { return total_; }
-
-    /**
-     * Approximate q-th percentile (q in [0, 100]) assuming samples are
-     * uniform within their bin. Returns 0 when empty.
-     */
-    double percentile(double q) const;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
 };
 
 /**

@@ -347,9 +347,9 @@ InferenceServer::submitTrainTask(TrainTask &task)
     QueueEntry entry;
     entry.request.id = nextRequestId_.fetch_add(1);
     entry.request.stream = task.stream;
-    // No deadline: under LaterStreamFirst a max() deadline loses every
-    // tie within the stream, so training dispatches only when no
-    // inference request of equal or higher priority is waiting.
+    // Under LaterStreamFirst the queue ranks a training entry after
+    // every inference entry of its stream, so training dispatches only
+    // when no inference request of equal or higher priority is waiting.
     entry.request.input = task.input; // copy: the task survives retries
     entry.request.train = &task;
     entry.request.modelVersion = task.weights->version;

@@ -270,8 +270,9 @@ class InferenceServer
     /**
      * Offer one gradient task of the training service. Training
      * entries ride the same bounded queue and worker pool as inference
-     * (their stream tag and no-deadline stamp make them lose every
-     * priority tie under LaterStreamFirst), but bypass the inference
+     * (under LaterStreamFirst the queue ranks them after every
+     * inference request of their stream, so they lose every priority
+     * tie), but bypass the inference
      * metrics, cache, and admission layers entirely — the reconciled
      * terminal counters stay an inference-only identity. The task must
      * outlive its future; the worker writes gradients into the task's

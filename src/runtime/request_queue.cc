@@ -19,6 +19,10 @@ RequestQueue::dispatchesAfter(const QueueEntry &a, const QueueEntry &b) const
     if (policy_ == SelectPolicy::LaterStreamFirst) {
         if (a.request.stream != b.request.stream)
             return a.request.stream < b.request.stream;
+        // Training loses every tie within its stream, whatever the
+        // deadlines and admission order.
+        if ((a.request.train == nullptr) != (b.request.train == nullptr))
+            return a.request.train != nullptr;
         if (a.request.deadline != b.request.deadline)
             return a.request.deadline > b.request.deadline;
     }

@@ -13,8 +13,9 @@
  *
  * Ordering reuses the sim's SelectPolicy so software serving and the
  * hardware model agree on what priority means:
- *  - LaterStreamFirst: highest stream tag first (the paper's rule),
- *    tighter deadline breaking ties, then admission order.
+ *  - LaterStreamFirst: highest stream tag first (the paper's rule);
+ *    within a stream inference before training, then tighter deadline,
+ *    then admission order.
  *  - Fifo: strict admission order.
  *
  * The same order decides what a running training task yields to: an

@@ -10,9 +10,9 @@
  * and runs synchronous data-parallel steps ON the serving runtime: the
  * B examples of a step become B gradient tasks submitted through the
  * same bounded queue and worker pool that serves inference. Training
- * rides the lowest-priority stream with no deadline, so under
- * LaterStreamFirst it loses every dispatch tie, and a task already on
- * a worker yields to inference that outranks it after every accepted
+ * rides the lowest-priority stream, and under LaterStreamFirst the
+ * queue ranks it after every inference request of its stream, so it
+ * loses every dispatch tie, and a task already on a worker yields to inference that outranks it after every accepted
  * forward step and before every backward step. Inference latency
  * degrades by at most one such step of the task in flight, never by
  * queue displacement.

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,12 +79,15 @@ class BatchedCubicDecayOde : public BatchedOdeFunction
              Tensor &out) override
     {
         ASSERT_EQ(hs.shape().dim(0), ts.size());
+        calls++;
         out.resize(hs.shape());
         const float *hd = hs.data();
         float *od = out.data();
         for (std::size_t i = 0; i < hs.numel(); i++)
             od[i] = -hd[i] * hd[i] * hd[i];
     }
+
+    std::uint64_t calls = 0; ///< stacked evaluations, any batch size
 };
 
 Tensor
@@ -108,7 +112,9 @@ TEST(BatchedIvp, EverySampleBitwiseMatchesSolo)
     // Three samples of different stiffness (via initial amplitude)
     // solved in one batch must reproduce three independent solo solves
     // bit for bit, stats included — the batched driver shares f
-    // evaluations, never a sample's arithmetic.
+    // evaluations, never a sample's arithmetic. It does share them:
+    // the batch makes fewer stacked calls than the solo solves'
+    // f evaluations summed.
     const std::vector<float> scales = {0.5f, 2.0f, 6.0f};
     const ButcherTableau tableau = ButcherTableau::rk23();
     const IvpOptions opts = solverOptions();
@@ -134,6 +140,7 @@ TEST(BatchedIvp, EverySampleBitwiseMatchesSolo)
     const BatchedIvpResult batched = solveIvpBatched(
         batched_ode, y0, 0.0, 1.0, tableau, controllers, opts);
 
+    std::uint64_t solo_fevals = 0;
     for (std::size_t i = 0; i < scales.size(); i++) {
         EXPECT_EQ(batched.status[i], SolveStatus::Ok);
         EXPECT_TRUE(bitwiseEqual(batched.yFinal[i], solo[i].yFinal))
@@ -142,7 +149,9 @@ TEST(BatchedIvp, EverySampleBitwiseMatchesSolo)
         EXPECT_EQ(batched.stats[i].trials, solo[i].stats.trials);
         EXPECT_EQ(batched.stats[i].rejected, solo[i].stats.rejected);
         EXPECT_EQ(batched.stats[i].fEvals, solo[i].stats.fEvals);
+        solo_fevals += solo[i].stats.fEvals;
     }
+    EXPECT_LT(batched_ode.calls, solo_fevals);
 }
 
 TEST(BatchedIvp, StiffSampleDoesNotInflateBatchmates)
@@ -228,6 +237,74 @@ TEST(RequestQueue, PopUntilTimesOutThenDelivers)
     EXPECT_EQ(queue.popUntil(out, RuntimeClock::now() +
                                       std::chrono::milliseconds(5)),
               PopStatus::Closed);
+}
+
+TEST(RequestQueue, TrainingPopsAfterEveryInferenceEntryOfItsStreamOrLater)
+{
+    // Under LaterStreamFirst a training entry loses to every inference
+    // entry of its stream or a later one, in all 5040 push orders and
+    // whatever the deadlines: one with submit()'s defaults (stream 0,
+    // no deadline) included, and a training deadline tighter than any
+    // inference one. preempts() must agree with the pop order.
+    struct Spec
+    {
+        bool train;
+        std::uint32_t stream;
+        RuntimeClock::time_point deadline;
+    };
+    const auto never = RuntimeClock::time_point::max();
+    const auto soon = RuntimeClock::now() + std::chrono::seconds(1);
+    const auto later = RuntimeClock::now() + std::chrono::hours(1);
+    const std::vector<Spec> specs = {
+        {true, 0, never}, {true, 0, soon},   {true, 1, never},
+        {false, 0, never}, {false, 0, later}, {false, 1, never},
+        {false, 2, never},
+    };
+    TrainTask task;
+    const auto entry = [&](std::size_t i) {
+        QueueEntry e;
+        e.request.id = i;
+        e.request.stream = specs[i].stream;
+        e.request.deadline = specs[i].deadline;
+        e.request.train = specs[i].train ? &task : nullptr;
+        return e;
+    };
+
+    const RequestQueue ranking(1, SelectPolicy::LaterStreamFirst);
+    for (std::size_t t = 0; t < specs.size(); t++) {
+        if (!specs[t].train)
+            continue;
+        for (std::size_t i = 0; i < specs.size(); i++)
+            EXPECT_EQ(ranking.preempts(entry(i), entry(t)),
+                      !specs[i].train && specs[i].stream >= specs[t].stream)
+                << "entry " << i << " against training entry " << t;
+    }
+
+    std::vector<std::size_t> order(specs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    do {
+        RequestQueue queue(specs.size(), SelectPolicy::LaterStreamFirst);
+        for (const std::size_t i : order) {
+            QueueEntry e = entry(i);
+            ASSERT_TRUE(queue.tryPush(e));
+        }
+        std::vector<bool> popped(specs.size(), false);
+        QueueEntry out;
+        while (queue.size() > 0) {
+            ASSERT_TRUE(queue.pop(out));
+            const std::size_t t = out.request.id;
+            popped[t] = true;
+            if (!specs[t].train)
+                continue;
+            for (std::size_t i = 0; i < specs.size(); i++) {
+                if (!specs[i].train && specs[i].stream >= specs[t].stream) {
+                    ASSERT_TRUE(popped[i])
+                        << "training entry " << t << " popped before "
+                        << "inference entry " << i;
+                }
+            }
+        }
+    } while (std::next_permutation(order.begin(), order.end()));
 }
 
 // ---------------------------------------------------------------------
@@ -318,8 +395,8 @@ TEST(Batching, FullBatchResultsBitwiseMatchSoloPath)
     const MetricsSummary s = server.metrics().summary();
     EXPECT_EQ(s.completed, n);
     EXPECT_EQ(s.batchedRequests, n);
-    EXPECT_GE(s.batchesDispatched, 2u); // 8 requests, cap 4
-    EXPECT_GT(s.batchOccupancyMean, 1.0);
+    EXPECT_EQ(s.batchesDispatched, 2u); // 8 requests, cap 4
+    EXPECT_EQ(s.batchOccupancyMean, 4.0);
     // Exact reconciliation: the size histogram re-sums to the carried
     // requests and the dispatched batches.
     std::uint64_t batches = 0, requests = 0;
@@ -558,15 +635,13 @@ TEST(Batcher, CollectAheadTakesOnlyWhatPreemptsTheRunningTask)
     ASSERT_TRUE(queue.pop(task)); // now running
 
     CollectedBatch batch;
-    // Same stream, no deadline, admitted after the task: it waits.
-    QueueEntry behind = entry(1, 0, never);
-    ASSERT_TRUE(queue.tryPush(behind));
-    EXPECT_TRUE(queue.inferenceHeads()) << "the hint is only a hint";
-    EXPECT_FALSE(batcher.collectAhead(task, batch));
-    // A later stream, and a tighter deadline on the task's stream, both
-    // preempt it; they coalesce, and the waiting request stays queued.
+    // Same stream with no deadline, admitted after the task; a later
+    // stream; a tighter deadline on the task's stream: each preempts
+    // it, and they coalesce in the queue's own order.
+    QueueEntry same = entry(1, 0, never);
     QueueEntry hi = entry(2, 1, never);
     QueueEntry tight = entry(3, 0, later);
+    ASSERT_TRUE(queue.tryPush(same));
     ASSERT_TRUE(queue.tryPush(hi));
     ASSERT_TRUE(queue.tryPush(tight));
     const auto before = RuntimeClock::now();
@@ -577,11 +652,12 @@ TEST(Batcher, CollectAheadTakesOnlyWhatPreemptsTheRunningTask)
             .count();
     EXPECT_LT(elapsed_ms, 100.0)
         << "collectAhead waited out the collect window";
-    ASSERT_EQ(batch.entries.size(), 2u);
+    ASSERT_EQ(batch.entries.size(), 3u);
     EXPECT_EQ(batch.entries[0].request.id, 2u);
     EXPECT_EQ(batch.entries[1].request.id, 3u);
+    EXPECT_EQ(batch.entries[2].request.id, 1u);
     EXPECT_FALSE(batcher.collectAhead(task, batch));
-    EXPECT_EQ(queue.size(), 1u);
+    EXPECT_EQ(queue.size(), 0u);
 
     // A preempting request already past its deadline comes back
     // expired, never as work.
@@ -602,6 +678,7 @@ TEST(Batcher, CollectAheadTakesOnlyWhatPreemptsTheRunningTask)
     ASSERT_TRUE(fifo.pop(fifo_task));
     QueueEntry fifo_hi = entry(6, 3, later);
     ASSERT_TRUE(fifo.tryPush(fifo_hi));
+    EXPECT_TRUE(fifo.inferenceHeads()) << "the hint is only a hint";
     EXPECT_FALSE(fifo_batcher.collectAhead(fifo_task, batch));
     EXPECT_FALSE(queue.preempts(entry(7, 3, later, &train), task));
 }

@@ -103,86 +103,6 @@ TEST(Accumulator, TracksMinMaxMeanVariance)
     EXPECT_EQ(acc.mean(), 0.0);
 }
 
-TEST(Histogram, BinsAndClamps)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(0.5);  // bin 0
-    h.add(9.9);  // bin 4
-    h.add(-3.0); // clamps to bin 0
-    h.add(42.0); // clamps to bin 4
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(4), 2u);
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_DOUBLE_EQ(h.binLow(1), 2.0);
-}
-
-TEST(Histogram, PercentileInterpolatesWithinBins)
-{
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 10; i++)
-        h.add(i + 0.5); // one sample per bin
-    EXPECT_EQ(h.percentile(0.0), 0.0);
-    EXPECT_NEAR(h.percentile(50.0), 5.0, 1.0); // bin resolution
-    EXPECT_NEAR(h.percentile(100.0), 10.0, 1e-12);
-    Histogram empty(0.0, 1.0, 4);
-    EXPECT_EQ(empty.percentile(99.0), 0.0);
-}
-
-TEST(Histogram, PercentileBoundaryEdgesWithEmptyBins)
-{
-    // Leading and trailing bins empty: the percentile range must span
-    // exactly the *occupied* bins, never jump to the histogram bounds.
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 8; i++)
-        h.add(4.5); // all mass in bin 4 ([4, 5))
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 4.0);
-    EXPECT_DOUBLE_EQ(h.percentile(100.0), 5.0);
-    for (double q = 0.0; q <= 100.0; q += 1.0) {
-        EXPECT_GE(h.percentile(q), 4.0);
-        EXPECT_LE(h.percentile(q), 5.0);
-    }
-}
-
-TEST(Histogram, PercentileIsMonotoneInQ)
-{
-    // Gappy multi-modal data — the shape that used to expose boundary
-    // jumps across empty bins.
-    Histogram h(0.0, 100.0, 25);
-    Rng rng(91);
-    for (int i = 0; i < 300; i++) {
-        const double mode =
-            (i % 3 == 0) ? 5.0 : (i % 3 == 1) ? 47.0 : 93.0;
-        h.add(mode + rng.uniform() * 3.0);
-    }
-    double prev = h.percentile(0.0);
-    for (double q = 0.25; q <= 100.0; q += 0.25) {
-        const double cur = h.percentile(q);
-        ASSERT_GE(cur, prev) << "non-monotone at q=" << q;
-        prev = cur;
-    }
-}
-
-TEST(Histogram, PercentileCrossChecksSampleSeries)
-{
-    // Property test on dense uniform data: the binned estimate must
-    // track the exact order statistics to within the bin resolution.
-    const double lo = 0.0, hi = 50.0;
-    const std::size_t bins = 20;
-    const double width = (hi - lo) / static_cast<double>(bins);
-    Histogram h(lo, hi, bins);
-    SampleSeries s;
-    Rng rng(1234);
-    for (int i = 0; i < 1000; i++) {
-        const double v = lo + rng.uniform() * (hi - lo);
-        h.add(v);
-        s.add(v);
-    }
-    for (double q = 0.0; q <= 100.0; q += 0.5) {
-        EXPECT_NEAR(h.percentile(q), s.percentile(q), 2.0 * width)
-            << "divergence at q=" << q;
-    }
-}
-
 TEST(SampleSeries, ExactPercentiles)
 {
     SampleSeries s;

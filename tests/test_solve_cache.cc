@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -460,47 +461,78 @@ TEST(StepControllerContract, WarmReplayFallsBackOnFirstRejection)
 
 TEST(CachedServing, ExactHitIsBitwiseIdenticalAndSkipsTheSolve)
 {
-    InferenceServer server(makeReferenceModel,
-                           cachedServerOptions(1, 16));
-    const Tensor input = makeInput(10);
-
-    auto cold = server.submit(input);
-    ASSERT_TRUE(cold.accepted);
-    InferResponse r1 = cold.result.get();
-    ASSERT_EQ(r1.status, RequestStatus::Ok);
-    EXPECT_FALSE(r1.cacheHit);
-    EXPECT_GT(r1.stats.fEvals, 0u);
-
-    auto hot = server.submit(input);
-    ASSERT_TRUE(hot.accepted);
-    InferResponse r2 = hot.result.get();
-    ASSERT_EQ(r2.status, RequestStatus::Ok);
-    EXPECT_TRUE(r2.cacheHit);
-    EXPECT_EQ(r2.stats.fEvals, 0u); // no solver work at all
-    EXPECT_TRUE(bitwiseEqual(r1.output, r2.output));
-
-    // The cached bytes are the fresh-solve bytes, not merely close.
-    FixedFactorController controller;
+    // A fixed closed-loop list of 64 requests at a given repeat share:
+    // request i sends distinct input i % D, D = max(1, round((1 -
+    // share) * 64)), so the distinct inputs at a higher share are a
+    // subset of those at a lower one. Each distinct input is solved
+    // once; every repeat is an exact hit that runs no solver step and
+    // returns the solve's bytes, which are the fresh-solve bytes. The
+    // f evaluations summed over the list therefore never rise with the
+    // share, and all-repeat traffic costs one solve.
+    constexpr std::size_t kRequests = 64;
     auto model = makeReferenceModel();
-    const Tensor reference =
-        model->forward(input, server.tableau(), controller,
-                       servingOptions())
-            .output;
-    EXPECT_TRUE(bitwiseEqual(r2.output, reference));
+    std::uint64_t previous_fevals = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t miss_fevals = 0;
+    for (const double share : {0.0, 0.5, 0.9, 1.0}) {
+        SCOPED_TRACE("repeat share " + std::to_string(share));
+        const std::size_t distinct = std::max<std::size_t>(
+            1, static_cast<std::size_t>(
+                   std::lround((1.0 - share) * kRequests)));
+        InferenceServer server(makeReferenceModel,
+                               cachedServerOptions(1, 16));
+        std::vector<Tensor> solves; // one per distinct input
+        std::uint64_t solved = 0, fevals = 0;
+        for (std::size_t i = 0; i < kRequests; i++) {
+            const std::size_t k = i % distinct;
+            const Tensor input = makeInput(10 + k);
+            auto sub = server.submit(input);
+            ASSERT_TRUE(sub.accepted);
+            InferResponse r = sub.result.get();
+            ASSERT_EQ(r.status, RequestStatus::Ok);
+            solved += r.cacheHit ? 0 : 1;
+            fevals += r.stats.fEvals;
+            if (i < distinct) {
+                FixedFactorController controller;
+                const Tensor reference =
+                    model->forward(input, server.tableau(), controller,
+                                   servingOptions())
+                        .output;
+                EXPECT_TRUE(bitwiseEqual(r.output, reference))
+                    << "request " << i;
+                solves.push_back(std::move(r.output));
+                continue;
+            }
+            EXPECT_TRUE(r.cacheHit) << "request " << i;
+            EXPECT_EQ(r.stats.fEvals, 0u) << "request " << i;
+            EXPECT_TRUE(bitwiseEqual(r.output, solves[k]))
+                << "request " << i;
+        }
+        server.stop();
 
-    server.stop();
-    ASSERT_NE(server.solveCache(), nullptr);
-    EXPECT_EQ(server.solveCache()->exactHits(), 1u);
-    EXPECT_EQ(server.solveCache()->inserts(), 1u);
-    EXPECT_TRUE(server.modelDigest().valid());
+        const std::uint64_t repeats = kRequests - distinct;
+        EXPECT_EQ(solved, distinct);
+        ASSERT_NE(server.solveCache(), nullptr);
+        EXPECT_EQ(server.solveCache()->exactHits(), repeats);
+        EXPECT_EQ(server.solveCache()->inserts(), distinct);
+        EXPECT_TRUE(server.modelDigest().valid());
+        const MetricsSummary s = server.metrics().summary();
+        EXPECT_EQ(s.completed, kRequests);
+        EXPECT_EQ(s.cacheHits, repeats);
+        const std::string text = server.metricsText();
+        EXPECT_NE(text.find("enode_cache_exact_hit " +
+                            std::to_string(repeats) + "\n"),
+                  std::string::npos);
+        EXPECT_NE(text.find("enode_requests_cache_hits " +
+                            std::to_string(repeats) + "\n"),
+                  std::string::npos);
 
-    const MetricsSummary s = server.metrics().summary();
-    EXPECT_EQ(s.completed, 2u);
-    EXPECT_EQ(s.cacheHits, 1u);
-    const std::string text = server.metricsText();
-    EXPECT_NE(text.find("enode_cache_exact_hit 1"), std::string::npos);
-    EXPECT_NE(text.find("enode_requests_cache_hits 1"),
-              std::string::npos);
+        EXPECT_LE(fevals, previous_fevals);
+        previous_fevals = fevals;
+        if (share == 0.0)
+            miss_fevals = fevals;
+    }
+    EXPECT_LE(5 * previous_fevals, miss_fevals)
+        << "all-repeat traffic cost more than a fifth of all-miss";
 }
 
 TEST(CachedServing, ConcurrentIdenticalRequestsCostOneSolve)

@@ -581,45 +581,51 @@ TEST(TrainingService, InferenceOvertakesARunningTrainingTask)
     // test sees its response: a request submitted while the task runs
     // (inside a stall before its first step) is served at the task's
     // next step boundary, so it completes while the task still runs.
-    // Without the yield it waits out the whole task.
-    ScopedFaultPlan stall(FaultPlan{0, {taskStall(20.0)}});
-    InferenceServer server(makeSlowModel, serverOptions(1, 64));
-    auto master = makeSlowModel();
-    std::vector<Tensor> grads(master->paramSlots().size());
-    const TrainExample example = makeExample(0);
-    TrainTask task;
-    task.step = 1;
-    task.weights = ModelRegistry::capture(*master, 1);
-    task.input = example.input;
-    task.target = example.target;
-    task.ivp = slowTrainingOptions(/*batch=*/1).ivp;
-    task.grads = &grads;
-    const auto task_submitted = RuntimeClock::now();
-    auto training = server.submitTrainTask(task);
-    ASSERT_TRUE(training.accepted);
-    while (trainCounter(server, "tasks") == 0.0)
-        std::this_thread::yield();
+    // Without the yield it waits out the whole task. The request rides
+    // the task's stream with submit()'s defaults, or a later stream:
+    // training loses the tie on its own stream too.
+    for (const std::uint32_t stream : {0u, 1u}) {
+        SCOPED_TRACE("request stream " + std::to_string(stream));
+        ScopedFaultPlan stall(FaultPlan{0, {taskStall(20.0)}});
+        InferenceServer server(makeSlowModel, serverOptions(1, 64));
+        auto master = makeSlowModel();
+        std::vector<Tensor> grads(master->paramSlots().size());
+        const TrainExample example = makeExample(0);
+        TrainTask task;
+        task.step = 1;
+        task.weights = ModelRegistry::capture(*master, 1);
+        task.input = example.input;
+        task.target = example.target;
+        task.ivp = slowTrainingOptions(/*batch=*/1).ivp;
+        task.grads = &grads;
+        const auto task_submitted = RuntimeClock::now();
+        auto training = server.submitTrainTask(task);
+        ASSERT_TRUE(training.accepted);
+        while (trainCounter(server, "tasks") == 0.0)
+            std::this_thread::yield();
 
-    auto sub = server.submit(makeInput(0), /*stream=*/1);
-    const auto request_submitted = RuntimeClock::now();
-    ASSERT_TRUE(sub.accepted);
-    const InferResponse request = sub.result.get();
-    const InferResponse trained = training.result.get();
-    EXPECT_EQ(request.status, RequestStatus::Ok);
-    EXPECT_EQ(trained.status, RequestStatus::Ok);
+        auto sub = stream == 0 ? server.submit(makeInput(0))
+                               : server.submit(makeInput(0), stream);
+        const auto request_submitted = RuntimeClock::now();
+        ASSERT_TRUE(sub.accepted);
+        const InferResponse request = sub.result.get();
+        const InferResponse trained = training.result.get();
+        EXPECT_EQ(request.status, RequestStatus::Ok);
+        EXPECT_EQ(trained.status, RequestStatus::Ok);
 
-    // Compare the server's own completion times, not when this thread
-    // wakes: the request's latest possible end against the task's
-    // earliest possible end.
-    const auto ms = [](double v) {
-        return std::chrono::duration_cast<RuntimeClock::duration>(
-            std::chrono::duration<double, std::milli>(v));
-    };
-    EXPECT_LT(request_submitted + ms(request.totalMs),
-              task_submitted + ms(trained.totalMs))
-        << "the request waited for the training task to finish";
-    EXPECT_EQ(trainCounter(server, "yields"), 1.0);
-    server.stop();
+        // Compare the server's own completion times, not when this
+        // thread wakes: the request's latest possible end against the
+        // task's earliest possible end.
+        const auto ms = [](double v) {
+            return std::chrono::duration_cast<RuntimeClock::duration>(
+                std::chrono::duration<double, std::milli>(v));
+        };
+        EXPECT_LT(request_submitted + ms(request.totalMs),
+                  task_submitted + ms(trained.totalMs))
+            << "the request waited for the training task to finish";
+        EXPECT_EQ(trainCounter(server, "yields"), 1.0);
+        server.stop();
+    }
 }
 
 TEST(TrainingService, TaskAdvancesUnderSustainedPreemptingLoad)
@@ -699,10 +705,10 @@ TEST(TrainingService, YieldedInferenceDoesNotAgeTheTaskForTheWatchdog)
 TEST(TrainingService, StopWithInferenceQueuedBehindATaskReconciles)
 {
     // Shutdown while a training task runs (inside a stall before its
-    // first step) with inference queued behind it: stream-1 requests
-    // preempt the task, stream-0 ones without a deadline rank after it.
-    // Whether stop drains them (served inside the task or after it) or
-    // cancels them, every admitted request ends exactly once.
+    // first step) with inference queued behind it, on the task's
+    // stream 0 and on stream 1: all of it preempts the task. Whether
+    // stop drains it (served inside the task or after it) or cancels
+    // it, every admitted request ends exactly once.
     for (const bool drain : {true, false}) {
         ScopedFaultPlan stall(FaultPlan{0, {taskStall(20.0, 2)}});
         InferenceServer server(makeSlowModel, serverOptions(1, 256));
