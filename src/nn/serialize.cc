@@ -67,9 +67,11 @@ saveParameters(const std::string &path, const std::vector<ParamSlot> &slots)
 void
 loadParameters(const std::string &path, const std::vector<ParamSlot> &slots)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         ENODE_FATAL("cannot open checkpoint '", path, "'");
+    const auto file_size = static_cast<std::uint64_t>(in.tellg());
+    in.seekg(0);
 
     char magic[4];
     in.read(magic, sizeof(magic));
@@ -91,7 +93,16 @@ loadParameters(const std::string &path, const std::vector<ParamSlot> &slots)
     }
 
     for (std::uint32_t i = 0; i < count; i++) {
+        // File bytes size nothing until checked: a name length is
+        // bounded by the bytes left, and the extents must equal the
+        // slot's before any Shape is built from them (Shape aborts on a
+        // rank above kMaxRank or a zero extent; a slot has neither).
         const auto name_len = readValue<std::uint32_t>(in, path);
+        const auto left = file_size - static_cast<std::uint64_t>(in.tellg());
+        if (name_len > left)
+            ENODE_FATAL("corrupt checkpoint '", path, "': name length ",
+                        name_len, " of parameter ", i, " exceeds the ", left,
+                        " bytes left");
         std::string name(name_len, '\0');
         in.read(name.data(), name_len);
         if (!in)
@@ -103,15 +114,19 @@ loadParameters(const std::string &path, const std::vector<ParamSlot> &slots)
                         "' not found in the model");
         const ParamSlot &slot = *it->second;
 
+        const Shape &expected = slot.param->shape();
         const auto rank = readValue<std::uint32_t>(in, path);
-        std::vector<std::size_t> dims(rank);
-        for (auto &d : dims)
-            d = static_cast<std::size_t>(readValue<std::uint64_t>(in, path));
-        const Shape shape{dims};
-        if (shape != slot.param->shape())
-            ENODE_FATAL("shape mismatch for '", name, "': checkpoint ",
-                        shape.str(), " vs model ",
-                        slot.param->shape().str());
+        if (rank != expected.rank())
+            ENODE_FATAL("shape mismatch for '", name, "' in checkpoint '",
+                        path, "': rank ", rank, " vs model ",
+                        expected.str());
+        for (std::size_t d = 0; d < rank; d++) {
+            const auto extent = readValue<std::uint64_t>(in, path);
+            if (extent != expected.dim(d))
+                ENODE_FATAL("shape mismatch for '", name,
+                            "' in checkpoint '", path, "': extent ", d,
+                            " is ", extent, " vs model ", expected.str());
+        }
 
         in.read(reinterpret_cast<char *>(slot.param->data()),
                 static_cast<std::streamsize>(slot.param->numel() *

@@ -47,9 +47,6 @@ AdmissionController::AdmissionController(OverloadOptions options,
                  "brownout entry scores must be positive and ordered");
     ENODE_ASSERT(options_.exitRatio > 0.0 && options_.exitRatio < 1.0,
                  "exitRatio must be in (0, 1)");
-    ENODE_ASSERT(options_.windowShrinkFactor >= 0.0 &&
-                     options_.windowShrinkFactor <= 1.0,
-                 "windowShrinkFactor must be in [0, 1]");
     ENODE_ASSERT(options_.brownoutToleranceFactor >= 1.0,
                  "brownoutToleranceFactor must be >= 1");
     const auto now = RuntimeClock::now();

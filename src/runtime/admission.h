@@ -20,8 +20,10 @@
  * *proactive* degradation, reusing the PR 4 ladder rungs as policy —
  *   level 1: relax rung-0 solver tolerance for low-priority streams
  *            (the voluntary analogue of the ladder's relaxed retry),
- *   level 2: additionally shrink the micro-batching collect window so
- *            queued work drains instead of waiting for company,
+ *   level 2: no further degradation (the batcher never waits for
+ *            company, so there is no collect window to shrink); the
+ *            level keeps its entry score, dwell and residency, so the
+ *            ladder still climbs and descends through it,
  *   level 3: additionally shed low-priority requests outright at
  *            admission.
  * Every level transition is traced (overload.enter / overload.exit
@@ -97,9 +99,6 @@ struct OverloadOptions
 
     /** Rung-0 tolerance multiplier for brownout-relaxed solves. */
     double brownoutToleranceFactor = 10.0;
-
-    /** Collect-window scale at level >= 2 (0 disables coalescing). */
-    double windowShrinkFactor = 0.25;
 };
 
 /** Stable key of a tensor's shape for the per-shape cost model. */
@@ -108,7 +107,7 @@ std::uint64_t shapeKeyOf(const Tensor &t);
 /**
  * EWMA cost model + shed state machine + brownout monitor. One instance
  * per server; every method is thread-safe. Hot-path reads (level,
- * window scale, relax predicate) are single relaxed atomic loads.
+ * relax predicate) are single relaxed atomic loads.
  */
 class AdmissionController
 {
@@ -157,12 +156,6 @@ class AdmissionController
 
     /** Current brownout level (0 = normal .. 3). */
     int level() const { return level_.load(std::memory_order_relaxed); }
-
-    /** Batch collect-window scale factor for the current level. */
-    double collectWindowScale() const
-    {
-        return level() >= 2 ? options_.windowShrinkFactor : 1.0;
-    }
 
     /** Should this stream's rung-0 solve run at relaxed tolerance? */
     bool relaxTolerance(std::uint32_t stream) const

@@ -1,42 +1,22 @@
 #include "runtime/batcher.h"
 
-#include <chrono>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace enode {
 
-namespace {
-
-double
-toMs(RuntimeClock::duration d)
-{
-    return std::chrono::duration<double, std::milli>(d).count();
-}
-
-bool
-expiredAt(const QueueEntry &entry, RuntimeClock::time_point now)
-{
-    return now > entry.request.deadline;
-}
-
-} // namespace
-
 Batcher::Batcher(RequestQueue &queue, std::size_t maxBatch,
-                 double maxWaitUs, SolveCache *cache,
-                 const AdmissionController *admission)
-    : queue_(queue), maxBatch_(maxBatch), maxWaitUs_(maxWaitUs),
-      cache_(cache), admission_(admission)
+                 SolveCache *cache)
+    : queue_(queue), maxBatch_(maxBatch), cache_(cache)
 {
     ENODE_ASSERT(maxBatch_ >= 1, "batcher needs maxBatch >= 1");
-    ENODE_ASSERT(maxWaitUs_ >= 0.0, "negative collect window");
 }
 
 bool
 Batcher::divert(QueueEntry &entry, CollectedBatch &out)
 {
-    if (expiredAt(entry, RuntimeClock::now())) {
+    if (RuntimeClock::now() > entry.request.deadline) {
         out.expired.push_back(std::move(entry));
         return true;
     }
@@ -59,11 +39,11 @@ Batcher::compatible(const QueueEntry &a, const QueueEntry &b)
     // the queue already ordered dispatch, and the solver tracks each
     // sample's deadline through its own guard.
     //
-    // The model version must match too: a collect window can span a
-    // weight hot swap, and one batched solve runs on exactly one
-    // replica version — mixing admissions from both sides of the swap
-    // would silently serve the older requests with the newer weights
-    // (or vice versa) and break the cache-key/version correspondence.
+    // The model version must match too: a queue can hold admissions
+    // from both sides of a weight hot swap, and one batched solve runs
+    // on exactly one replica version — mixing them would silently
+    // serve the older requests with the newer weights (or vice versa)
+    // and break the cache-key/version correspondence.
     // Training tasks never coalesce with anything.
     return a.request.train == nullptr && b.request.train == nullptr &&
            a.request.modelVersion == b.request.modelVersion &&
@@ -86,20 +66,24 @@ void
 Batcher::putStash(QueueEntry entry)
 {
     // A FIFO, not a single slot: workers collect concurrently, and two
-    // overlapping windows may each stash the incompatible arrival that
-    // closed them before either seeds its next batch.
+    // collectors may each stash the incompatible entry that ended their
+    // batch before either seeds its next one.
     std::lock_guard<std::mutex> lock(stashMutex_);
     stash_.push_back(std::move(entry));
 }
 
-template <typename Pop>
 void
-Batcher::fill(CollectedBatch &out, Pop pop)
+Batcher::fill(CollectedBatch &out, QueueEntry seed, const QueueEntry *task)
 {
+    out.firstPop = RuntimeClock::now();
+    out.entries.push_back(std::move(seed));
+    // A training task ships solo: it cannot share a batched solve.
+    if (out.entries.front().request.train != nullptr)
+        return;
     while (out.entries.size() < maxBatch_) {
         QueueEntry next;
-        if (!pop(next))
-            break;
+        if (!queue_.tryPop(next, task))
+            break; // nothing queued: solve what we have, never wait
         if (divert(next, out))
             continue; // expired or answered from cache; keep the slot open
         if (!compatible(out.entries.front(), next)) {
@@ -118,9 +102,8 @@ Batcher::collect(CollectedBatch &out)
     out.entries.clear();
     out.expired.clear();
     out.cacheHits.clear();
-    out.collectWaitMs = 0.0;
 
-    // Seed: the stashed incompatible request from a previous window
+    // Seed: the stashed incompatible request from a previous batch
     // goes first (it was dispatched by the queue before anything still
     // queued), otherwise block for the next queued request. Requests
     // already past their deadline are diverted to `expired` and the
@@ -137,8 +120,7 @@ Batcher::collect(CollectedBatch &out)
                 // otherwise hang unanswered until the next arrival or
                 // shutdown. The next collect() resumes the blocking
                 // hunt.
-                if (queue_.popUntil(seed, RuntimeClock::now()) !=
-                    PopStatus::Ok)
+                if (!queue_.tryPop(seed))
                     return true;
             } else if (!queue_.pop(seed)) {
                 // Queue closed and drained — but another worker may
@@ -151,50 +133,7 @@ Batcher::collect(CollectedBatch &out)
         if (!divert(seed, out))
             break;
     }
-
-    out.firstPop = RuntimeClock::now();
-    out.entries.push_back(std::move(seed));
-
-    // A training task always ships solo and immediately: it cannot
-    // share a batched solve, and holding a collect window open for it
-    // would only delay the inference requests queued behind it.
-    if (out.entries.front().request.train != nullptr)
-        return true;
-
-    if (maxBatch_ > 1) {
-        // Brownout level >= 2 shrinks the collect window: under load,
-        // draining queued work beats waiting for coalescing company.
-        // Sampled once per window so one batch sees one policy.
-        const double wait_us =
-            maxWaitUs_ *
-            (admission_ != nullptr ? admission_->collectWindowScale()
-                                   : 1.0);
-        const auto window_close =
-            out.firstPop +
-            std::chrono::duration_cast<RuntimeClock::duration>(
-                std::chrono::duration<double, std::micro>(wait_us));
-        // A lapsed window or a closed queue ships what we have.
-        fill(out, [&](QueueEntry &next) {
-            return queue_.popUntil(next, window_close) == PopStatus::Ok;
-        });
-        out.collectWaitMs = toMs(RuntimeClock::now() - out.firstPop);
-    }
-
-    // Close-of-window sweep: deadlines that lapsed while the batch
-    // waited for company. Applying the screen here (not just at pop)
-    // keeps the invariant that an expired request is never solved.
-    const auto close_time = RuntimeClock::now();
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < out.entries.size(); i++) {
-        if (expiredAt(out.entries[i], close_time)) {
-            out.expired.push_back(std::move(out.entries[i]));
-        } else {
-            if (kept != i)
-                out.entries[kept] = std::move(out.entries[i]);
-            kept++;
-        }
-    }
-    out.entries.resize(kept);
+    fill(out, std::move(seed), nullptr);
     return true;
 }
 
@@ -204,20 +143,16 @@ Batcher::collectAhead(const QueueEntry &task, CollectedBatch &out)
     out.entries.clear();
     out.expired.clear();
     out.cacheHits.clear();
-    out.collectWaitMs = 0.0;
 
     // Stash first, as in collect(): the queue dispatched it earlier.
     QueueEntry seed;
     for (;;) {
-        if (!takeStash(seed, &task) && !queue_.tryPopAhead(task, seed))
+        if (!takeStash(seed, &task) && !queue_.tryPop(seed, &task))
             return !out.expired.empty() || !out.cacheHits.empty();
         if (!divert(seed, out))
             break;
     }
-    out.firstPop = RuntimeClock::now();
-    out.entries.push_back(std::move(seed));
-    fill(out,
-         [&](QueueEntry &next) { return queue_.tryPopAhead(task, next); });
+    fill(out, std::move(seed), &task);
     return true;
 }
 

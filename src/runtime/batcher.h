@@ -3,16 +3,19 @@
 
 /**
  * @file
- * Dynamic micro-batching collector.
+ * Work-conserving micro-batching collector.
  *
  * Sits between the RequestQueue and the worker pool — the only way
  * work reaches a worker: a worker asks the batcher for its next
  * dispatch and receives a *batch* of compatible requests instead of a
- * single entry. The batcher pops a seed request, then keeps a collect
- * window open for at most maxWaitUs, admitting every compatible
- * request that arrives until the batch is full, the window lapses, or
- * an incompatible request shows up (which is stashed to seed the next
- * batch, never reordered behind later arrivals of its own class).
+ * single entry. The batcher blocks only for a seed request; it then
+ * adds the compatible requests already queued, through non-blocking
+ * pops, until the batch is full, the queue is empty, or an
+ * incompatible request heads it (which is stashed to seed the next
+ * batch, never reordered behind later arrivals of its own class). It
+ * never waits for company: a backlog coalesces fully, and a lone
+ * request solves at once — the paper's work-conserving selector
+ * (Sec. V), which dispatches whatever is ready.
  *
  * Compatibility means the requests can share one batched solve:
  * identical input shape and model version; training tasks never
@@ -21,20 +24,19 @@
  * should that change.
  *
  * Deadline hygiene: the batcher fails requests whose deadline lapsed
- * while queued, at every pop *and* once more when the window closes,
- * so a request that expired while the batch waited for company is
- * failed (counted `expired`), never solved. Expired entries ride back
- * in CollectedBatch::expired — and the seed hunt never *blocks* while
- * holding them: once anything has been diverted, an empty queue ships
- * the casualties immediately rather than delaying their terminal
- * responses until the next arrival (or shutdown).
+ * while queued, at every pop, so an expired request is never solved;
+ * nothing waits between a pop and the dispatch, and the solver's
+ * per-sample deadline guard covers the solve itself. Expired entries
+ * ride back in CollectedBatch::expired — and the seed hunt never
+ * *blocks* while holding them: once anything has been diverted, an
+ * empty queue ships the casualties immediately rather than delaying
+ * their terminal responses until the next arrival (or shutdown).
  */
 
 #include <deque>
 #include <mutex>
 #include <vector>
 
-#include "runtime/admission.h"
 #include "runtime/request_queue.h"
 #include "runtime/solve_cache.h"
 
@@ -45,7 +47,7 @@ struct CollectedBatch
 {
     /** Compatible, unexpired requests; solve these together. */
     std::vector<QueueEntry> entries;
-    /** Requests whose deadline lapsed at pop or during the window. */
+    /** Requests whose deadline lapsed before their pop. */
     std::vector<QueueEntry> expired;
     /** A request answered from the exact cache at the pop screen. */
     struct CacheHit
@@ -55,14 +57,12 @@ struct CollectedBatch
     };
     /**
      * Requests whose exact-cache entry became ready while they queued.
-     * They never consume a batch slot or seed a window; the worker
+     * They never consume a batch slot or seed a batch; the worker
      * delivers each one's value.
      */
     std::vector<CacheHit> cacheHits;
-    /** When the seed request was popped (start of the window). */
+    /** When the seed request was popped (start of the collect). */
     RuntimeClock::time_point firstPop{};
-    /** Window duration: seed pop to window close. 0 for maxBatch 1. */
-    double collectWaitMs = 0.0;
 };
 
 /**
@@ -70,18 +70,18 @@ struct CollectedBatch
  *
  * Multiple workers call collect() concurrently; each gets its own
  * batch. The only shared state is a FIFO stash holding the incompatible
- * requests that closed collect windows, protected by an internal mutex.
- * Each open window stashes at most one entry, so the stash holds at
- * most one entry per concurrently-collecting worker — but overlapping
- * windows can legitimately stash at the same time, which is why the
+ * requests that ended batches, protected by an internal mutex. Each
+ * collect stashes at most one entry, so the stash holds at most one
+ * entry per concurrently-collecting worker — but two collectors can
+ * each stash one before either seeds its next batch, which is why the
  * stash is a queue and not a single slot. Stashed entries seed
  * subsequent batches in stash order, ahead of anything still queued.
  * With maxBatch 1 the collector degenerates to a plain pop with the
  * deadline and cache screens applied.
  *
- * collectAhead() is the non-blocking variant a running training task
- * yields through: it takes only inference requests that preempt the
- * task (RequestQueue::preempts), as they stand, with no collect window.
+ * collectAhead() is the variant a running training task yields
+ * through: it takes only inference requests that preempt the task
+ * (RequestQueue::preempts), through the same non-blocking pop.
  */
 class Batcher
 {
@@ -89,23 +89,15 @@ class Batcher
     /**
      * @param queue Source of requests (owned by the server).
      * @param maxBatch Upper bound on entries per batch (>= 1).
-     * @param maxWaitUs Collect-window budget in microseconds; how long
-     *        a seeded batch may wait for company. Only meaningful when
-     *        maxBatch > 1.
      * @param cache Optional solve cache: keyed requests whose exact
      *        entry is ready at pop are diverted, with the cached value,
      *        to CollectedBatch::cacheHits instead of occupying the batch.
-     * @param admission Optional overload controller: at brownout level
-     *        >= 2 the collect window is scaled down (latency drains
-     *        ahead of coalescing efficiency under load). Consulted once
-     *        per window open.
      */
-    Batcher(RequestQueue &queue, std::size_t maxBatch, double maxWaitUs,
-            SolveCache *cache = nullptr,
-            const AdmissionController *admission = nullptr);
+    Batcher(RequestQueue &queue, std::size_t maxBatch,
+            SolveCache *cache = nullptr);
 
     /**
-     * Block for the next batch.
+     * Block for a seed, then add what is queued behind it.
      * @return false when the queue is closed and drained and the stash
      *         is empty — the worker should exit. When true, entries,
      *         expired and/or cacheHits hold at least one request.
@@ -116,14 +108,10 @@ class Batcher
      * Never blocks: the next batch of the inference requests that
      * preempt `task`, the entry a training task running on the calling
      * worker was popped as, taken from the stash or the queue as they
-     * stand, with the deadline, cache and stash handling of collect()
-     * and no collect window.
+     * stand, with the deadline, cache and stash handling of collect().
      * @return false when nothing waiting preempts `task`.
      */
     bool collectAhead(const QueueEntry &task, CollectedBatch &out);
-
-    std::size_t maxBatch() const { return maxBatch_; }
-    double maxWaitUs() const { return maxWaitUs_; }
 
   private:
     /** True when a and b may share one batched solve. */
@@ -139,16 +127,14 @@ class Batcher
      *  (the value is taken now). False leaves it untouched. */
     bool divert(QueueEntry &entry, CollectedBatch &out);
 
-    /** Grow a seeded batch to maxBatch with entries from `pop` until it
-     *  reports none; an incompatible one is stashed and ends the batch. */
-    template <typename Pop>
-    void fill(CollectedBatch &out, Pop pop);
+    /** Start a batch at `seed` and grow it to maxBatch with the entries
+     *  queued right now (only those preempting `task`, when given); an
+     *  incompatible one is stashed and ends the batch. */
+    void fill(CollectedBatch &out, QueueEntry seed, const QueueEntry *task);
 
     RequestQueue &queue_;
     const std::size_t maxBatch_;
-    const double maxWaitUs_;
     SolveCache *const cache_;
-    const AdmissionController *const admission_;
 
     std::mutex stashMutex_;
     std::deque<QueueEntry> stash_;

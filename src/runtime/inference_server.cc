@@ -70,20 +70,15 @@ InferenceServer::InferenceServer(ModelFactory make_model,
     ENODE_ASSERT(options_.degrade.fallbackSteps >= 1,
                  "fallbackSteps must be >= 1");
     ENODE_ASSERT(options_.maxBatch >= 1, "maxBatch must be >= 1");
-    ENODE_ASSERT(options_.batchWaitUs >= 0.0,
-                 "batchWaitUs must be >= 0");
     if (options_.cache.enabled)
         solveCache_ = std::make_unique<SolveCache>(options_.cache);
-    // The controller exists before the batcher so the batcher can scale
-    // its collect window off the live brownout level.
     if (options_.overload.enabled)
         admission_ = std::make_unique<AdmissionController>(
             options_.overload, options_.numWorkers);
     // Every dispatch comes out of the batcher; at maxBatch 1 it is a
     // plain pop plus the deadline and cache screens.
     batcher_ = std::make_unique<Batcher>(queue_, options_.maxBatch,
-                                         options_.batchWaitUs,
-                                         solveCache_.get(), admission_.get());
+                                         solveCache_.get());
 
     // Intra-op width: clamp workers * width to the machine, then build
     // one shared tile pool for all workers. Each worker contributes
@@ -898,9 +893,9 @@ InferenceServer::shedEntry(QueueEntry &entry, double estimateMs)
 void
 InferenceServer::expireEntry(std::size_t worker_id, QueueEntry &entry)
 {
-    // A request whose deadline lapsed in the queue or inside the
-    // batcher's collect window gets a structured failure instead of a
-    // solve whose response could only arrive late.
+    // A request whose deadline lapsed in the queue gets a structured
+    // failure instead of a solve whose response could only arrive
+    // late.
     retractPending(entry.request);
     InferResponse response;
     response.id = entry.request.id;
@@ -933,8 +928,8 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch,
     if (batch.entries.empty())
         return;
 
-    // Training tasks ship solo from the batcher (never coalesced, no
-    // collect window); route them past the inference machinery.
+    // Training tasks ship solo from the batcher (never coalesced);
+    // route them past the inference machinery.
     if (batch.entries[0].request.train != nullptr) {
         serveTrain(worker_id, batch.entries[0], flight);
         return;
@@ -950,8 +945,8 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch,
                  "batch larger than the configured maxBatch");
     const auto start = RuntimeClock::now();
 
-    // The collect window and per-request queue waits are retroactive
-    // spans: their extent is only known once the batch dispatches.
+    // The collect and per-request queue waits are retroactive spans:
+    // their extent is only known once the batch dispatches.
     Tracer &tracer = Tracer::instance();
     if (tracer.armed()) {
         TraceEvent collect;
@@ -988,7 +983,6 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch,
     serve_span.arg("worker", static_cast<double>(worker_id));
 
     metrics_.recordBatchDispatch(n);
-    metrics_.recordCoalesceWait(batch.collectWaitMs);
 
     // Per-sample solve inputs. Each sample gets its own deadline guard
     // (the batched solver drops a sample whose deadline passes and

@@ -138,28 +138,24 @@ struct ServerOptions
     /**
      * Start with the workers gated: requests queue up but nothing
      * dispatches until resume(). Tests use this to stage contention
-     * deterministically.
+     * deterministically — a backlog staged this way reaches the
+     * batcher whole, so it coalesces into full batches.
      */
     bool startPaused = false;
 
     /**
-     * Cross-request micro-batching: the maximum number of compatible
-     * requests (identical input shape) one worker coalesces into a
-     * single batched solve (solveIvpBatched — one shared f evaluation
-     * per RK trial, error control per sample). 1 = no coalescing: every
-     * dispatch carries one request. A batch of any size solves each
-     * request bitwise identically to NodeModel::forward.
+     * Cross-request micro-batching, the only batching setting: the
+     * maximum number of compatible requests (identical input shape and
+     * model version) one worker coalesces into a single batched solve
+     * (solveIvpBatched — one shared f evaluation per RK trial, error
+     * control per sample). The batcher is work-conserving: a worker
+     * takes what is queued when it seeds a batch, up to this bound,
+     * and never waits for more, so batches grow only under backlog.
+     * 1 = no coalescing: every dispatch carries one request. A batch
+     * of any size solves each request bitwise identically to
+     * NodeModel::forward.
      */
     std::size_t maxBatch = 1;
-
-    /**
-     * Collect-window budget in microseconds: once a worker has seeded
-     * a batch it waits at most this long for company before solving.
-     * Only meaningful when maxBatch > 1. Request deadlines still apply
-     * inside the window — a request that expires while waiting is
-     * failed, never solved.
-     */
-    double batchWaitUs = 200.0;
 
     /** Failure handling: retry/fallback ladder and watchdog. */
     DegradePolicy degrade;
@@ -176,9 +172,8 @@ struct ServerOptions
     /**
      * Overload control (runtime/admission.h): deadline-aware admission
      * with RequestStatus::Shed, plus the brownout ladder (proactive
-     * tolerance relaxation, collect-window shrinking, low-priority
-     * shedding). Off by default; when off, admission stays the blind
-     * bounded-queue push.
+     * tolerance relaxation, low-priority shedding). Off by default;
+     * when off, admission stays the blind bounded-queue push.
      */
     OverloadOptions overload;
 

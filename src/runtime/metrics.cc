@@ -39,13 +39,6 @@ MetricsRegistry::recordBatchDispatch(std::size_t size)
 }
 
 void
-MetricsRegistry::recordCoalesceWait(double ms)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    coalesceWaitMs_.add(ms);
-}
-
-void
 MetricsRegistry::recordPartialFailure()
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -165,9 +158,6 @@ MetricsRegistry::summary() const
         s.batchesDispatched ? static_cast<double>(s.batchedRequests) /
                                   static_cast<double>(s.batchesDispatched)
                             : 0.0;
-    s.coalesceWaitP50Ms = coalesceWaitMs_.percentile(50.0);
-    s.coalesceWaitP95Ms = coalesceWaitMs_.percentile(95.0);
-    s.coalesceWaitP99Ms = coalesceWaitMs_.percentile(99.0);
     return s;
 }
 
@@ -222,9 +212,6 @@ MetricsRegistry::snapshot(const std::string &group_name) const
     group.set("solver.trials_per_point.warm_mean", s.trialsPerPointWarm);
     group.set("solver.trials_per_point.cold_mean", s.trialsPerPointCold);
     group.set("batch.occupancy_mean", s.batchOccupancyMean);
-    group.set("batch.wait.p50_ms", s.coalesceWaitP50Ms);
-    group.set("batch.wait.p95_ms", s.coalesceWaitP95Ms);
-    group.set("batch.wait.p99_ms", s.coalesceWaitP99Ms);
     return group;
 }
 

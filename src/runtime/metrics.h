@@ -102,9 +102,6 @@ struct MetricsSummary : MetricsCounts
 
     /** Mean requests per dispatched batch (0 when none). */
     double batchOccupancyMean = 0.0;
-    /** Coalesce-window wait (first pop to dispatch) percentiles. */
-    double coalesceWaitP50Ms = 0.0, coalesceWaitP95Ms = 0.0,
-           coalesceWaitP99Ms = 0.0;
 };
 
 /** Thread-safe per-request metrics collection. */
@@ -119,8 +116,6 @@ class MetricsRegistry
 
     /** One batched solve dispatched carrying `size` requests. */
     void recordBatchDispatch(std::size_t size);
-    /** Time one batch spent in the coalescing window before dispatch. */
-    void recordCoalesceWait(double ms);
     /** A batch finished with a mix of Ok and non-Ok samples. */
     void recordPartialFailure();
 
@@ -159,7 +154,6 @@ class MetricsRegistry
     SampleSeries degradedMs_;
     SampleSeries fEvals_;
     SampleSeries trials_;
-    SampleSeries coalesceWaitMs_;
     SampleSeries trialsPerPointWarm_;
     SampleSeries trialsPerPointCold_;
 };

@@ -90,23 +90,11 @@ RequestQueue::pop(QueueEntry &out)
     return true;
 }
 
-PopStatus
-RequestQueue::popUntil(QueueEntry &out, RuntimeClock::time_point deadline)
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    notEmpty_.wait_until(lock, deadline,
-                         [this] { return closed_ || !heap_.empty(); });
-    if (heap_.empty())
-        return closed_ ? PopStatus::Closed : PopStatus::TimedOut;
-    popHead(out);
-    return PopStatus::Ok;
-}
-
 bool
-RequestQueue::tryPopAhead(const QueueEntry &task, QueueEntry &out)
+RequestQueue::tryPop(QueueEntry &out, const QueueEntry *task)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (heap_.empty() || !preempts(heap_.front(), task))
+    if (heap_.empty() || (task != nullptr && !preempts(heap_.front(), *task)))
         return false;
     popHead(out);
     return true;

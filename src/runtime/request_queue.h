@@ -8,8 +8,9 @@
  * Admission is non-blocking: when the queue is at capacity tryPush
  * rejects immediately and the caller reports backpressure to the
  * client — the producer is never parked indefinitely, matching the
- * hardware selector's reject-on-full state buffers. Consumers block in
- * pop until work arrives or the queue is closed.
+ * hardware selector's reject-on-full state buffers. Consumers either
+ * block in pop until work arrives or the queue is closed, or take
+ * what is queued right now with tryPop; no pop waits on a timer.
  *
  * Ordering reuses the sim's SelectPolicy so software serving and the
  * hardware model agree on what priority means:
@@ -44,14 +45,6 @@ struct QueueEntry
     std::uint64_t seq = 0; ///< admission order, assigned by the queue
 };
 
-/** Outcome of a bounded-wait pop (see RequestQueue::popUntil). */
-enum class PopStatus
-{
-    Ok,       ///< an entry was dequeued
-    TimedOut, ///< deadline passed with the queue still open and empty
-    Closed,   ///< queue closed and fully drained
-};
-
 /** Bounded multi-producer multi-consumer priority queue. */
 class RequestQueue
 {
@@ -77,19 +70,12 @@ class RequestQueue
     bool pop(QueueEntry &out);
 
     /**
-     * Like pop, but give up at `deadline`: the batching collector uses
-     * this to bound how long an open batch waits for company. Returns
-     * Ok with an entry, TimedOut when the deadline passed on an open
-     * empty queue, or Closed once the queue is closed and drained.
+     * Never blocks: take the head if one is queued and, when `task` is
+     * given (a running training task's entry), only if it preempts
+     * that task (see preempts()); otherwise leave the queue untouched
+     * and return false, closed or not.
      */
-    PopStatus popUntil(QueueEntry &out, RuntimeClock::time_point deadline);
-
-    /**
-     * Non-blocking pop for a training task's yield: take the head only
-     * when it preempts `task` (see preempts()); otherwise leave the
-     * queue untouched and return false.
-     */
-    bool tryPopAhead(const QueueEntry &task, QueueEntry &out);
+    bool tryPop(QueueEntry &out, const QueueEntry *task = nullptr);
 
     /**
      * True when `entry` is an inference request that dispatches ahead
@@ -103,7 +89,7 @@ class RequestQueue
     /**
      * True when an inference request heads the queue: the one relaxed
      * load a running training task makes at every step boundary. A
-     * hint (the head may not preempt that task); tryPopAhead decides.
+     * hint (the head may not preempt that task); tryPop decides.
      */
     bool inferenceHeads() const
     {

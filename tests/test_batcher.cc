@@ -1,18 +1,20 @@
 /**
  * @file
  * Dynamic micro-batching: the batched adaptive solver's per-sample
- * bitwise equivalence with the solo path, per-sample early exit,
- * collect-window deadline hygiene, per-sample degradation under seeded
- * faults, and metrics reconciliation. Built and run under
- * ThreadSanitizer in CI.
+ * bitwise equivalence with the solo path, per-sample early exit, the
+ * work-conserving collector's ordering and stash, per-sample
+ * degradation under seeded faults, and metrics reconciliation. Built
+ * and run under ThreadSanitizer in CI.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -216,27 +218,26 @@ TEST(BatchedIvp, BatchOfOneBitwiseMatchesSolo)
 }
 
 // ---------------------------------------------------------------------
-// Queue: bounded-wait pop
+// Queue: non-blocking pop
 // ---------------------------------------------------------------------
 
-TEST(RequestQueue, PopUntilTimesOutThenDelivers)
+TEST(RequestQueue, TryPopTakesOnlyWhatIsQueued)
 {
+    // An open empty queue returns false at once (a blocking pop here
+    // would hang the test), a queued entry is popped, and a closed,
+    // drained queue returns false.
     RequestQueue queue(4, SelectPolicy::Fifo);
     QueueEntry out;
-    const auto short_wait =
-        RuntimeClock::now() + std::chrono::milliseconds(5);
-    EXPECT_EQ(queue.popUntil(out, short_wait), PopStatus::TimedOut);
+    EXPECT_FALSE(queue.tryPop(out));
 
     QueueEntry entry;
     entry.request.id = 7;
     EXPECT_TRUE(queue.tryPush(entry));
-    EXPECT_EQ(queue.popUntil(out, RuntimeClock::now()), PopStatus::Ok);
+    ASSERT_TRUE(queue.tryPop(out));
     EXPECT_EQ(out.request.id, 7u);
 
     queue.close(/*drain=*/true);
-    EXPECT_EQ(queue.popUntil(out, RuntimeClock::now() +
-                                      std::chrono::milliseconds(5)),
-              PopStatus::Closed);
+    EXPECT_FALSE(queue.tryPop(out));
 }
 
 TEST(RequestQueue, TrainingPopsAfterEveryInferenceEntryOfItsStreamOrLater)
@@ -357,7 +358,6 @@ batchedOptions(std::size_t workers, std::size_t max_batch,
     opts.ivp = servingOptions();
     opts.startPaused = paused;
     opts.maxBatch = max_batch;
-    opts.batchWaitUs = 2000.0;
     return opts;
 }
 
@@ -480,7 +480,7 @@ TEST(Batcher, IncompatibleShapeClosesBatchAndSeedsNext)
     // one — it is neither dropped nor reordered behind later arrivals
     // of its own class.
     RequestQueue queue(16, SelectPolicy::Fifo);
-    Batcher batcher(queue, /*maxBatch=*/4, /*maxWaitUs=*/2000.0);
+    Batcher batcher(queue, /*maxBatch=*/4);
     auto push = [&](std::uint64_t id, const Shape &shape) {
         QueueEntry entry;
         entry.request.id = id;
@@ -518,7 +518,7 @@ TEST(Batcher, ModelVersionBoundaryNeverCoalesces)
     // weights. A version change must close the open batch exactly like
     // a shape change — no reordering, no loss.
     RequestQueue queue(16, SelectPolicy::Fifo);
-    Batcher batcher(queue, /*maxBatch=*/4, /*maxWaitUs=*/2000.0);
+    Batcher batcher(queue, /*maxBatch=*/4);
     auto push = [&](std::uint64_t id, std::uint64_t version) {
         QueueEntry entry;
         entry.request.id = id;
@@ -548,16 +548,14 @@ TEST(Batcher, ModelVersionBoundaryNeverCoalesces)
         EXPECT_EQ(entry.request.modelVersion, 1u);
 }
 
-TEST(Batcher, TrainTasksShipSoloWithoutCollectWindow)
+TEST(Batcher, TrainTasksShipSoloInQueueOrder)
 {
     // Gradient tasks never coalesce — with each other (each task
     // carries its own gradient-slot pointer) or with inference (they
-    // run a different solve entirely) — and must not hold a collect
-    // window open: training is throughput work with no deadline to
-    // amortize.
+    // run a different solve entirely) — so each ships alone, in queue
+    // order, ahead of the inference queued behind them.
     RequestQueue queue(16, SelectPolicy::Fifo);
-    // A long window that would be felt if the train path waited it out.
-    Batcher batcher(queue, /*maxBatch=*/4, /*maxWaitUs=*/500000.0);
+    Batcher batcher(queue, /*maxBatch=*/4);
 
     TrainTask task_a, task_b;
     auto pushTrain = [&](std::uint64_t id, TrainTask *task) {
@@ -582,24 +580,16 @@ TEST(Batcher, TrainTasksShipSoloWithoutCollectWindow)
     pushInfer(4);
     pushInfer(5);
 
-    const auto before = RuntimeClock::now();
     CollectedBatch batch;
     ASSERT_TRUE(batcher.collect(batch));
     ASSERT_EQ(batch.entries.size(), 1u) << "train tasks coalesced";
     EXPECT_EQ(batch.entries[0].request.id, 0u);
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(RuntimeClock::now() -
-                                                  before)
-            .count();
-    EXPECT_LT(elapsed_ms, 100.0)
-        << "train seed waited out the collect window";
 
     ASSERT_TRUE(batcher.collect(batch));
     ASSERT_EQ(batch.entries.size(), 1u);
     EXPECT_EQ(batch.entries[0].request.id, 1u);
 
-    // The inference run behind them still coalesces normally (a full
-    // batch, so the window closes immediately).
+    // The inference run behind them still coalesces normally.
     ASSERT_TRUE(batcher.collect(batch));
     ASSERT_EQ(batch.entries.size(), 4u);
     for (std::uint64_t i = 0; i < 4; i++)
@@ -609,8 +599,8 @@ TEST(Batcher, TrainTasksShipSoloWithoutCollectWindow)
 TEST(Batcher, CollectAheadTakesOnlyWhatPreemptsTheRunningTask)
 {
     // A running training task yields only to inference the queue's own
-    // order would have dispatched first, and collectAhead never blocks
-    // or waits for company: it returns what is queued right now.
+    // order would have dispatched first, and collectAhead never blocks:
+    // it returns what is queued right now.
     TrainTask train;
     const auto entry = [&](std::uint64_t id, std::uint32_t stream,
                            RuntimeClock::time_point deadline,
@@ -628,8 +618,7 @@ TEST(Batcher, CollectAheadTakesOnlyWhatPreemptsTheRunningTask)
     const auto later = RuntimeClock::now() + std::chrono::hours(1);
 
     RequestQueue queue(16, SelectPolicy::LaterStreamFirst);
-    // A long window that would be felt if collectAhead waited on it.
-    Batcher batcher(queue, /*maxBatch=*/4, /*maxWaitUs=*/500000.0);
+    Batcher batcher(queue, /*maxBatch=*/4);
     QueueEntry task = entry(0, 0, never, &train);
     ASSERT_TRUE(queue.tryPush(task));
     ASSERT_TRUE(queue.pop(task)); // now running
@@ -644,14 +633,7 @@ TEST(Batcher, CollectAheadTakesOnlyWhatPreemptsTheRunningTask)
     ASSERT_TRUE(queue.tryPush(same));
     ASSERT_TRUE(queue.tryPush(hi));
     ASSERT_TRUE(queue.tryPush(tight));
-    const auto before = RuntimeClock::now();
     ASSERT_TRUE(batcher.collectAhead(task, batch));
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(RuntimeClock::now() -
-                                                  before)
-            .count();
-    EXPECT_LT(elapsed_ms, 100.0)
-        << "collectAhead waited out the collect window";
     ASSERT_EQ(batch.entries.size(), 3u);
     EXPECT_EQ(batch.entries[0].request.id, 2u);
     EXPECT_EQ(batch.entries[1].request.id, 3u);
@@ -672,7 +654,7 @@ TEST(Batcher, CollectAheadTakesOnlyWhatPreemptsTheRunningTask)
     // Under Fifo nothing admitted after the task ranks ahead of it, and
     // another training task never preempts one.
     RequestQueue fifo(16, SelectPolicy::Fifo);
-    Batcher fifo_batcher(fifo, /*maxBatch=*/1, /*maxWaitUs=*/0.0);
+    Batcher fifo_batcher(fifo, /*maxBatch=*/1);
     QueueEntry fifo_task = entry(5, 0, never, &train);
     ASSERT_TRUE(fifo.tryPush(fifo_task));
     ASSERT_TRUE(fifo.pop(fifo_task));
@@ -686,18 +668,18 @@ TEST(Batcher, CollectAheadTakesOnlyWhatPreemptsTheRunningTask)
 TEST(Batcher, ConcurrentCollectorsWithMixedShapesLoseNothing)
 {
     // Several collectors share one batcher while mixed-shape requests
-    // stream in: overlapping collect windows may stash incompatible
-    // arrivals at the same time (the FIFO case a single-slot stash
-    // asserted on), so every request must still come back exactly
-    // once, no batch may mix shapes, and shutdown must not strand a
-    // stashed entry. Runs under TSan in CI.
+    // stream in: concurrent collects may stash incompatible entries at
+    // the same time (the FIFO case a single-slot stash asserted on),
+    // so every request must still come back exactly once, no batch may
+    // mix shapes, and shutdown must not strand a stashed entry. Runs
+    // under TSan in CI.
     constexpr std::size_t kCollectors = 4;
     constexpr std::uint64_t kRequests = 400;
     const Shape shapes[3] = {Shape{kDim}, Shape{kDim, 2},
                              Shape{kDim, 3}};
 
     RequestQueue queue(kRequests, SelectPolicy::Fifo);
-    Batcher batcher(queue, /*maxBatch=*/4, /*maxWaitUs=*/300.0);
+    Batcher batcher(queue, /*maxBatch=*/4);
 
     std::vector<std::vector<std::uint64_t>> collected(kCollectors);
     std::vector<std::size_t> mixed_batches(kCollectors, 0);
@@ -722,8 +704,8 @@ TEST(Batcher, ConcurrentCollectorsWithMixedShapesLoseNothing)
         QueueEntry entry;
         entry.request.id = id;
         // A deterministic but non-periodic-in-4 shape pattern, so most
-        // collect windows see an incompatible arrival while several
-        // windows are open at once.
+        // batches end at an incompatible entry while several
+        // collectors race on the queue.
         entry.request.input = Tensor(shapes[(id * 7 + id / 5) % 3]);
         entry.enqueueTime = RuntimeClock::now();
         ASSERT_TRUE(queue.tryPush(entry));
@@ -747,65 +729,74 @@ TEST(Batcher, ConcurrentCollectorsWithMixedShapesLoseNothing)
             << "collector " << c << " got a shape-mixed batch";
 }
 
-TEST(Batcher, OverlappingWindowsStashConcurrently)
+TEST(Batcher, CollectorsStashConcurrently)
 {
-    // The sharpest stash race: two collectors each hold an open window
-    // on an empty queue, then two arrivals incompatible with both
-    // seeds (and each other) land back to back. The first collector
-    // stashes and goes off to "solve" its batch (the sleep below — in
-    // the real server a stashed entry waits out a whole batched
-    // solve), so the second collector's stash lands while the first is
-    // still occupied — the exact schedule a single-slot stash asserted
-    // (and crashed the server) on. Repeated many rounds; the stashed
-    // pair seeds the next round's windows.
+    // The sharpest stash race: two collectors each seed a batch from
+    // the queue and then find an incompatible entry behind the seed, so
+    // both stash before either seeds again — the schedule a single-slot
+    // stash asserted (and crashed the server) on. Each round queues
+    // four mutually incompatible requests on a fresh queue, closes it
+    // (draining, so each collector's loop ends with the round), wakes
+    // both collectors and then releases them together. A collector
+    // holds each batch for a stand-in solve, so its stashed entry is
+    // still waiting when the other's lands.
     constexpr std::size_t kRounds = 100;
     const Shape shapes[4] = {Shape{kDim}, Shape{kDim, 2}, Shape{kDim, 3},
                              Shape{kDim, 4}};
 
-    RequestQueue queue(64, SelectPolicy::Fifo);
-    Batcher batcher(queue, /*maxBatch=*/2, /*maxWaitUs=*/100000.0);
-
-    std::vector<std::vector<std::uint64_t>> collected(2);
+    std::unique_ptr<RequestQueue> queue;
+    std::unique_ptr<Batcher> batcher;
+    std::atomic<std::size_t> staged{0};   // the round queued so far
+    std::atomic<std::size_t> released{0}; // the round collectors may take
+    std::atomic<int> awake{0}, finished{0};
+    std::vector<std::uint64_t> collected[2];
     std::vector<std::thread> collectors;
     for (std::size_t c = 0; c < 2; c++) {
         collectors.emplace_back([&, c] {
-            CollectedBatch batch;
-            while (batcher.collect(batch)) {
-                for (auto &entry : batch.entries)
-                    collected[c].push_back(entry.request.id);
-                for (auto &entry : batch.expired)
-                    collected[c].push_back(entry.request.id);
-                // Stand-in for the batched solve: keep this worker's
-                // stashed entry (if any) waiting so the other window's
-                // stash must coexist with it.
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(200));
+            for (std::size_t round = 1; round <= kRounds; round++) {
+                staged.wait(round - 1);
+                awake.fetch_add(1);
+                // Spin rather than block once awake: a collector woken
+                // from a block starts too late to race the other.
+                while (released.load() != round) {
+                }
+                CollectedBatch batch;
+                while (batcher->collect(batch)) {
+                    for (auto &entry : batch.entries)
+                        collected[c].push_back(entry.request.id);
+                    for (auto &entry : batch.expired)
+                        collected[c].push_back(entry.request.id);
+                    // Stand-in for the batched solve.
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(50));
+                }
+                finished.fetch_add(1);
             }
         });
     }
 
     std::uint64_t id = 0;
-    auto push = [&](const Shape &shape) {
-        QueueEntry entry;
-        entry.request.id = id++;
-        entry.request.input = Tensor(shape);
-        entry.enqueueTime = RuntimeClock::now();
-        ASSERT_TRUE(queue.tryPush(entry));
-    };
-    // Round r pushes shapes {2r % 4, (2r+1) % 4}: mutually
-    // incompatible, and incompatible with round r-1's pair (the
-    // currently open seeds).
-    push(shapes[0]);
-    push(shapes[1]);
-    for (std::size_t round = 1; round < kRounds; round++) {
-        // Both seeds popped == both windows open (or just about to
-        // be); the next two pushes close them concurrently.
-        while (queue.size() != 0)
+    for (std::size_t round = 1; round <= kRounds; round++) {
+        queue = std::make_unique<RequestQueue>(4, SelectPolicy::Fifo);
+        batcher = std::make_unique<Batcher>(*queue, /*maxBatch=*/2);
+        for (const Shape &shape : shapes) {
+            QueueEntry entry;
+            entry.request.id = id++;
+            entry.request.input = Tensor(shape);
+            entry.enqueueTime = RuntimeClock::now();
+            EXPECT_TRUE(queue->tryPush(entry));
+        }
+        queue->close(/*drain=*/true);
+        awake.store(0);
+        finished.store(0);
+        staged.store(round);
+        staged.notify_all();
+        while (awake.load() != 2)
             std::this_thread::yield();
-        push(shapes[(2 * round) % 4]);
-        push(shapes[(2 * round + 1) % 4]);
+        released.store(round);
+        while (finished.load() != 2)
+            std::this_thread::yield();
     }
-    queue.close(/*drain=*/true);
     for (auto &t : collectors)
         t.join();
 
@@ -816,33 +807,6 @@ TEST(Batcher, OverlappingWindowsStashConcurrently)
     ASSERT_EQ(all.size(), id) << "requests lost or duplicated";
     for (std::uint64_t i = 0; i < id; i++)
         EXPECT_EQ(all[i], i);
-}
-
-TEST(Batching, ExpiredInCollectWindowIsNeverSolved)
-{
-    // A single request whose deadline lapses inside the collect window
-    // (the batch waits for company that never comes): it must come
-    // back DeadlineExceeded, be counted expired, and reconcile.
-    ServerOptions opts = batchedOptions(1, 8);
-    opts.batchWaitUs = 50000.0; // 50 ms window
-    InferenceServer server(makeReferenceModel, opts);
-
-    auto sub = server.submit(makeInput(0), 0,
-                             RuntimeClock::now() +
-                                 std::chrono::milliseconds(5));
-    ASSERT_TRUE(sub.accepted);
-    InferResponse r = sub.result.get();
-    EXPECT_EQ(r.status, RequestStatus::DeadlineExceeded);
-    EXPECT_FALSE(r.deadlineMet);
-    EXPECT_TRUE(r.output.empty());
-    server.stop();
-
-    const MetricsSummary s = server.metrics().summary();
-    EXPECT_EQ(s.expired, 1u);
-    EXPECT_EQ(s.completed, 0u);
-    EXPECT_EQ(s.batchedRequests, 0u); // expired entries are not solved
-    EXPECT_EQ(s.completed + s.expired + s.failed + s.cancelled,
-              s.admitted);
 }
 
 TEST(Batching, CorruptedSampleDegradesAloneUnderSeededFault)
@@ -1034,7 +998,6 @@ TEST(Batching, MetricsExposedThroughPrometheusText)
     EXPECT_NE(text.find("enode_batch_partial_failure 0"),
               std::string::npos);
     EXPECT_NE(text.find("enode_batch_occupancy_mean"), std::string::npos);
-    EXPECT_NE(text.find("enode_batch_wait_p99_ms"), std::string::npos);
     EXPECT_NE(text.find("enode_batch_size_bin_"), std::string::npos);
 }
 

@@ -7,6 +7,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -105,6 +108,79 @@ TEST(Serialize, CorruptMagicIsFatal)
     auto model = NodeModel::makeMlp(1, 3, 8, 1, rng);
     EXPECT_DEATH({ loadParameters(path, model->paramSlots()); },
                  "not an eNODE checkpoint");
+}
+
+/**
+ * Corrupt checkpoints: each overwrites one field of the first
+ * parameter record of a valid file. The header (magic, version, slot
+ * count) is 12 bytes; the record is name length (u32), name, rank (u32)
+ * and extents (u64 each). Every case must end through the loader's own
+ * fatal error (exit 1, naming the file and the field), never through an
+ * abort or an allocation the file sized. The values stay small.
+ */
+class CorruptCheckpoint : public ::testing::Test
+{
+  protected:
+    static constexpr std::uint64_t kNameLenAt = 12;
+
+    void
+    SetUp() override
+    {
+        Rng rng(6);
+        model_ = NodeModel::makeMlp(1, 3, 8, 1, rng);
+        nameLen_ = model_->paramSlots()[0].name.size();
+    }
+
+    std::string
+    save(const char *file)
+    {
+        const std::string path = tempPath(file);
+        saveParameters(path, model_->paramSlots());
+        return path;
+    }
+
+    /** Overwrite the bytes at `offset` of the file with `value`. */
+    template <typename T>
+    static void
+    patch(const std::string &path, std::uint64_t offset, T value)
+    {
+        std::fstream f(path, std::ios::binary | std::ios::in |
+                                 std::ios::out);
+        f.seekp(static_cast<std::streamoff>(offset));
+        f.write(reinterpret_cast<const char *>(&value), sizeof(T));
+        ASSERT_TRUE(f.good());
+    }
+
+    std::unique_ptr<NodeModel> model_;
+    std::uint64_t nameLen_ = 0;
+};
+
+TEST_F(CorruptCheckpoint, NameLengthPastTheEndExits)
+{
+    const std::string path = save("name_len.enod");
+    const std::uint64_t left =
+        std::filesystem::file_size(path) - (kNameLenAt + 4);
+    patch(path, kNameLenAt, static_cast<std::uint32_t>(left + 1));
+    EXPECT_EXIT(loadParameters(path, model_->paramSlots()),
+                ::testing::ExitedWithCode(1),
+                "name_len\\.enod.*name length");
+}
+
+TEST_F(CorruptCheckpoint, RankAboveMaxRankExits)
+{
+    const std::string path = save("rank.enod");
+    patch(path, kNameLenAt + 4 + nameLen_, std::uint32_t{5});
+    EXPECT_EXIT(loadParameters(path, model_->paramSlots()),
+                ::testing::ExitedWithCode(1), "rank\\.enod.*rank 5");
+}
+
+TEST_F(CorruptCheckpoint, ZeroExtentExits)
+{
+    const std::string path = save("extent.enod");
+    patch(path, kNameLenAt + 8 + nameLen_, std::uint64_t{0});
+    EXPECT_EXIT(loadParameters(path, model_->paramSlots()),
+                ::testing::ExitedWithCode(1),
+                "extent\\.enod.*extent 0 is 0");
 }
 
 /** Smooth fast/slow decay, for controller comparisons. */

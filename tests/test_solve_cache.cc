@@ -786,7 +786,6 @@ TEST(CachedServingChaos, WatchdogFailedBatchDoesNotPoisonTheCache)
         cachedServerOptions(1, 16, /*paused=*/true, /*exact_cap=*/64,
                             /*warm_cap=*/64);
     opts.maxBatch = 4;
-    opts.batchWaitUs = 2000.0;
     opts.degrade.watchdogMs = 40.0;
     InferenceServer server(makeReferenceModel, opts);
 
