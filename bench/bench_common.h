@@ -25,10 +25,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "tensor/workspace.h"
 #include "core/aca_trainer.h"
 #include "core/node_model.h"
@@ -357,8 +359,8 @@ struct KernelBenchEntry
      * SIMD-backend sweep: this backend's throughput over the forced
      * scalar backend on the same kernel (scalar entries report 1.0).
      * bench/check_bench.py fails if any vector-backend entry drops
-     * below 1.0, and requires >= 1.5 on the conv-forward and WRMS
-     * kernels.
+     * below 1.0, and requires >= 1.5 on the conv-forward, WRMS and
+     * panel-matvec kernels.
      */
     double speedupVsScalar = 0.0;
 };
@@ -436,8 +438,12 @@ allocMissesPerOp(F &&fn, int iters = 8)
 
 /**
  * Merge `entries` into the JSON report at `path` (by name) and rewrite
- * it. The file is our own single-entry-per-line format; unknown lines
- * from other tools are not preserved.
+ * it, stamped with what the numbers were measured on: the build type
+ * and compiler (ENODE_BUILD_TYPE and ENODE_COMPILER, defined for every
+ * bench target in bench/CMakeLists.txt), the active SIMD backend and
+ * the core count. The file is our own single-entry-per-line format;
+ * unknown lines from other tools are not preserved, and the stamp is
+ * rewritten on every merge.
  */
 inline void
 writeKernelReport(const std::vector<KernelBenchEntry> &entries,
@@ -488,7 +494,11 @@ writeKernelReport(const std::vector<KernelBenchEntry> &entries,
     }
 
     std::ofstream out(path, std::ios::trunc);
-    out << "{\n  \"entries\": [\n";
+    out << "{\n  \"stamp\": {\"build_type\": \"" << ENODE_BUILD_TYPE
+        << "\", \"simd_backend\": \"" << simdBackendName(activeSimdBackend())
+        << "\", \"hardware_concurrency\": "
+        << std::thread::hardware_concurrency() << ", \"compiler\": \""
+        << ENODE_COMPILER << "\"},\n  \"entries\": [\n";
     for (std::size_t i = 0; i < rows.size(); i++)
         out << rows[i].second << (i + 1 < rows.size() ? ",\n" : "\n");
     out << "  ]\n}\n";

@@ -10,8 +10,9 @@
  * per-sample cost of one batched MLP f evaluation at batch 1 and 4
  * (what coalescing requests buys) and a per-SIMD-backend sweep of the
  * stepper's element kernels (WRMS norm, axpy, FP16 quantization) and
- * the MLP f's kernels (tanh, Linear matvec), each with its speedup vs
- * the forced scalar backend.
+ * the MLP f's kernels (tanh, Linear matvec from row-major weights and
+ * from column panels), each with its speedup vs the forced scalar
+ * backend.
  */
 
 #include <cstdio>
@@ -270,22 +271,30 @@ emitBatchedFevalReport()
  * Per-SIMD-backend sweep of the stepper's element kernels — the WRMS
  * error norm (Tensor::l2Norm), the stage-combination axpy, and the FP16
  * datapath quantization, each on a 4096-element state — and of the MLP
- * f's kernels at the hidden width of the perfbench models: tanh over
- * 64 activations and one 64x64 Linear matvec with bias. Every compiled
- * and supported backend is forced in turn; speedup is against the
- * forced scalar backend (always first in availableSimdBackends()).
+ * f's kernels at the shapes of the perfbench models: tanh over 64
+ * activations, and the 64x17 input and 64x64 hidden Linear matvecs with
+ * bias, each from row-major weights (matvec, what forward() runs) and
+ * from column panels (matvecPanels, what forwardBatched() runs). Every
+ * compiled and supported backend is forced in turn; speedup is against
+ * the forced scalar backend (always first in availableSimdBackends()).
  */
 void
 emitBackendSweep()
 {
     constexpr std::size_t kN = 4096;
     constexpr std::size_t kHidden = 64;
+    constexpr std::size_t kIn = 17; // state dim 16 plus the time feature
     Rng rng(7);
     Tensor y = Tensor::randn(Shape{kN}, rng, 1.0f);
     Tensor x = Tensor::randn(Shape{kN}, rng, 1.0f);
     Tensor q = Tensor::randn(Shape{kN}, rng, 1.0f);
     Tensor act = Tensor::randn(Shape{kHidden}, rng, 1.0f);
     Tensor w = Tensor::randn(Shape{kHidden, kHidden}, rng, 0.125f);
+    Tensor wIn = Tensor::randn(Shape{kHidden, kIn}, rng, 0.25f);
+    std::vector<float> panels(matvecPanelsSize(kHidden, kHidden));
+    packMatvecPanels(panels.data(), w.data(), kHidden, kHidden);
+    std::vector<float> panelsIn(matvecPanelsSize(kHidden, kIn));
+    packMatvecPanels(panelsIn.data(), wIn.data(), kHidden, kIn);
     Tensor bias = Tensor::randn(Shape{kHidden}, rng, 0.1f);
     Tensor out(Shape{kHidden});
     double sink = 0.0;
@@ -323,6 +332,27 @@ emitBackendSweep()
          [&] {
              simdOps().matvec(out.data(), w.data(), bias.data(), act.data(),
                               kHidden, kHidden);
+             benchmark::DoNotOptimize(out.data());
+             benchmark::ClobberMemory();
+         }},
+        {"linear_matvec", "64x17", 2.0 * kHidden * kIn,
+         [&] {
+             simdOps().matvec(out.data(), wIn.data(), bias.data(),
+                              act.data(), kHidden, kIn);
+             benchmark::DoNotOptimize(out.data());
+             benchmark::ClobberMemory();
+         }},
+        {"linear_matvec_panels", "64x64", 2.0 * kHidden * kHidden,
+         [&] {
+             simdOps().matvecPanels(out.data(), panels.data(), bias.data(),
+                                    act.data(), kHidden, kHidden);
+             benchmark::DoNotOptimize(out.data());
+             benchmark::ClobberMemory();
+         }},
+        {"linear_matvec_panels", "64x17", 2.0 * kHidden * kIn,
+         [&] {
+             simdOps().matvecPanels(out.data(), panelsIn.data(), bias.data(),
+                                    act.data(), kHidden, kIn);
              benchmark::DoNotOptimize(out.data());
              benchmark::ClobberMemory();
          }},

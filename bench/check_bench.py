@@ -13,14 +13,16 @@ The gates:
 
 * every vector-backend entry of the SIMD sweeps runs at >= 1.0x the
   forced scalar backend on the same kernel;
-* the headline kernels conv_forward_avx2_8c8m32x32k3 and
-  wrms_norm_avx2_4096 run at >= 1.5x;
+* the headline kernels conv_forward_avx2_8c8m32x32k3,
+  wrms_norm_avx2_4096 and linear_matvec_panels_avx2_64x64 (the batched
+  MLP f's hidden layer) run at >= 1.5x;
 * one batched MLP f evaluation over 4 states costs per sample at most
   1 / 0.85 of a batch of one (coalescing requests must not cost
   compute).
 
-A missing headline entry fails. Exits 0 when every gate holds, 1
-otherwise.
+A missing headline entry fails. The report's "stamp" (build type,
+SIMD backend, core count, compiler) is for the reader; no gate reads
+it. Exits 0 when every gate holds, 1 otherwise.
 """
 
 import json
@@ -29,6 +31,7 @@ import sys
 HEADLINE_SPEEDUPS = {
     "conv_forward_avx2_8c8m32x32k3": 1.5,
     "wrms_norm_avx2_4096": 1.5,
+    "linear_matvec_panels_avx2_64x64": 1.5,
 }
 BATCH1 = "mlp_feval_batch1_16x64x2"
 BATCH4 = "mlp_feval_batch4_16x64x2"
@@ -73,7 +76,7 @@ def check(report):
 
 
 def selftest():
-    """Check the gates against three synthetic reports."""
+    """Check the gates against three synthetic, stamped reports."""
     def entry(name, ns, speedup=0.0):
         return {"name": name, "ns_per_op": ns, "ns_min": ns, "ns_max": ns,
                 "speedup_vs_scalar": speedup}
@@ -87,6 +90,10 @@ def selftest():
             "wrms_norm_scalar_4096": entry(
                 "wrms_norm_scalar_4096", 2000.0, 1.0),
             "wrms_norm_avx2_4096": entry("wrms_norm_avx2_4096", 500.0, 4.0),
+            "linear_matvec_panels_scalar_64x64": entry(
+                "linear_matvec_panels_scalar_64x64", 2000.0, 1.0),
+            "linear_matvec_panels_avx2_64x64": entry(
+                "linear_matvec_panels_avx2_64x64", 300.0, 6.5),
             "axpy_avx2_4096": entry("axpy_avx2_4096", 900.0, 1.1),
             BATCH1: entry(BATCH1, 1000.0),
             BATCH4: entry(BATCH4, 800.0),
@@ -96,7 +103,10 @@ def selftest():
                 del entries[name]
             else:
                 entries[name] = e
-        return {"entries": list(entries.values())}
+        return {"stamp": {"build_type": "Release", "simd_backend": "avx2",
+                          "hardware_concurrency": 4,
+                          "compiler": "GNU 12.2.0"},
+                "entries": list(entries.values())}
 
     cases = [
         ("passing", report(), []),
@@ -107,9 +117,15 @@ def selftest():
           "batched MLP f: 1200.0 ns per sample at batch 4 > "
           "1000.0 / 0.85 at batch 1"]),
         ("missing headline",
-         report(wrms_norm_avx2_4096=None, **{BATCH4: None}),
+         report(wrms_norm_avx2_4096=None,
+                linear_matvec_panels_avx2_64x64=None, **{BATCH4: None}),
          ["missing headline entry wrms_norm_avx2_4096",
+          "missing headline entry linear_matvec_panels_avx2_64x64",
           f"missing headline entry {BATCH4}"]),
+        ("slow panels",
+         report(linear_matvec_panels_avx2_64x64=entry(
+             "linear_matvec_panels_avx2_64x64", 1600.0, 1.25)),
+         ["linear_matvec_panels_avx2_64x64: 1.25x < 1.5x"]),
     ]
     ok = True
     for label, rep, expected in cases:

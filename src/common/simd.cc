@@ -202,6 +202,22 @@ std::atomic<const SimdOps *> g_activeOps{nullptr};
 
 } // namespace
 
+std::size_t
+matvecPanelsSize(std::size_t rows, std::size_t n)
+{
+    return (rows + 15) / 16 * 16 * n;
+}
+
+void
+packMatvecPanels(float *panels, const float *w, std::size_t rows,
+                 std::size_t n)
+{
+    for (std::size_t r0 = 0; r0 < rows; r0 += 16)
+        for (std::size_t i = 0; i < n; i++)
+            for (std::size_t k = 0; k < 16; k++)
+                *panels++ = r0 + k < rows ? w[(r0 + k) * n + i] : 0.0f;
+}
+
 const char *
 simdBackendName(SimdBackend backend)
 {

@@ -133,6 +133,17 @@ struct SimdOps
      */
     void (*matvec)(float *out, const float *w, const float *bias,
                    const float *x, std::size_t rows, std::size_t n);
+    /**
+     * matvec from W packed as 16-row column panels (packMatvecPanels):
+     * the same outputs, bit for bit, as matvec on the row-major W and
+     * so as the per-row dot plus bias. A row's tail, 16 lanes and
+     * `tail + l0 + ... + l15` reduce run vertically, one row per vector
+     * lane, with no transpose. Padded rows are computed but never
+     * stored: out[r] is written for r < rows only. `out` must not
+     * alias panels, bias or x.
+     */
+    void (*matvecPanels)(float *out, const float *panels, const float *bias,
+                         const float *x, std::size_t rows, std::size_t n);
 
     /**
      * Sum of squares in double precision under a fixed 8-double-lane
@@ -158,6 +169,19 @@ struct SimdOps
     /** dst[i] = float value of half bits src[i] (exact widening). */
     void (*unpackFp16)(float *dst, const std::uint16_t *src, std::size_t n);
 };
+
+/** Floats in the column-panel copy of a rows x n matrix (rows padded
+ *  up to a multiple of 16). */
+std::size_t matvecPanelsSize(std::size_t rows, std::size_t n);
+
+/**
+ * Pack row-major W (rows x n) into the layout SimdOps::matvecPanels
+ * reads: panel p holds W[16p .. 16p + 15][i] contiguously for every
+ * column i in order, zero past the last row. `panels` holds
+ * matvecPanelsSize(rows, n) floats and is written front to back.
+ */
+void packMatvecPanels(float *panels, const float *w, std::size_t rows,
+                      std::size_t n);
 
 /** Lowercase backend name: "scalar", "neon", "avx2", "avx512". */
 const char *simdBackendName(SimdBackend backend);

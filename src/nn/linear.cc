@@ -1,6 +1,7 @@
 #include "nn/linear.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -44,22 +45,37 @@ Linear::forwardBatched(const Tensor &xs, Tensor &out)
     ENODE_ASSERT(xs.shape().rank() == 2 && xs.shape().dim(1) == inFeatures_,
                  "batched Linear expects (n, ", inFeatures_, "), got ",
                  xs.shape().str());
+    if (panels_.empty())
+        refreshBatched();
     const std::size_t n = xs.shape().dim(0);
     out.resize(Shape{n, outFeatures_});
     const float *xd = xs.data();
     float *od = out.data();
 
-    // Per-sample matvec, the exact solo kernel, so a batched solve
-    // reproduces the solo outputs bitwise at every batch size (the
-    // batched-vs-solo contract the runtime tests pin). SIMD width comes
-    // from the feature dimension (the fixed-lane dot rows), not from
-    // sample parallelism, so every batch size takes the same path with
-    // no scalar-remainder cliff at small batches.
+    // Per-sample matvec from the panel copy, which matches forward()'s
+    // row-major matvec bit for bit, so a batched solve reproduces the
+    // solo outputs at every batch size (the batched-vs-solo contract
+    // the runtime tests pin). SIMD width comes from the panel rows, not
+    // from sample parallelism, so every batch size takes the same path
+    // with no scalar-remainder cliff at small batches.
     const SimdOps &ops = simdOps();
     const float *bd = withBias_ ? bias_.data() : nullptr;
     for (std::size_t s = 0; s < n; s++)
-        ops.matvec(od + s * outFeatures_, weight_.data(), bd,
-                   xd + s * inFeatures_, outFeatures_, inFeatures_);
+        ops.matvecPanels(od + s * outFeatures_, panels_.data(), bd,
+                         xd + s * inFeatures_, outFeatures_, inFeatures_);
+}
+
+void
+Linear::refreshBatched()
+{
+    const std::size_t bytes = weight_.numel() * sizeof(float);
+    if (!panels_.empty() &&
+        std::memcmp(panelSource_.data(), weight_.data(), bytes) == 0)
+        return;
+    panelSource_.assign(weight_.data(), weight_.data() + weight_.numel());
+    panels_.resize(matvecPanelsSize(outFeatures_, inFeatures_));
+    packMatvecPanels(panels_.data(), weight_.data(), outFeatures_,
+                     inFeatures_);
 }
 
 Tensor

@@ -25,6 +25,7 @@ class Linear : public Layer
 
     Tensor forward(const Tensor &x) override;
     void forwardBatched(const Tensor &xs, Tensor &out) override;
+    void refreshBatched() override;
     Tensor backward(const Tensor &grad_out) override;
     std::vector<ParamSlot> paramSlots() override;
     std::string name() const override;
@@ -46,6 +47,15 @@ class Linear : public Layer
     Tensor biasGrad_;
 
     Tensor cachedInput_;
+
+    /**
+     * weight_ as 16-row column panels for matvecPanels, the batched
+     * path's kernel, and the row-major bytes they were packed from.
+     * Built on the first batched use, rebuilt by refreshBatched() when
+     * weight_ no longer equals panelSource_.
+     */
+    std::vector<float> panels_;
+    std::vector<float> panelSource_;
 };
 
 } // namespace enode

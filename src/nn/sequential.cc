@@ -41,16 +41,22 @@ Sequential::forwardBatched(const Tensor &xs, Tensor &out)
         out.copyFrom(xs);
         return;
     }
-    // Ping-pong between two pooled activations; the last layer writes
-    // straight into the caller's output buffer.
-    Tensor ping, pong;
-    Tensor *bufs[2] = {&ping, &pong};
+    // Each inner boundary keeps its own activation; the last layer
+    // writes straight into the caller's output buffer.
+    acts_.resize(layers_.size() - 1);
     const Tensor *cur = &xs;
     for (std::size_t i = 0; i < layers_.size(); i++) {
-        Tensor *dst = (i + 1 == layers_.size()) ? &out : bufs[i % 2];
+        Tensor *dst = (i + 1 == layers_.size()) ? &out : &acts_[i];
         layers_[i]->forwardBatched(*cur, *dst);
         cur = dst;
     }
+}
+
+void
+Sequential::refreshBatched()
+{
+    for (auto &l : layers_)
+        l->refreshBatched();
 }
 
 Tensor

@@ -34,6 +34,7 @@ class Sequential : public Layer
 
     Tensor forward(const Tensor &x) override;
     void forwardBatched(const Tensor &xs, Tensor &out) override;
+    void refreshBatched() override;
     Tensor backward(const Tensor &grad_out) override;
     std::vector<ParamSlot> paramSlots() override;
     std::string name() const override;
@@ -41,6 +42,13 @@ class Sequential : public Layer
 
   private:
     std::vector<LayerPtr> layers_;
+    /**
+     * forwardBatched's activations, one per inner layer boundary
+     * (acts_[i] is layer i's output), kept across calls: at a steady
+     * batch size a batched f evaluation takes no storage from the
+     * Workspace pool.
+     */
+    std::vector<Tensor> acts_;
 };
 
 /**

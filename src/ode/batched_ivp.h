@@ -8,8 +8,11 @@
  * The serving batcher (src/runtime/batcher.h) coalesces compatible
  * requests; this driver integrates them together so every RK trial
  * performs ONE shared f evaluation across the batch (the serving
- * analogue of the paper's function-reuse ring, Sec. V: weight traffic
- * and packing are amortized over all consumers of an evaluation).
+ * analogue of the paper's function-reuse ring, Sec. V, where f's
+ * weights are held once, in the layout the NN cores consume, and
+ * reused by every stage of every RK loop: Linear keeps a column-panel
+ * copy of its weights for its batched kernel, packed when the weights
+ * change, never per call).
  *
  * Error control stays strictly per sample, in the spirit of ANODE's
  * per-sample accuracy discipline: each sample owns its stepsize

@@ -6,11 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
+#include "common/simd.h"
 #include "core/aca_trainer.h"
 #include "core/memory_profile.h"
 #include "core/node_model.h"
 #include "nn/optimizer.h"
+#include "nn/serialize.h"
+#include "runtime/model_registry.h"
 #include "workloads/synthetic_images.h"
 
 namespace enode {
@@ -69,6 +78,110 @@ TEST(NodeModel, ParamSlotsAreNamedPerLayer)
     model->zeroGrad();
     for (auto &slot : slots)
         EXPECT_DOUBLE_EQ(slot.grad->l2Norm(), 0.0);
+}
+
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/** Per-sample outputs of one batched forward, each solve checked Ok. */
+std::vector<Tensor>
+batchedOutputs(NodeModel &model, const std::vector<Tensor> &xs,
+               const IvpOptions &opts)
+{
+    std::vector<FixedFactorController> ctrls(xs.size());
+    std::vector<StepController *> ptrs;
+    for (auto &c : ctrls)
+        ptrs.push_back(&c);
+    BatchedForwardResult res =
+        model.forwardBatched(xs, ButcherTableau::rk23(), ptrs, opts);
+    for (SolveStatus status : res.status)
+        EXPECT_EQ(status, SolveStatus::Ok);
+    return std::move(res.outputs);
+}
+
+TEST(NodeModel, BatchedForwardFollowsEveryParameterWrite)
+{
+    // Linear's batched path reads a column-panel copy of its weights,
+    // which NodeModel::forwardBatched refreshes by content; no writer
+    // invalidates anything. Each writer below must show up in the next
+    // batched forward, which must stay bitwise equal to the solo
+    // forward. perfbench's MLP shape: dim 16, hidden 64, f depth 2.
+    constexpr std::size_t kDim = 16;
+    const auto makeModel = [](std::uint64_t seed) {
+        Rng rng(seed);
+        return NodeModel::makeMlp(2, kDim, 64, 2, rng);
+    };
+    const std::string path = ::testing::TempDir() + "batched_fresh.ckpt";
+    IvpOptions opts;
+    opts.tolerance = 1e-4;
+    opts.initialDt = 0.05;
+    for (SimdBackend b : availableSimdBackends()) {
+        ScopedSimdBackend forced(b);
+        ASSERT_TRUE(forced.applied());
+        for (std::size_t n : {1, 3}) {
+            auto model = makeModel(41);
+            Rng rng(43);
+            std::vector<Tensor> xs;
+            for (std::size_t i = 0; i < n; i++)
+                xs.push_back(Tensor::randn(Shape{kDim}, rng, 0.5f));
+            const Tensor target = Tensor::randn(Shape{kDim}, rng, 0.5f);
+            ModelRegistry registry;
+            registry.seed(*model);
+
+            const std::pair<const char *, std::function<void()>> writers[] = {
+                {"ModelRegistry::applyTo",
+                 [&] {
+                     registry.publish(*makeModel(101));
+                     ModelRegistry::applyTo(*registry.latest(), *model);
+                 }},
+                {"syncParametersFrom",
+                 [&] { model->syncParametersFrom(*makeModel(202)); }},
+                {"Sgd::step",
+                 [&] {
+                     model->zeroGrad();
+                     FixedFactorController ctrl;
+                     regressionTrainStep(*model, xs[0], target,
+                                         ButcherTableau::rk23(), ctrl,
+                                         opts);
+                     Sgd(model->paramSlots(), 0.1).step();
+                 }},
+                {"loadParameters",
+                 [&] {
+                     saveParameters(path, makeModel(303)->paramSlots());
+                     loadParameters(path, model->paramSlots());
+                 }},
+                {"direct write",
+                 [&] { model->paramSlots()[0].param->at(5) += 0.25f; }},
+            };
+
+            std::vector<Tensor> before = batchedOutputs(*model, xs, opts);
+            for (const auto &[name, write] : writers) {
+                write();
+                const std::vector<Tensor> after =
+                    batchedOutputs(*model, xs, opts);
+                bool changed = false;
+                for (std::size_t i = 0; i < n; i++) {
+                    changed = changed || !sameBits(after[i], before[i]);
+                    FixedFactorController ctrl;
+                    const NodeForwardResult solo = model->forward(
+                        xs[i], ButcherTableau::rk23(), ctrl, opts);
+                    EXPECT_TRUE(sameBits(after[i], solo.output))
+                        << name << " on " << simdBackendName(b)
+                        << ": batched != solo, batch " << n << " sample "
+                        << i;
+                }
+                EXPECT_TRUE(changed)
+                    << name << " on " << simdBackendName(b) << ", batch "
+                    << n << ": batched output did not move";
+                before = after;
+            }
+        }
+    }
+    std::remove(path.c_str());
 }
 
 TEST(NodeClassifier, ProducesLogitsAndTrains)

@@ -7,7 +7,9 @@
  *  - elementwise kernels and the fixed-lane reductions (16-float dot,
  *    8-double sum of squares) are *bitwise identical* across backends,
  *    at every size including ragged tails;
- *  - every matvec row equals the per-row dot plus bias bitwise;
+ *  - every matvec row equals the per-row dot plus bias bitwise, and
+ *    every matvecPanels row equals matvec's, storing nothing past the
+ *    last row;
  *  - tanh is bitwise identical across backends, odd, maps NaN to NaN
  *    and +-inf to +-1, and stays within a pinned error of std::tanh;
  *  - the fixed-lane reductions sit within a documented reduction-order
@@ -484,6 +486,84 @@ TEST(SimdMatvec, RowsEqualPerRowDotPlusBiasOnEveryBackend)
                     EXPECT_TRUE(bitwiseEqual(got, expected))
                         << simdBackendName(b) << " rows=" << rows
                         << " n=" << n << " bias=" << (bd != nullptr);
+                }
+            }
+        }
+    }
+}
+
+/** Bitwise equal, except that any NaN equals any NaN. */
+bool
+sameBitsOrBothNan(const std::vector<float> &a, const std::vector<float> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); i++) {
+        if (std::isnan(a[i]) && std::isnan(b[i]))
+            continue;
+        if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0)
+            return false;
+    }
+    return true;
+}
+
+TEST(SimdMatvecPanels, RowsEqualRowMajorMatvecOnEveryBackend)
+{
+    // The matvec grid plus the 64- and 65-row shapes of a hidden layer.
+    // Finite x compares bitwise. The other two x hold +-inf, and then
+    // NaN as well: a padded panel row computes 0 * inf = NaN, and the
+    // slots past `rows` must keep their sentinel. NaN payloads may
+    // legally differ by operand order, so those x compare NaN-ness,
+    // and bits elsewhere.
+    const std::size_t widths[] = {1, 15, 16, 17, 33, 64, 65};
+    std::vector<std::size_t> row_counts;
+    for (std::size_t rows = 1; rows <= 33; rows++)
+        row_counts.push_back(rows);
+    row_counts.push_back(64);
+    row_counts.push_back(65);
+    const float inf = std::numeric_limits<float>::infinity();
+    const float sentinel = 12345.0f;
+    for (SimdBackend b : availableSimdBackends()) {
+        ScopedSimdBackend forced(b);
+        ASSERT_TRUE(forced.applied());
+        const SimdOps &ops = simdOps();
+        for (std::size_t n : widths) {
+            std::vector<float> infs = testData(n, 113);
+            infs[0] = inf;
+            infs[n / 2] = -inf;
+            std::vector<float> nans = infs;
+            nans[n - 1] = std::numeric_limits<float>::quiet_NaN();
+            const std::vector<float> xs[] = {testData(n, 103), infs, nans};
+            for (std::size_t rows : row_counts) {
+                const std::vector<float> w = testData(rows * n, 107 + rows);
+                const std::vector<float> bias = testData(rows, 109);
+                std::vector<float> panels(matvecPanelsSize(rows, n), -1.0f);
+                packMatvecPanels(panels.data(), w.data(), rows, n);
+                for (std::size_t k = 0; k < std::size(xs); k++) {
+                    const std::vector<float> &x = xs[k];
+                    for (const float *bd :
+                         {bias.data(), static_cast<const float *>(nullptr)}) {
+                        std::vector<float> expected(rows);
+                        ops.matvec(expected.data(), w.data(), bd, x.data(),
+                                   rows, n);
+                        std::vector<float> got(rows + 16, sentinel);
+                        ops.matvecPanels(got.data(), panels.data(), bd,
+                                         x.data(), rows, n);
+                        const std::vector<float> tail(got.begin() + rows,
+                                                      got.end());
+                        got.resize(rows);
+                        const bool same =
+                            k == 0 ? bitwiseEqual(got, expected)
+                                   : sameBitsOrBothNan(got, expected);
+                        EXPECT_TRUE(same)
+                            << simdBackendName(b) << " rows=" << rows
+                            << " n=" << n << " bias=" << (bd != nullptr)
+                            << " x=" << k;
+                        EXPECT_TRUE(bitwiseEqual(
+                            tail, std::vector<float>(16, sentinel)))
+                            << simdBackendName(b) << " stored past rows="
+                            << rows << " n=" << n;
+                    }
                 }
             }
         }

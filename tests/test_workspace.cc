@@ -369,6 +369,32 @@ TEST(Workspace, WarmBatchedSolveHeapCallsIndependentOfTrialCount)
         << tight.heapCalls << " calls";
 }
 
+TEST(Workspace, WarmBatchedFevalTouchesNoPool)
+{
+    // One batched f evaluation on perfbench's MLP (dim 16, hidden 64,
+    // f depth 2) keeps its activations in the Sequential and its
+    // weights in Linear's panel copy, so at a steady batch size it
+    // neither takes nor returns Workspace storage. The conv f is not
+    // covered: its GroupNorm still runs per sample.
+    Rng rng(19);
+    auto net = EmbeddedNet::makeMlp(16, 64, 2, rng);
+    for (const std::size_t n : {1, 4}) {
+        const Tensor hs = Tensor::randn(Shape{n, 16}, rng, 0.5f);
+        const std::vector<double> ts(n, 0.5);
+        Tensor out;
+        net->evalBatched(ts, hs, out);
+        net->evalBatched(ts, hs, out);
+        const Workspace::Stats before = Workspace::local().stats();
+        for (int i = 0; i < 100; i++)
+            net->evalBatched(ts, hs, out);
+        const Workspace::Stats after = Workspace::local().stats();
+        EXPECT_EQ(after.hits, before.hits) << "batch " << n;
+        EXPECT_EQ(after.misses, before.misses) << "batch " << n;
+        EXPECT_EQ(after.releases, before.releases) << "batch " << n;
+        EXPECT_EQ(after.dropped, before.dropped) << "batch " << n;
+    }
+}
+
 TEST(Workspace, DisarmedTraceProbesAllocateNothing)
 {
     // The observability contract, measured directly: a disarmed span
