@@ -238,53 +238,6 @@ class ScopedSimdBackend
     bool applied_;
 };
 
-namespace simd {
-
-/** Convenience wrappers over the active table. */
-inline void
-axpy(float *y, float a, const float *x, std::size_t n)
-{
-    simdOps().axpy(y, a, x, n);
-}
-
-inline void
-scale(float *y, float s, std::size_t n)
-{
-    simdOps().scale(y, s, n);
-}
-
-inline void
-addInPlace(float *y, const float *x, std::size_t n)
-{
-    simdOps().addInPlace(y, x, n);
-}
-
-inline void
-subInPlace(float *y, const float *x, std::size_t n)
-{
-    simdOps().subInPlace(y, x, n);
-}
-
-inline void
-copy(float *dst, const float *src, std::size_t n)
-{
-    simdOps().copy(dst, src, n);
-}
-
-inline double
-sumSquares(const float *x, std::size_t n)
-{
-    return simdOps().sumSquares(x, n);
-}
-
-inline bool
-allFinite(const float *x, std::size_t n)
-{
-    return simdOps().allFinite(x, n);
-}
-
-} // namespace simd
-
 } // namespace enode
 
 #endif // ENODE_COMMON_SIMD_H

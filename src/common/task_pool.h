@@ -102,9 +102,6 @@ class TaskPool
      */
     void runOnWorkers(const std::function<void()> &fn);
 
-    /** Extra worker threads this pool owns (0 = always inline). */
-    std::size_t workerCount() const { return workerTarget_; }
-
     /** Widest split parallelFor can produce (workers + caller). */
     std::size_t width() const { return workerTarget_ + 1; }
 

@@ -40,7 +40,6 @@ class OdeFunction
 
     /** Total evaluations performed (complexity metering, Fig. 3). */
     std::uint64_t evalCount() const { return evalCount_; }
-    void resetEvalCount() { evalCount_ = 0; }
 
   protected:
     /** Subclasses call this once per eval. */

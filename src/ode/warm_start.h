@@ -49,15 +49,6 @@ struct DtSchedule
     /** layers[l][k] = dt accepted at evaluation point k of layer l. */
     std::vector<std::vector<double>> layers;
 
-    /** Total accepted points across layers. */
-    std::size_t totalPoints() const
-    {
-        std::size_t n = 0;
-        for (const auto &layer : layers)
-            n += layer.size();
-        return n;
-    }
-
     bool empty() const { return layers.empty(); }
 
     /** Drop contents, keep segment capacity (allocation-free reuse). */
@@ -87,9 +78,6 @@ class WarmStartController : public StepController
      * a cold solve (record-only). Also clears the recording.
      */
     void beginSolve(const DtSchedule *replay);
-
-    /** Abandon replay for the rest of the solve (ladder rungs). */
-    void disableReplay() { replayActive_ = false; }
 
     /**
      * Copy the accepted schedule recorded since beginSolve into `out`

@@ -37,39 +37,13 @@ Batcher::compatible(const QueueEntry &a, const QueueEntry &b)
     // One batched solve stacks the states into a single tensor, so the
     // shapes must match exactly. Stream and deadline stay per-request:
     // the queue already ordered dispatch, and the solver tracks each
-    // sample's deadline through its own guard.
-    //
-    // The model version must match too: a queue can hold admissions
-    // from both sides of a weight hot swap, and one batched solve runs
-    // on exactly one replica version — mixing them would silently
-    // serve the older requests with the newer weights (or vice versa)
-    // and break the cache-key/version correspondence.
+    // sample's deadline through its own guard. The admission version
+    // need not match: the worker swaps weights only between dispatches,
+    // so the whole batch runs on the version current at dispatch, and
+    // the cache's clean gate checks each request's own stamp.
     // Training tasks never coalesce with anything.
     return a.request.train == nullptr && b.request.train == nullptr &&
-           a.request.modelVersion == b.request.modelVersion &&
            a.request.input.shape() == b.request.input.shape();
-}
-
-bool
-Batcher::takeStash(QueueEntry &out, const QueueEntry *task)
-{
-    std::lock_guard<std::mutex> lock(stashMutex_);
-    if (stash_.empty() ||
-        (task != nullptr && !queue_.preempts(stash_.front(), *task)))
-        return false;
-    out = std::move(stash_.front());
-    stash_.pop_front();
-    return true;
-}
-
-void
-Batcher::putStash(QueueEntry entry)
-{
-    // A FIFO, not a single slot: workers collect concurrently, and two
-    // collectors may each stash the incompatible entry that ended their
-    // batch before either seeds its next one.
-    std::lock_guard<std::mutex> lock(stashMutex_);
-    stash_.push_back(std::move(entry));
 }
 
 void
@@ -80,18 +54,19 @@ Batcher::fill(CollectedBatch &out, QueueEntry seed, const QueueEntry *task)
     // A training task ships solo: it cannot share a batched solve.
     if (out.entries.front().request.train != nullptr)
         return;
+    // Only a head that can join the batch leaves the queue. One that
+    // cannot ends the batch where it stands, and the queue's order
+    // decides what dispatches next.
+    const auto joins = [&](const QueueEntry &head) {
+        return compatible(out.entries.front(), head) &&
+               (task == nullptr || queue_.preempts(head, *task));
+    };
     while (out.entries.size() < maxBatch_) {
         QueueEntry next;
-        if (!queue_.tryPop(next, task))
-            break; // nothing queued: solve what we have, never wait
+        if (!queue_.tryPop(next, joins))
+            break; // nothing that joins is queued: solve, never wait
         if (divert(next, out))
             continue; // expired or answered from cache; keep the slot open
-        if (!compatible(out.entries.front(), next)) {
-            // The incompatible request seeds the next batch rather
-            // than being solved out of order or dropped.
-            putStash(std::move(next));
-            break;
-        }
         out.entries.push_back(std::move(next));
     }
 }
@@ -103,32 +78,23 @@ Batcher::collect(CollectedBatch &out)
     out.expired.clear();
     out.cacheHits.clear();
 
-    // Seed: the stashed incompatible request from a previous batch
-    // goes first (it was dispatched by the queue before anything still
-    // queued), otherwise block for the next queued request. Requests
-    // already past their deadline are diverted to `expired` and the
-    // hunt continues — but never past queue closure, and never by
-    // blocking while casualties are in hand.
+    // Seed: block for the queue's head. Requests already past their
+    // deadline are diverted to `expired` and the hunt continues — but
+    // never past queue closure, and never by blocking while casualties
+    // are in hand.
     QueueEntry seed;
     for (;;) {
-        if (!takeStash(seed)) {
-            if (!out.expired.empty() || !out.cacheHits.empty()) {
-                // Diverted entries are waiting on their terminal
-                // responses. If the queue has nothing ready right now,
-                // ship them instead of parking in a blocking pop — a
-                // backlog of lapsed deadlines on a quiet queue would
-                // otherwise hang unanswered until the next arrival or
-                // shutdown. The next collect() resumes the blocking
-                // hunt.
-                if (!queue_.tryPop(seed))
-                    return true;
-            } else if (!queue_.pop(seed)) {
-                // Queue closed and drained — but another worker may
-                // have stashed an entry while this one blocked in pop.
-                // A final stash check keeps shutdown from stranding it.
-                if (!takeStash(seed))
-                    return false;
-            }
+        if (!out.expired.empty() || !out.cacheHits.empty()) {
+            // Diverted entries are waiting on their terminal responses.
+            // If the queue has nothing ready right now, ship them
+            // instead of parking in a blocking pop — a backlog of lapsed
+            // deadlines on a quiet queue would otherwise hang unanswered
+            // until the next arrival or shutdown. The next collect()
+            // resumes the blocking hunt.
+            if (!queue_.tryPop(seed))
+                return true;
+        } else if (!queue_.pop(seed)) {
+            return false; // closed and drained
         }
         if (!divert(seed, out))
             break;
@@ -144,10 +110,12 @@ Batcher::collectAhead(const QueueEntry &task, CollectedBatch &out)
     out.expired.clear();
     out.cacheHits.clear();
 
-    // Stash first, as in collect(): the queue dispatched it earlier.
+    const auto preempts = [&](const QueueEntry &head) {
+        return queue_.preempts(head, task);
+    };
     QueueEntry seed;
     for (;;) {
-        if (!takeStash(seed, &task) && !queue_.tryPop(seed, &task))
+        if (!queue_.tryPop(seed, preempts))
             return !out.expired.empty() || !out.cacheHits.empty();
         if (!divert(seed, out))
             break;

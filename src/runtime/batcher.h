@@ -11,17 +11,18 @@
  * single entry. The batcher blocks only for a seed request; it then
  * adds the compatible requests already queued, through non-blocking
  * pops, until the batch is full, the queue is empty, or an
- * incompatible request heads it (which is stashed to seed the next
- * batch, never reordered behind later arrivals of its own class). It
- * never waits for company: a backlog coalesces fully, and a lone
- * request solves at once — the paper's work-conserving selector
- * (Sec. V), which dispatches whatever is ready.
+ * incompatible request heads it. That request stays queued, and the
+ * queue's own order decides what dispatches next. It never waits for
+ * company: a backlog coalesces fully, and a lone request solves at
+ * once — the paper's work-conserving selector (Sec. V), which
+ * dispatches whatever is ready.
  *
  * Compatibility means the requests can share one batched solve:
- * identical input shape and model version; training tasks never
- * coalesce. Solver options are server-wide, so these are the only
- * per-request axes; the predicate is centralized in compatible()
- * should that change.
+ * identical input shape; training tasks never coalesce. Solver options
+ * are server-wide, and a worker swaps its replica's weights only
+ * between dispatches, so every request of a batch runs on the weights
+ * current at dispatch whatever version it was admitted against. The
+ * predicate is centralized in compatible() should that change.
  *
  * Deadline hygiene: the batcher fails requests whose deadline lapsed
  * while queued, at every pop, so an expired request is never solved;
@@ -33,8 +34,6 @@
  * their terminal responses until the next arrival (or shutdown).
  */
 
-#include <deque>
-#include <mutex>
 #include <vector>
 
 #include "runtime/request_queue.h"
@@ -69,15 +68,10 @@ struct CollectedBatch
  * Thread-safe batch collector over a RequestQueue.
  *
  * Multiple workers call collect() concurrently; each gets its own
- * batch. The only shared state is a FIFO stash holding the incompatible
- * requests that ended batches, protected by an internal mutex. Each
- * collect stashes at most one entry, so the stash holds at most one
- * entry per concurrently-collecting worker — but two collectors can
- * each stash one before either seeds its next batch, which is why the
- * stash is a queue and not a single slot. Stashed entries seed
- * subsequent batches in stash order, ahead of anything still queued.
- * With maxBatch 1 the collector degenerates to a plain pop with the
- * deadline and cache screens applied.
+ * batch. The batcher holds no mutable state: every entry it has not
+ * handed out is still in the queue. With maxBatch 1 the collector
+ * degenerates to a plain pop with the deadline and cache screens
+ * applied.
  *
  * collectAhead() is the variant a running training task yields
  * through: it takes only inference requests that preempt the task
@@ -98,17 +92,17 @@ class Batcher
 
     /**
      * Block for a seed, then add what is queued behind it.
-     * @return false when the queue is closed and drained and the stash
-     *         is empty — the worker should exit. When true, entries,
-     *         expired and/or cacheHits hold at least one request.
+     * @return false when the queue is closed and drained — the worker
+     *         should exit. When true, entries, expired and/or
+     *         cacheHits hold at least one request.
      */
     bool collect(CollectedBatch &out);
 
     /**
      * Never blocks: the next batch of the inference requests that
      * preempt `task`, the entry a training task running on the calling
-     * worker was popped as, taken from the stash or the queue as they
-     * stand, with the deadline, cache and stash handling of collect().
+     * worker was popped as, taken from the queue as it stands, with the
+     * deadline and cache screens of collect().
      * @return false when nothing waiting preempts `task`.
      */
     bool collectAhead(const QueueEntry &task, CollectedBatch &out);
@@ -117,11 +111,6 @@ class Batcher
     /** True when a and b may share one batched solve. */
     static bool compatible(const QueueEntry &a, const QueueEntry &b);
 
-    /** Move the oldest stashed entry into `out` if one is waiting and,
-     *  when `task` is given, it preempts that training task. */
-    bool takeStash(QueueEntry &out, const QueueEntry *task = nullptr);
-    void putStash(QueueEntry entry);
-
     /** The pop screens: divert `entry` to out.expired when its deadline
      *  lapsed, or to out.cacheHits when its exact-cache value is ready
      *  (the value is taken now). False leaves it untouched. */
@@ -129,15 +118,12 @@ class Batcher
 
     /** Start a batch at `seed` and grow it to maxBatch with the entries
      *  queued right now (only those preempting `task`, when given); an
-     *  incompatible one is stashed and ends the batch. */
+     *  incompatible head ends the batch and stays queued. */
     void fill(CollectedBatch &out, QueueEntry seed, const QueueEntry *task);
 
     RequestQueue &queue_;
     const std::size_t maxBatch_;
     SolveCache *const cache_;
-
-    std::mutex stashMutex_;
-    std::deque<QueueEntry> stash_;
 };
 
 } // namespace enode

@@ -220,8 +220,8 @@ InferenceServer::submit(Tensor input, std::uint32_t stream,
     entry.request.input = std::move(input);
     // Admission-version stamp: the registry version this request is
     // keyed against. Workers may serve it on a newer replica after a
-    // hot swap, but its cache identity — and the batcher's refusal to
-    // coalesce across versions — follows this stamp.
+    // hot swap, but its cache identity follows this stamp: a solve on
+    // any other version never publishes into the cache.
     entry.request.modelVersion = registry_.latestVersion();
     entry.enqueueTime = RuntimeClock::now();
 
@@ -840,7 +840,7 @@ InferenceServer::workerMain(std::size_t worker_id)
     for (;;) {
         waitWhilePaused();
         if (!batcher_->collect(batch))
-            break; // closed and drained (stash included)
+            break; // closed and drained
         // Busy for the whole dispatch, a training task's yields
         // included, so the worker is counted once.
         activeWorkers_.fetch_add(1, std::memory_order_relaxed);

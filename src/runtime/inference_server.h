@@ -145,12 +145,14 @@ struct ServerOptions
 
     /**
      * Cross-request micro-batching, the only batching setting: the
-     * maximum number of compatible requests (identical input shape and
-     * model version) one worker coalesces into a single batched solve
-     * (solveIvpBatched — one shared f evaluation per RK trial, error
-     * control per sample). The batcher is work-conserving: a worker
-     * takes what is queued when it seeds a batch, up to this bound,
-     * and never waits for more, so batches grow only under backlog.
+     * maximum number of compatible requests (identical input shape;
+     * training tasks ship alone) one worker coalesces into a single
+     * batched solve (solveIvpBatched — one shared f evaluation per RK
+     * trial, error control per sample). The batcher is work-conserving:
+     * a worker takes what is queued when it seeds a batch, up to this
+     * bound, and never waits for more, so batches grow only under
+     * backlog. A weight publication does not split a batch: the whole
+     * batch runs on the weights current at dispatch.
      * 1 = no coalescing: every dispatch carries one request. A batch
      * of any size solves each request bitwise identically to
      * NodeModel::forward.

@@ -65,11 +65,11 @@ struct InferRequest
     /**
      * Model-registry version the request was admitted against. Workers
      * swap their replica to the latest published version at dispatch
-     * boundaries; this stamp is what makes hot swaps safe for the
-     * coalescing and caching layers — the batcher refuses to mix
-     * versions in one batched solve, and a solve may only publish into
-     * the cache when the replica that produced it still matches the
-     * version its cache key was derived from.
+     * boundaries, so a batch may mix stamps and still run on one
+     * version; this stamp is what makes hot swaps safe for the cache —
+     * a solve may only publish into the cache when the replica that
+     * produced it still matches the version its cache key was derived
+     * from.
      */
     std::uint64_t modelVersion = 0;
 

@@ -90,16 +90,6 @@ RequestQueue::pop(QueueEntry &out)
     return true;
 }
 
-bool
-RequestQueue::tryPop(QueueEntry &out, const QueueEntry *task)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (heap_.empty() || (task != nullptr && !preempts(heap_.front(), *task)))
-        return false;
-    popHead(out);
-    return true;
-}
-
 std::vector<QueueEntry>
 RequestQueue::close(bool drain)
 {
@@ -128,13 +118,6 @@ RequestQueue::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return heap_.size();
-}
-
-bool
-RequestQueue::closed() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
 }
 
 std::uint64_t

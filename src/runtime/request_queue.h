@@ -9,8 +9,11 @@
  * rejects immediately and the caller reports backpressure to the
  * client — the producer is never parked indefinitely, matching the
  * hardware selector's reject-on-full state buffers. Consumers either
- * block in pop until work arrives or the queue is closed, or take
- * what is queued right now with tryPop; no pop waits on a timer.
+ * block in pop until work arrives or the queue is closed, or take the
+ * head right now with tryPop, and only when the caller's predicate
+ * accepts it; no pop waits on a timer. A head a consumer cannot use
+ * stays queued, so the order below alone decides what dispatches
+ * next: no consumer holds an entry back outside the queue.
  *
  * Ordering reuses the sim's SelectPolicy so software serving and the
  * hardware model agree on what priority means:
@@ -29,6 +32,7 @@
 #include <cstdint>
 #include <future>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "runtime/request.h"
@@ -70,12 +74,25 @@ class RequestQueue
     bool pop(QueueEntry &out);
 
     /**
-     * Never blocks: take the head if one is queued and, when `task` is
-     * given (a running training task's entry), only if it preempts
-     * that task (see preempts()); otherwise leave the queue untouched
-     * and return false, closed or not.
+     * Never blocks: take the head if one is queued and `accept(head)`
+     * holds; otherwise leave the queue untouched and return false,
+     * closed or not. `accept` runs under the queue mutex, so it must
+     * be cheap and must not allocate: a lambda, not a std::function.
      */
-    bool tryPop(QueueEntry &out, const QueueEntry *task = nullptr);
+    template <typename Accept>
+    bool tryPop(QueueEntry &out, Accept &&accept)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (heap_.empty() || !accept(std::as_const(heap_.front())))
+            return false;
+        popHead(out);
+        return true;
+    }
+    /** tryPop that accepts whatever heads the queue. */
+    bool tryPop(QueueEntry &out)
+    {
+        return tryPop(out, [](const QueueEntry &) { return true; });
+    }
 
     /**
      * True when `entry` is an inference request that dispatches ahead
@@ -107,7 +124,6 @@ class RequestQueue
     std::size_t size() const;
     std::size_t capacity() const { return capacity_; }
     SelectPolicy policy() const { return policy_; }
-    bool closed() const;
 
     /** Producers turned away by a full queue since construction. */
     std::uint64_t rejected() const;

@@ -158,7 +158,7 @@ Tensor::copyFrom(const Tensor &src)
         data_ = detail::acquireBuffer(src.data_.size());
     }
     shape_ = src.shape_;
-    simd::copy(data_.data(), src.data_.data(), data_.size());
+    simdOps().copy(data_.data(), src.data_.data(), data_.size());
 }
 
 void
@@ -303,7 +303,7 @@ Tensor &
 Tensor::operator+=(const Tensor &other)
 {
     checkSameShape(other, "+=");
-    simd::addInPlace(data_.data(), other.data_.data(), data_.size());
+    simdOps().addInPlace(data_.data(), other.data_.data(), data_.size());
     return *this;
 }
 
@@ -311,14 +311,14 @@ Tensor &
 Tensor::operator-=(const Tensor &other)
 {
     checkSameShape(other, "-=");
-    simd::subInPlace(data_.data(), other.data_.data(), data_.size());
+    simdOps().subInPlace(data_.data(), other.data_.data(), data_.size());
     return *this;
 }
 
 Tensor &
 Tensor::operator*=(float s)
 {
-    simd::scale(data_.data(), s, data_.size());
+    simdOps().scale(data_.data(), s, data_.size());
     return *this;
 }
 
@@ -350,7 +350,7 @@ void
 Tensor::axpy(float alpha, const Tensor &x)
 {
     checkSameShape(x, "axpy");
-    simd::axpy(data_.data(), alpha, x.data_.data(), data_.size());
+    simdOps().axpy(data_.data(), alpha, x.data_.data(), data_.size());
 }
 
 void
@@ -380,7 +380,7 @@ Tensor::l2Norm() const
     // The WRMS error-norm kernel of the RK steppers. Fixed 8-double-lane
     // accumulation: bitwise identical across SIMD backends, within the
     // reduction-order tolerance of a serial sum (see DESIGN.md).
-    return std::sqrt(simd::sumSquares(data_.data(), data_.size()));
+    return std::sqrt(simdOps().sumSquares(data_.data(), data_.size()));
 }
 
 double
@@ -395,7 +395,7 @@ Tensor::maxAbs() const
 bool
 Tensor::isFinite() const
 {
-    return simd::allFinite(data_.data(), data_.size());
+    return simdOps().allFinite(data_.data(), data_.size());
 }
 
 double
@@ -408,11 +408,12 @@ Tensor::rowWindowL2(std::size_t row_begin, std::size_t row_end) const
     // The row window of one channel is a contiguous span, so each
     // channel is a single sumSquares call; channel partials are summed
     // serially in channel order (deterministic per backend).
+    const SimdOps &ops = simdOps();
     double s = 0.0;
     const std::size_t span = (row_end - row_begin) * W;
     for (std::size_t c = 0; c < C; c++) {
         const float *window = data_.data() + (c * H + row_begin) * W;
-        s += simd::sumSquares(window, span);
+        s += ops.sumSquares(window, span);
     }
     return std::sqrt(s);
 }

@@ -2,15 +2,15 @@
  * @file
  * Dynamic micro-batching: the batched adaptive solver's per-sample
  * bitwise equivalence with the solo path, per-sample early exit, the
- * work-conserving collector's ordering and stash, per-sample
- * degradation under seeded faults, and metrics reconciliation. Built
- * and run under ThreadSanitizer in CI.
+ * work-conserving collector's ordering (the request queue alone orders
+ * every dispatch, across batch boundaries and weight publications),
+ * per-sample degradation under seeded faults, and metrics
+ * reconciliation. Built and run under ThreadSanitizer in CI.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <limits>
@@ -337,10 +337,21 @@ makeInput(std::uint64_t salt)
     return Tensor::randn(Shape{kDim}, rng, 0.5f);
 }
 
-Tensor
-referenceForward(const Tensor &input)
+/** makeReferenceModel() with one weight moved: what a publication
+ *  of trained weights installs. */
+std::unique_ptr<NodeModel>
+makeRetrainedModel()
 {
     auto model = makeReferenceModel();
+    model->paramSlots()[0].param->at(0) += 0.5f;
+    return model;
+}
+
+Tensor
+referenceForward(const Tensor &input,
+                 std::unique_ptr<NodeModel> (*make)() = makeReferenceModel)
+{
+    auto model = make();
     FixedFactorController controller;
     return model
         ->forward(input, ButcherTableau::rk23(), controller,
@@ -476,23 +487,27 @@ TEST(Batching, BatchSizeCountsStayExactPastThirtyTwo)
 TEST(Batcher, IncompatibleShapeClosesBatchAndSeedsNext)
 {
     // Mixed request shapes must never stack into one solve. The
-    // incompatible arrival closes the open batch and seeds the next
-    // one — it is neither dropped nor reordered behind later arrivals
-    // of its own class.
+    // incompatible head closes the open batch and stays queued, so the
+    // queue's own order decides what dispatches next: under Fifo it
+    // seeds the next batch, never reordered behind later arrivals of
+    // its own class; under LaterStreamFirst a later arrival on a later
+    // stream still dispatches ahead of it.
     RequestQueue queue(16, SelectPolicy::Fifo);
     Batcher batcher(queue, /*maxBatch=*/4);
-    auto push = [&](std::uint64_t id, const Shape &shape) {
+    const auto push = [](RequestQueue &q, std::uint64_t id,
+                         const Shape &shape, std::uint32_t stream = 0) {
         QueueEntry entry;
         entry.request.id = id;
+        entry.request.stream = stream;
         entry.request.input = Tensor(shape);
         entry.enqueueTime = RuntimeClock::now();
-        ASSERT_TRUE(queue.tryPush(entry));
+        ASSERT_TRUE(q.tryPush(entry));
     };
-    push(0, Shape{kDim});
-    push(1, Shape{kDim});
-    push(2, Shape{kDim});
-    push(3, Shape{kDim, 2}); // incompatible: closes the first batch
-    push(4, Shape{kDim});    // incompatible with 3: a third batch
+    push(queue, 0, Shape{kDim});
+    push(queue, 1, Shape{kDim});
+    push(queue, 2, Shape{kDim});
+    push(queue, 3, Shape{kDim, 2}); // incompatible: closes the first batch
+    push(queue, 4, Shape{kDim});    // incompatible with 3: a third batch
 
     CollectedBatch batch;
     ASSERT_TRUE(batcher.collect(batch));
@@ -500,52 +515,84 @@ TEST(Batcher, IncompatibleShapeClosesBatchAndSeedsNext)
     for (std::uint64_t i = 0; i < 3; i++)
         EXPECT_EQ(batch.entries[i].request.id, i);
     EXPECT_TRUE(batch.expired.empty());
+    EXPECT_EQ(queue.size(), 2u) << "the batch-ending request left the queue";
 
     ASSERT_TRUE(batcher.collect(batch));
-    ASSERT_EQ(batch.entries.size(), 1u); // the stashed rank-2 request
+    ASSERT_EQ(batch.entries.size(), 1u); // the rank-2 request
     EXPECT_EQ(batch.entries[0].request.id, 3u);
 
     ASSERT_TRUE(batcher.collect(batch));
     ASSERT_EQ(batch.entries.size(), 1u);
     EXPECT_EQ(batch.entries[0].request.id, 4u);
+
+    // A stream-2 request ends a stream-3 batch; a stream-3 request
+    // admitted after it must still dispatch first.
+    RequestQueue ranked(16, SelectPolicy::LaterStreamFirst);
+    Batcher ranked_batcher(ranked, /*maxBatch=*/4);
+    push(ranked, 5, Shape{kDim}, 3);
+    push(ranked, 6, Shape{kDim, 2}, 2);
+    ASSERT_TRUE(ranked_batcher.collect(batch));
+    ASSERT_EQ(batch.entries.size(), 1u);
+    EXPECT_EQ(batch.entries[0].request.id, 5u);
+    push(ranked, 7, Shape{kDim}, 3);
+    ASSERT_TRUE(ranked_batcher.collect(batch));
+    ASSERT_EQ(batch.entries.size(), 1u);
+    EXPECT_EQ(batch.entries[0].request.id, 7u)
+        << "a later-stream request waited behind the batch-ending one";
+    ASSERT_TRUE(ranked_batcher.collect(batch));
+    ASSERT_EQ(batch.entries.size(), 1u);
+    EXPECT_EQ(batch.entries[0].request.id, 6u);
 }
 
-TEST(Batcher, ModelVersionBoundaryNeverCoalesces)
+TEST(Batching, WeightPublicationDoesNotSplitABatch)
 {
-    // The 10.3 regression: requests admitted on either side of a
-    // weight publication carry different model versions, and batching
-    // them into one solve would serve half the batch with the wrong
-    // weights. A version change must close the open batch exactly like
-    // a shape change — no reordering, no loss.
-    RequestQueue queue(16, SelectPolicy::Fifo);
-    Batcher batcher(queue, /*maxBatch=*/4);
-    auto push = [&](std::uint64_t id, std::uint64_t version) {
-        QueueEntry entry;
-        entry.request.id = id;
-        entry.request.modelVersion = version;
-        entry.request.input = Tensor(Shape{kDim});
-        entry.enqueueTime = RuntimeClock::now();
-        ASSERT_TRUE(queue.tryPush(entry));
-    };
-    push(0, 0); // pre-swap admissions
-    push(1, 0);
-    push(2, 1); // the publication lands here
-    push(3, 1);
+    // Two requests admitted before a weight publication and two after
+    // share one batch: the worker swaps its replica before the solve,
+    // so all four run on, and are stamped with, the new version, bit
+    // for bit NodeModel::forward on the new weights. The cache follows
+    // each request's own stamp: only the two admitted after the
+    // publication were keyed against the weights that solved them, so
+    // only their inputs come back as exact-cache hits.
+    ServerOptions opts = batchedOptions(1, 4, /*paused=*/true);
+    opts.cache.enabled = true;
+    opts.cache.warmCapacity = 0; // cold solves: comparable to forward
+    InferenceServer server(makeReferenceModel, opts);
+    ASSERT_NE(server.solveCache(), nullptr);
 
-    CollectedBatch batch;
-    ASSERT_TRUE(batcher.collect(batch));
-    ASSERT_EQ(batch.entries.size(), 2u) << "batch crossed a swap boundary";
-    EXPECT_EQ(batch.entries[0].request.id, 0u);
-    EXPECT_EQ(batch.entries[1].request.id, 1u);
-    for (auto &entry : batch.entries)
-        EXPECT_EQ(entry.request.modelVersion, 0u);
+    std::vector<Tensor> inputs;
+    std::vector<std::future<InferResponse>> futures;
+    for (std::size_t i = 0; i < 4; i++) {
+        if (i == 2)
+            server.registry().publish(*makeRetrainedModel());
+        inputs.push_back(makeInput(200 + i));
+        auto sub = server.submit(inputs.back());
+        ASSERT_TRUE(sub.accepted);
+        futures.push_back(std::move(sub.result));
+    }
+    server.resume();
+    std::vector<Tensor> outputs;
+    for (std::size_t i = 0; i < 4; i++) {
+        InferResponse r = futures[i].get();
+        EXPECT_EQ(r.status, RequestStatus::Ok);
+        EXPECT_EQ(r.batchSize, 4u) << "the publication split the batch";
+        EXPECT_EQ(r.modelVersion, 1u);
+        EXPECT_TRUE(bitwiseEqual(
+            r.output, referenceForward(inputs[i], makeRetrainedModel)))
+            << "request " << i << " missed the new weights";
+        outputs.push_back(std::move(r.output));
+    }
 
-    ASSERT_TRUE(batcher.collect(batch));
-    ASSERT_EQ(batch.entries.size(), 2u);
-    EXPECT_EQ(batch.entries[0].request.id, 2u);
-    EXPECT_EQ(batch.entries[1].request.id, 3u);
-    for (auto &entry : batch.entries)
-        EXPECT_EQ(entry.request.modelVersion, 1u);
+    for (std::size_t i = 0; i < 4; i++) {
+        const InferResponse r = server.submit(inputs[i]).result.get();
+        EXPECT_EQ(r.status, RequestStatus::Ok);
+        EXPECT_EQ(r.cacheHit, i >= 2) << "resubmitted input " << i;
+        EXPECT_TRUE(bitwiseEqual(r.output, outputs[i]));
+    }
+    server.stop();
+    EXPECT_EQ(server.solveCache()->exactHits(), 2u);
+    const MetricsSummary s = server.metrics().summary();
+    EXPECT_EQ(s.batchesDispatched, 3u); // the batch of 4, two misses
+    EXPECT_EQ(s.batchedRequests, 6u);
 }
 
 TEST(Batcher, TrainTasksShipSoloInQueueOrder)
@@ -558,27 +605,22 @@ TEST(Batcher, TrainTasksShipSoloInQueueOrder)
     Batcher batcher(queue, /*maxBatch=*/4);
 
     TrainTask task_a, task_b;
-    auto pushTrain = [&](std::uint64_t id, TrainTask *task) {
+    const auto push = [](RequestQueue &q, std::uint64_t id,
+                         TrainTask *task, std::uint32_t stream = 0) {
         QueueEntry entry;
         entry.request.id = id;
+        entry.request.stream = stream;
         entry.request.train = task;
         entry.request.input = Tensor(Shape{kDim});
         entry.enqueueTime = RuntimeClock::now();
-        ASSERT_TRUE(queue.tryPush(entry));
+        ASSERT_TRUE(q.tryPush(entry));
     };
-    auto pushInfer = [&](std::uint64_t id) {
-        QueueEntry entry;
-        entry.request.id = id;
-        entry.request.input = Tensor(Shape{kDim});
-        entry.enqueueTime = RuntimeClock::now();
-        ASSERT_TRUE(queue.tryPush(entry));
-    };
-    pushTrain(0, &task_a);
-    pushTrain(1, &task_b);
-    pushInfer(2);
-    pushInfer(3);
-    pushInfer(4);
-    pushInfer(5);
+    push(queue, 0, &task_a);
+    push(queue, 1, &task_b);
+    push(queue, 2, nullptr);
+    push(queue, 3, nullptr);
+    push(queue, 4, nullptr);
+    push(queue, 5, nullptr);
 
     CollectedBatch batch;
     ASSERT_TRUE(batcher.collect(batch));
@@ -594,6 +636,27 @@ TEST(Batcher, TrainTasksShipSoloInQueueOrder)
     ASSERT_EQ(batch.entries.size(), 4u);
     for (std::uint64_t i = 0; i < 4; i++)
         EXPECT_EQ(batch.entries[i].request.id, i + 2);
+
+    // Under LaterStreamFirst a task that heads the queue behind an
+    // inference seed ends the batch and stays queued, ranked after
+    // every inference request of its stream: a later inference
+    // arrival on that stream still dispatches first.
+    RequestQueue ranked(16, SelectPolicy::LaterStreamFirst);
+    Batcher ranked_batcher(ranked, /*maxBatch=*/4);
+    push(ranked, 6, nullptr, 1);
+    push(ranked, 7, &task_a, 1);
+    ASSERT_TRUE(ranked_batcher.collect(batch));
+    ASSERT_EQ(batch.entries.size(), 1u);
+    EXPECT_EQ(batch.entries[0].request.id, 6u);
+    EXPECT_EQ(ranked.size(), 1u) << "the task left the queue";
+    push(ranked, 8, nullptr, 1);
+    ASSERT_TRUE(ranked_batcher.collect(batch));
+    ASSERT_EQ(batch.entries.size(), 1u);
+    EXPECT_EQ(batch.entries[0].request.id, 8u)
+        << "the task dispatched ahead of inference on its stream";
+    ASSERT_TRUE(ranked_batcher.collect(batch));
+    ASSERT_EQ(batch.entries.size(), 1u);
+    EXPECT_EQ(batch.entries[0].request.id, 7u);
 }
 
 TEST(Batcher, CollectAheadTakesOnlyWhatPreemptsTheRunningTask)
@@ -668,11 +731,10 @@ TEST(Batcher, CollectAheadTakesOnlyWhatPreemptsTheRunningTask)
 TEST(Batcher, ConcurrentCollectorsWithMixedShapesLoseNothing)
 {
     // Several collectors share one batcher while mixed-shape requests
-    // stream in: concurrent collects may stash incompatible entries at
-    // the same time (the FIFO case a single-slot stash asserted on),
-    // so every request must still come back exactly once, no batch may
-    // mix shapes, and shutdown must not strand a stashed entry. Runs
-    // under TSan in CI.
+    // stream in: most batches end at an incompatible head, which the
+    // collector leaves queued for whichever collector pops next, so
+    // every request must still come back exactly once and no batch may
+    // mix shapes. Runs under TSan in CI.
     constexpr std::size_t kCollectors = 4;
     constexpr std::uint64_t kRequests = 400;
     const Shape shapes[3] = {Shape{kDim}, Shape{kDim, 2},
@@ -727,86 +789,6 @@ TEST(Batcher, ConcurrentCollectorsWithMixedShapesLoseNothing)
     for (std::size_t c = 0; c < kCollectors; c++)
         EXPECT_EQ(mixed_batches[c], 0u)
             << "collector " << c << " got a shape-mixed batch";
-}
-
-TEST(Batcher, CollectorsStashConcurrently)
-{
-    // The sharpest stash race: two collectors each seed a batch from
-    // the queue and then find an incompatible entry behind the seed, so
-    // both stash before either seeds again — the schedule a single-slot
-    // stash asserted (and crashed the server) on. Each round queues
-    // four mutually incompatible requests on a fresh queue, closes it
-    // (draining, so each collector's loop ends with the round), wakes
-    // both collectors and then releases them together. A collector
-    // holds each batch for a stand-in solve, so its stashed entry is
-    // still waiting when the other's lands.
-    constexpr std::size_t kRounds = 100;
-    const Shape shapes[4] = {Shape{kDim}, Shape{kDim, 2}, Shape{kDim, 3},
-                             Shape{kDim, 4}};
-
-    std::unique_ptr<RequestQueue> queue;
-    std::unique_ptr<Batcher> batcher;
-    std::atomic<std::size_t> staged{0};   // the round queued so far
-    std::atomic<std::size_t> released{0}; // the round collectors may take
-    std::atomic<int> awake{0}, finished{0};
-    std::vector<std::uint64_t> collected[2];
-    std::vector<std::thread> collectors;
-    for (std::size_t c = 0; c < 2; c++) {
-        collectors.emplace_back([&, c] {
-            for (std::size_t round = 1; round <= kRounds; round++) {
-                staged.wait(round - 1);
-                awake.fetch_add(1);
-                // Spin rather than block once awake: a collector woken
-                // from a block starts too late to race the other.
-                while (released.load() != round) {
-                }
-                CollectedBatch batch;
-                while (batcher->collect(batch)) {
-                    for (auto &entry : batch.entries)
-                        collected[c].push_back(entry.request.id);
-                    for (auto &entry : batch.expired)
-                        collected[c].push_back(entry.request.id);
-                    // Stand-in for the batched solve.
-                    std::this_thread::sleep_for(
-                        std::chrono::microseconds(50));
-                }
-                finished.fetch_add(1);
-            }
-        });
-    }
-
-    std::uint64_t id = 0;
-    for (std::size_t round = 1; round <= kRounds; round++) {
-        queue = std::make_unique<RequestQueue>(4, SelectPolicy::Fifo);
-        batcher = std::make_unique<Batcher>(*queue, /*maxBatch=*/2);
-        for (const Shape &shape : shapes) {
-            QueueEntry entry;
-            entry.request.id = id++;
-            entry.request.input = Tensor(shape);
-            entry.enqueueTime = RuntimeClock::now();
-            EXPECT_TRUE(queue->tryPush(entry));
-        }
-        queue->close(/*drain=*/true);
-        awake.store(0);
-        finished.store(0);
-        staged.store(round);
-        staged.notify_all();
-        while (awake.load() != 2)
-            std::this_thread::yield();
-        released.store(round);
-        while (finished.load() != 2)
-            std::this_thread::yield();
-    }
-    for (auto &t : collectors)
-        t.join();
-
-    std::vector<std::uint64_t> all;
-    for (auto &ids : collected)
-        all.insert(all.end(), ids.begin(), ids.end());
-    std::sort(all.begin(), all.end());
-    ASSERT_EQ(all.size(), id) << "requests lost or duplicated";
-    for (std::uint64_t i = 0; i < id; i++)
-        EXPECT_EQ(all[i], i);
 }
 
 TEST(Batching, CorruptedSampleDegradesAloneUnderSeededFault)
