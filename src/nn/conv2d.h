@@ -84,18 +84,13 @@ void convBackwardWeightsInto(Tensor &grad_w, const Tensor &x,
                              const Tensor &grad_out, std::size_t kernel);
 
 /**
- * Batched variants over a leading batch dimension: xs / grad_out are
- * (N, C, H, W) / (N, M, H, W) and the outputs gain the same leading N.
- * The path heuristic runs once per batch, backward-data packs the
- * flipped weights ONCE per batch (amortizing the per-sample packing
- * cost the serving batcher exists to eliminate), and each sample then
- * runs through the identical per-sample cores — so every sample's
- * output is bitwise identical to the solo entry points.
+ * Batched forward over a leading batch dimension: xs is (N, C, H, W)
+ * and the output (N, M, H, W). The path heuristic runs once per batch,
+ * and each sample then runs through the identical per-sample core, so
+ * every sample's output is bitwise identical to convForwardInto.
  */
 void convForwardBatchedInto(Tensor &out, const Tensor &xs,
                             const Tensor &weight, const Tensor &bias);
-void convBackwardDataBatchedInto(Tensor &grad_x, const Tensor &grad_out,
-                                 const Tensor &weight);
 
 namespace conv {
 

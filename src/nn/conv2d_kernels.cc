@@ -536,42 +536,4 @@ convForwardBatchedInto(Tensor &out, const Tensor &xs, const Tensor &weight,
     }
 }
 
-void
-convBackwardDataBatchedInto(Tensor &grad_x, const Tensor &grad_out,
-                            const Tensor &weight)
-{
-    ENODE_ASSERT(grad_out.shape().rank() == 4,
-                 "batched grad_out must be NMHW, got ",
-                 grad_out.shape().str());
-    const std::size_t N = grad_out.shape().dim(0);
-    const std::size_t M = grad_out.shape().dim(1);
-    const std::size_t H = grad_out.shape().dim(2);
-    const std::size_t W = grad_out.shape().dim(3);
-    const std::size_t C = weight.shape().dim(1);
-    const std::size_t K = weight.shape().dim(2);
-    ENODE_ASSERT(weight.shape().dim(0) == M, "weight M mismatch");
-    grad_x.resize(Shape{N, C, H, W});
-
-    // Flip-pack the weights ONCE for the whole batch — this is the
-    // amortization the batcher buys: solo backward-data re-packs per
-    // sample, here N samples share one packing pass.
-    PooledScratch packed(M * C * K * K);
-    float *pk = packed.data();
-    const float *wd = weight.data();
-    for (std::size_t c = 0; c < C; c++)
-        for (std::size_t m = 0; m < M; m++) {
-            const float *src = wd + (m * C + c) * K * K;
-            float *dst = pk + (c * M + m) * K * K;
-            for (std::size_t i = 0; i < K * K; i++)
-                dst[i] = src[K * K - 1 - i];
-        }
-
-    const std::size_t in_stride = M * H * W;
-    const std::size_t out_stride = C * H * W;
-    for (std::size_t i = 0; i < N; i++)
-        directConvCore(grad_x.data() + i * out_stride,
-                       grad_out.data() + i * in_stride, pk, nullptr, C, M, H,
-                       W, K);
-}
-
 } // namespace enode

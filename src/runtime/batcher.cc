@@ -6,28 +6,18 @@
 
 namespace enode {
 
-Batcher::Batcher(RequestQueue &queue, std::size_t maxBatch,
-                 SolveCache *cache)
-    : queue_(queue), maxBatch_(maxBatch), cache_(cache)
+Batcher::Batcher(RequestQueue &queue, std::size_t maxBatch)
+    : queue_(queue), maxBatch_(maxBatch)
 {
     ENODE_ASSERT(maxBatch_ >= 1, "batcher needs maxBatch >= 1");
 }
 
 bool
-Batcher::divert(QueueEntry &entry, CollectedBatch &out)
+Batcher::expire(QueueEntry &entry, CollectedBatch &out)
 {
-    if (RuntimeClock::now() > entry.request.deadline) {
-        out.expired.push_back(std::move(entry));
-        return true;
-    }
-    // A request whose result is already cached never seeds (or
-    // occupies a slot of) a batch.
-    if (cache_ == nullptr || !entry.request.cacheKey.valid())
+    if (RuntimeClock::now() <= entry.request.deadline)
         return false;
-    Tensor value;
-    if (!cache_->tryServe(entry.request.cacheKey, value))
-        return false;
-    out.cacheHits.push_back({std::move(entry), std::move(value)});
+    out.expired.push_back(std::move(entry));
     return true;
 }
 
@@ -62,12 +52,12 @@ Batcher::fill(CollectedBatch &out, QueueEntry seed, const QueueEntry *task)
                (task == nullptr || queue_.preempts(head, *task));
     };
     while (out.entries.size() < maxBatch_) {
-        QueueEntry next;
-        if (!queue_.tryPop(next, joins))
+        std::optional<QueueEntry> next = queue_.tryPop(joins);
+        if (!next)
             break; // nothing that joins is queued: solve, never wait
-        if (divert(next, out))
-            continue; // expired or answered from cache; keep the slot open
-        out.entries.push_back(std::move(next));
+        if (expire(*next, out))
+            continue; // keep the slot open
+        out.entries.push_back(std::move(*next));
     }
 }
 
@@ -76,30 +66,32 @@ Batcher::collect(CollectedBatch &out)
 {
     out.entries.clear();
     out.expired.clear();
-    out.cacheHits.clear();
 
     // Seed: block for the queue's head. Requests already past their
     // deadline are diverted to `expired` and the hunt continues — but
     // never past queue closure, and never by blocking while casualties
     // are in hand.
-    QueueEntry seed;
+    std::optional<QueueEntry> seed;
     for (;;) {
-        if (!out.expired.empty() || !out.cacheHits.empty()) {
-            // Diverted entries are waiting on their terminal responses.
+        if (!out.expired.empty()) {
+            // Expired entries are waiting on their terminal responses.
             // If the queue has nothing ready right now, ship them
             // instead of parking in a blocking pop — a backlog of lapsed
             // deadlines on a quiet queue would otherwise hang unanswered
             // until the next arrival or shutdown. The next collect()
             // resumes the blocking hunt.
-            if (!queue_.tryPop(seed))
+            seed = queue_.tryPop();
+            if (!seed)
                 return true;
-        } else if (!queue_.pop(seed)) {
-            return false; // closed and drained
+        } else {
+            seed = queue_.pop();
+            if (!seed)
+                return false; // closed and drained
         }
-        if (!divert(seed, out))
+        if (!expire(*seed, out))
             break;
     }
-    fill(out, std::move(seed), nullptr);
+    fill(out, std::move(*seed), nullptr);
     return true;
 }
 
@@ -108,19 +100,19 @@ Batcher::collectAhead(const QueueEntry &task, CollectedBatch &out)
 {
     out.entries.clear();
     out.expired.clear();
-    out.cacheHits.clear();
 
     const auto preempts = [&](const QueueEntry &head) {
         return queue_.preempts(head, task);
     };
-    QueueEntry seed;
+    std::optional<QueueEntry> seed;
     for (;;) {
-        if (!queue_.tryPop(seed, preempts))
-            return !out.expired.empty() || !out.cacheHits.empty();
-        if (!divert(seed, out))
+        seed = queue_.tryPop(preempts);
+        if (!seed)
+            return !out.expired.empty();
+        if (!expire(*seed, out))
             break;
     }
-    fill(out, std::move(seed), &task);
+    fill(out, std::move(*seed), &task);
     return true;
 }
 

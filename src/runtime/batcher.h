@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "runtime/request_queue.h"
-#include "runtime/solve_cache.h"
 
 namespace enode {
 
@@ -48,18 +47,6 @@ struct CollectedBatch
     std::vector<QueueEntry> entries;
     /** Requests whose deadline lapsed before their pop. */
     std::vector<QueueEntry> expired;
-    /** A request answered from the exact cache at the pop screen. */
-    struct CacheHit
-    {
-        QueueEntry entry;
-        Tensor value; ///< the cached output, copied under the shard lock
-    };
-    /**
-     * Requests whose exact-cache entry became ready while they queued.
-     * They never consume a batch slot or seed a batch; the worker
-     * delivers each one's value.
-     */
-    std::vector<CacheHit> cacheHits;
     /** When the seed request was popped (start of the collect). */
     RuntimeClock::time_point firstPop{};
 };
@@ -70,8 +57,9 @@ struct CollectedBatch
  * Multiple workers call collect() concurrently; each gets its own
  * batch. The batcher holds no mutable state: every entry it has not
  * handed out is still in the queue. With maxBatch 1 the collector
- * degenerates to a plain pop with the deadline and cache screens
- * applied.
+ * degenerates to a plain pop with the deadline screen applied. The
+ * solve cache decided each keyed request once, at admission, so every
+ * entry queued here needs a solve.
  *
  * collectAhead() is the variant a running training task yields
  * through: it takes only inference requests that preempt the task
@@ -83,18 +71,14 @@ class Batcher
     /**
      * @param queue Source of requests (owned by the server).
      * @param maxBatch Upper bound on entries per batch (>= 1).
-     * @param cache Optional solve cache: keyed requests whose exact
-     *        entry is ready at pop are diverted, with the cached value,
-     *        to CollectedBatch::cacheHits instead of occupying the batch.
      */
-    Batcher(RequestQueue &queue, std::size_t maxBatch,
-            SolveCache *cache = nullptr);
+    Batcher(RequestQueue &queue, std::size_t maxBatch);
 
     /**
      * Block for a seed, then add what is queued behind it.
      * @return false when the queue is closed and drained — the worker
-     *         should exit. When true, entries, expired and/or
-     *         cacheHits hold at least one request.
+     *         should exit. When true, entries and/or expired hold at
+     *         least one request.
      */
     bool collect(CollectedBatch &out);
 
@@ -102,7 +86,7 @@ class Batcher
      * Never blocks: the next batch of the inference requests that
      * preempt `task`, the entry a training task running on the calling
      * worker was popped as, taken from the queue as it stands, with the
-     * deadline and cache screens of collect().
+     * deadline screen of collect().
      * @return false when nothing waiting preempts `task`.
      */
     bool collectAhead(const QueueEntry &task, CollectedBatch &out);
@@ -111,10 +95,9 @@ class Batcher
     /** True when a and b may share one batched solve. */
     static bool compatible(const QueueEntry &a, const QueueEntry &b);
 
-    /** The pop screens: divert `entry` to out.expired when its deadline
-     *  lapsed, or to out.cacheHits when its exact-cache value is ready
-     *  (the value is taken now). False leaves it untouched. */
-    bool divert(QueueEntry &entry, CollectedBatch &out);
+    /** The pop screen: move `entry` to out.expired when its deadline
+     *  lapsed. False leaves it untouched. */
+    bool expire(QueueEntry &entry, CollectedBatch &out);
 
     /** Start a batch at `seed` and grow it to maxBatch with the entries
      *  queued right now (only those preempting `task`, when given); an
@@ -123,7 +106,6 @@ class Batcher
 
     RequestQueue &queue_;
     const std::size_t maxBatch_;
-    SolveCache *const cache_;
 };
 
 } // namespace enode

@@ -76,9 +76,8 @@ InferenceServer::InferenceServer(ModelFactory make_model,
         admission_ = std::make_unique<AdmissionController>(
             options_.overload, options_.numWorkers);
     // Every dispatch comes out of the batcher; at maxBatch 1 it is a
-    // plain pop plus the deadline and cache screens.
-    batcher_ = std::make_unique<Batcher>(queue_, options_.maxBatch,
-                                         solveCache_.get());
+    // plain pop plus the deadline screen.
+    batcher_ = std::make_unique<Batcher>(queue_, options_.maxBatch);
 
     // Intra-op width: clamp workers * width to the machine, then build
     // one shared tile pool for all workers. Each worker contributes
@@ -229,10 +228,11 @@ InferenceServer::submit(Tensor input, std::uint32_t stream,
     std::future<InferResponse> future = entry.promise.get_future();
 
     if (solveCache_ != nullptr) {
-        // Stamp the cache identities onto the request, then try the
-        // exact tier right here on the admission path: a ready value
-        // answers without ever touching the queue, and an in-flight
-        // identical solve absorbs this request as a follower. The
+        // Stamp the cache identities onto the request, then make its
+        // one exact-tier decision right here on the admission path: a
+        // ready value answers without ever touching the queue, an
+        // in-flight identical solve absorbs this request as a follower,
+        // and otherwise this request becomes the key's only owner. The
         // digest is per registry version, so a weight hot swap moves
         // new admissions into a fresh key space — a post-swap request
         // can never hit a pre-swap entry.
@@ -273,8 +273,11 @@ InferenceServer::submit(Tensor input, std::uint32_t stream,
                 sub.id = id;
                 sub.result = std::move(future);
                 return sub;
-              case SolveCache::Lookup::Miss:
-                break; // queue and own the solve
+              case SolveCache::Lookup::Owner:
+                // Registered under the lookup's lock: from here every
+                // path that ends this request without a clean solve
+                // retracts the registration.
+                break;
             }
         }
     }
@@ -292,6 +295,7 @@ InferenceServer::submit(Tensor input, std::uint32_t stream,
             queue_.size());
         if (verdict.shed) {
             metrics_.recordAdmitted();
+            retractPending(entry.request); // a shed owner solves nothing
             shedEntry(entry, verdict.estimateMs);
             sub.accepted = true;
             sub.id = id;
@@ -300,26 +304,12 @@ InferenceServer::submit(Tensor input, std::uint32_t stream,
         }
     }
 
-    const Hash128 key = entry.request.cacheKey; // survives the push
-    // Announce ownership BEFORE the entry becomes visible to workers.
-    // In the reverse order a worker can pop the entry and terminate it
-    // uncacheably (lapsed deadline, failed solve) before registration
-    // runs; that terminal's retraction finds nothing, and the late
-    // registration then installs a pending entry with no solve behind
-    // it — every later identical request would attach to it and hang.
-    // Registering first closes that window: once the entry is queued,
-    // any terminal path can see (and retract) the registration. A
-    // `false` return means another identical request already owns the
-    // key — harmless; both solve, both publish.
-    const bool registered = key.valid() && solveCache_->registerPending(key);
     if (!queue_.tryPush(entry)) {
-        // The push was refused, so our registration has no solve behind
-        // it: retract it. Followers that attached inside the tiny
-        // registration window get the same backpressure verdict this
-        // request is getting (re-queued if room appeared, else
+        // The push was refused, so the registration has no solve behind
+        // it. Followers that attached since the lookup get the verdict
+        // this request is getting (re-queued if room appeared, else
         // cancelled).
-        if (registered)
-            redispatchFollowers(solveCache_->publishFailure(key));
+        retractPending(entry.request);
         metrics_.recordRejected();
         return sub; // backpressure: accepted stays false
     }
@@ -483,10 +473,9 @@ InferenceServer::serveTrain(std::size_t worker_id, QueueEntry &entry,
     // Claim before writing into the task: the watchdog may have taken
     // it over while it was wedged (its Failed response won), and then
     // the task belongs to its retry.
-    std::promise<InferResponse> to_deliver;
-    const bool deliver = flight.claim(0, to_deliver);
+    std::optional<std::promise<InferResponse>> to_deliver = flight.claim(0);
     flight.retire();
-    if (!deliver)
+    if (!to_deliver)
         return;
     if (ok) {
         // Harvest the gradients into the task's fixed slot.
@@ -500,7 +489,7 @@ InferenceServer::serveTrain(std::size_t worker_id, QueueEntry &entry,
         task.backwardStats = result.backwardStats;
     }
     task.forwardStatus = result.forwardStatus;
-    deliverTerminal(to_deliver, std::move(response), /*train=*/true);
+    deliverTerminal(*to_deliver, std::move(response), /*train=*/true);
 }
 
 void
@@ -528,32 +517,26 @@ InferenceServer::InFlight::publish(std::span<QueueEntry> entries,
 {
     std::lock_guard<std::mutex> lock(mutex);
     samples.clear();
-    samples.resize(entries.size());
-    for (std::size_t i = 0; i < entries.size(); i++) {
-        QueueEntry &entry = entries[i];
-        Sample &sample = samples[i];
-        sample.promise = std::move(entry.promise);
-        sample.id = entry.request.id;
-        sample.deadline = entry.request.deadline;
-        sample.queueWaitMs = toMs(when - entry.enqueueTime);
-        sample.train = entry.request.train != nullptr;
-    }
+    for (QueueEntry &entry : entries)
+        samples.push_back({.promise = std::move(entry.promise),
+                           .id = entry.request.id,
+                           .deadline = entry.request.deadline,
+                           .queueWaitMs = toMs(when - entry.enqueueTime),
+                           .train = entry.request.train != nullptr});
     active = true;
     start = when;
     abort.store(false, std::memory_order_relaxed);
 }
 
-bool
-InferenceServer::InFlight::claim(std::size_t i,
-                                 std::promise<InferResponse> &out)
+std::optional<std::promise<InferResponse>>
+InferenceServer::InFlight::claim(std::size_t i)
 {
     std::lock_guard<std::mutex> lock(mutex);
     Sample &sample = samples[i];
     if (sample.delivered)
-        return false;
+        return std::nullopt;
     sample.delivered = true;
-    out = std::move(sample.promise);
-    return true;
+    return std::move(sample.promise);
 }
 
 void
@@ -778,8 +761,8 @@ InferenceServer::deliverCacheHit(std::size_t worker_id, QueueEntry &entry,
     response.modelVersion = entry.request.modelVersion;
     if (now > entry.request.deadline) {
         // Same terminal status the request would have received from the
-        // queue: a follower (or queued hit) whose deadline lapsed while
-        // it waited is DeadlineExceeded, not Ok-but-late — the cached
+        // queue: a hit or follower whose deadline lapsed before its
+        // delivery is DeadlineExceeded, not Ok-but-late — the cached
         // value does not buy back deadline enforcement.
         response.status = RequestStatus::DeadlineExceeded;
         response.deadlineMet = false;
@@ -797,13 +780,29 @@ InferenceServer::deliverCacheHit(std::size_t worker_id, QueueEntry &entry,
 void
 InferenceServer::redispatchFollowers(std::vector<QueueEntry> followers)
 {
-    for (QueueEntry &f : followers) {
-        // Back into the queue as an ordinary request: it solves for
-        // itself and publishes its own outcome. A queue that refuses
-        // (closed at shutdown, or full) cancels the request — the
-        // backpressure verdict it would have received at admission.
+    // Each follower is admitted again through the same lookup: the
+    // first owns the key and queues, the rest attach to it (or hit, if
+    // an identical request published meanwhile). An owner the queue
+    // refuses (closed at shutdown, or full) is cancelled — the
+    // backpressure verdict it would have received at admission — and
+    // its registration is retracted; whoever attached to it joins this
+    // sweep.
+    for (std::size_t i = 0; i < followers.size(); i++) {
+        QueueEntry f = std::move(followers[i]);
+        Tensor hit;
+        switch (solveCache_->lookupOrAttach(f.request.cacheKey, f, hit)) {
+          case SolveCache::Lookup::Hit:
+            deliverCacheHit(0, f, std::move(hit));
+            continue;
+          case SolveCache::Lookup::Attached:
+            continue;
+          case SolveCache::Lookup::Owner:
+            break;
+        }
         if (queue_.tryPush(f))
             continue;
+        for (QueueEntry &g : solveCache_->publishFailure(f.request.cacheKey))
+            followers.push_back(std::move(g));
         InferResponse response;
         response.id = f.request.id;
         response.status = RequestStatus::Cancelled;
@@ -921,10 +920,6 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch,
 {
     for (auto &entry : batch.expired)
         expireEntry(worker_id, entry);
-    // Requests the batcher answered from the exact cache at its screen
-    // (the value was copied under the shard lock there).
-    for (auto &hit : batch.cacheHits)
-        deliverCacheHit(worker_id, hit.entry, std::move(hit.value));
     if (batch.entries.empty())
         return;
 
@@ -1164,8 +1159,9 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch,
         // Deliver through the in-flight slot: the watchdog may already
         // have failed this sample while the batch was wedged, in which
         // case its response won and ours is discarded unrecorded.
-        std::promise<InferResponse> to_deliver;
-        const bool deliver = flight.claim(i, to_deliver);
+        std::optional<std::promise<InferResponse>> to_deliver =
+            flight.claim(i);
+        const bool deliver = to_deliver.has_value();
 
         // Cache bookkeeping at the terminal: only a clean solve may
         // populate either tier — Ok at rung 0 and delivered by this
@@ -1209,7 +1205,7 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch,
                 any_ok = true;
             else
                 any_failed = true;
-            deliverTerminal(to_deliver, std::move(response));
+            deliverTerminal(*to_deliver, std::move(response));
         } else {
             any_failed = true; // watchdog responses are always Failed
         }

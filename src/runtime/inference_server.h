@@ -16,8 +16,8 @@
  * like the selector's full state buffers.
  *
  * One serving path: every worker takes its next dispatch from the
- * Batcher (at maxBatch 1 a plain pop plus the deadline and cache
- * screens) and solves it with NodeModel::forwardBatched — one shared f
+ * Batcher (at maxBatch 1 a plain pop plus the deadline screen) and
+ * solves it with NodeModel::forwardBatched — one shared f
  * evaluation per RK trial, error control per sample. Because the
  * solvers reset each sample's StepController at every call and each
  * worker's replica is private, a request's output depends only on the
@@ -32,6 +32,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -394,10 +395,12 @@ class InferenceServer
         void publish(std::span<QueueEntry> entries,
                      RuntimeClock::time_point when);
         /**
-         * Take sample i's promise for delivery. False when the watchdog
-         * already answered it (its response won; discard ours).
+         * Take sample i's promise for delivery, moved out of the slot so
+         * it ends with the delivery rather than at the slot's next
+         * publish. Nothing when the watchdog already answered it (its
+         * response won; discard ours).
          */
-        bool claim(std::size_t i, std::promise<InferResponse> &out);
+        std::optional<std::promise<InferResponse>> claim(std::size_t i);
         /** The dispatch is over: the watchdog stops watching it. */
         void retire();
         /** Stop the dispatch's clock at `when`; resume() restarts it
@@ -515,22 +518,23 @@ class InferenceServer
     void deliverCacheHit(std::size_t worker_id, QueueEntry &entry,
                          Tensor value);
     /**
-     * A pending solve failed: push its followers back into the queue
-     * to be solved as ordinary requests; followers the (closing) queue
-     * refuses are Cancelled.
+     * A pending solve failed: re-admit its followers through the
+     * cache lookup — the first owns the key and queues, the rest
+     * attach to it. An owner the (closing or full) queue refuses is
+     * Cancelled.
      */
     void redispatchFollowers(std::vector<QueueEntry> followers);
     /**
-     * Terminal bookkeeping for a keyed request that did not produce a
-     * cacheable value (expired / failed / degraded / cancelled /
-     * watchdog-taken): retract its pending entry and re-dispatch the
+     * Terminal bookkeeping for a keyed owner that did not produce a
+     * cacheable value (shed / refused / expired / failed / degraded /
+     * watchdog-taken): retract its pending entry and re-admit the
      * followers. No-op for unkeyed requests.
      */
     void retractPending(const InferRequest &request);
     /**
      * Serve one dispatch from the batcher on `flight` — the only serve
-     * path: fail the expired entries, answer the cache hits, hand a
-     * training task to serveTrain, otherwise run the batched solve
+     * path: fail the expired entries, hand a training task to
+     * serveTrain, otherwise run the batched solve
      * (any size >= 1) and walk the degradation ladder per failing
      * sample (its batchmates are unaffected).
      */

@@ -59,16 +59,17 @@ RequestQueue::tryPush(QueueEntry &entry)
     return true;
 }
 
-void
-RequestQueue::popHead(QueueEntry &out)
+QueueEntry
+RequestQueue::popHead()
 {
     std::pop_heap(heap_.begin(), heap_.end(),
                   [this](const QueueEntry &a, const QueueEntry &b) {
                       return dispatchesAfter(a, b);
                   });
-    out = std::move(heap_.back());
+    QueueEntry head = std::move(heap_.back());
     heap_.pop_back();
     noteHead();
+    return head;
 }
 
 void
@@ -79,15 +80,14 @@ RequestQueue::noteHead()
                           std::memory_order_relaxed);
 }
 
-bool
-RequestQueue::pop(QueueEntry &out)
+std::optional<QueueEntry>
+RequestQueue::pop()
 {
     std::unique_lock<std::mutex> lock(mutex_);
     notEmpty_.wait(lock, [this] { return closed_ || !heap_.empty(); });
     if (heap_.empty())
-        return false; // closed and drained
-    popHead(out);
-    return true;
+        return std::nullopt; // closed and drained
+    return popHead();
 }
 
 std::vector<QueueEntry>

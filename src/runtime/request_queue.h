@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -68,30 +69,30 @@ class RequestQueue
 
     /**
      * Take the highest-priority entry, blocking while the queue is open
-     * and empty.
-     * @return false when the queue is closed and fully drained.
+     * and empty. The entry is moved out of the queue, never assigned
+     * over a default-constructed one, so a pop makes no heap call.
+     * @return nothing when the queue is closed and fully drained.
      */
-    bool pop(QueueEntry &out);
+    std::optional<QueueEntry> pop();
 
     /**
      * Never blocks: take the head if one is queued and `accept(head)`
-     * holds; otherwise leave the queue untouched and return false,
+     * holds; otherwise leave the queue untouched and return nothing,
      * closed or not. `accept` runs under the queue mutex, so it must
      * be cheap and must not allocate: a lambda, not a std::function.
      */
     template <typename Accept>
-    bool tryPop(QueueEntry &out, Accept &&accept)
+    std::optional<QueueEntry> tryPop(Accept &&accept)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (heap_.empty() || !accept(std::as_const(heap_.front())))
-            return false;
-        popHead(out);
-        return true;
+            return std::nullopt;
+        return popHead();
     }
     /** tryPop that accepts whatever heads the queue. */
-    bool tryPop(QueueEntry &out)
+    std::optional<QueueEntry> tryPop()
     {
-        return tryPop(out, [](const QueueEntry &) { return true; });
+        return tryPop([](const QueueEntry &) { return true; });
     }
 
     /**
@@ -138,9 +139,9 @@ class RequestQueue
   private:
     /** Heap order: true when a dispatches *after* b. */
     bool dispatchesAfter(const QueueEntry &a, const QueueEntry &b) const;
-    /** Remove the head into `out` and refresh inferenceHeads_; the
+    /** Remove and return the head and refresh inferenceHeads_; the
      *  caller holds mutex_ and has checked the heap is non-empty. */
-    void popHead(QueueEntry &out);
+    QueueEntry popHead();
     /** Re-derive inferenceHeads_ from the head; caller holds mutex_. */
     void noteHead();
 

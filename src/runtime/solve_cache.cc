@@ -46,15 +46,21 @@ SolveCache::lookupOrAttach(const Hash128 &key, QueueEntry &entry,
                            Tensor &out)
 {
     if (!exactShards_)
-        return Lookup::Miss;
+        return Lookup::Owner;
     TraceSpan span("cache.lookup", "cache");
     ExactShard &shard = exactShard(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto found = shard.map.find(key);
     if (found == shard.map.end()) {
+        // Register the owner under the same lock that saw the miss, so
+        // no identical request can miss in between and solve twice.
+        shard.lru.emplace_front();
+        shard.lru.front().key = key;
+        shard.map.emplace(key, shard.lru.begin());
+        evictLocked(shard);
         misses_.fetch_add(1, std::memory_order_relaxed);
         span.arg("outcome", 0.0);
-        return Lookup::Miss;
+        return Lookup::Owner;
     }
     auto node = found->second;
     if (node->ready) {
@@ -70,49 +76,6 @@ SolveCache::lookupOrAttach(const Hash128 &key, QueueEntry &entry,
     return Lookup::Attached;
 }
 
-bool
-SolveCache::registerPending(const Hash128 &key)
-{
-    if (!exactShards_)
-        return false;
-    ExactShard &shard = exactShard(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.map.count(key) > 0)
-        return false; // raced: someone else owns or already solved it
-    shard.lru.emplace_front();
-    shard.lru.front().key = key;
-    shard.map.emplace(key, shard.lru.begin());
-    evictLocked(shard);
-    return true;
-}
-
-bool
-SolveCache::tryServe(const Hash128 &key, Tensor &out)
-{
-    if (!exactShards_)
-        return false;
-    ExactShard &shard = exactShard(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto found = shard.map.find(key);
-    if (found == shard.map.end() || !found->second->ready)
-        return false;
-    out.copyFrom(found->second->value);
-    shard.lru.splice(shard.lru.begin(), shard.lru, found->second);
-    exactHits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-}
-
-bool
-SolveCache::isReady(const Hash128 &key) const
-{
-    if (!exactShards_)
-        return false;
-    const ExactShard &shard = exactShard(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto found = shard.map.find(key);
-    return found != shard.map.end() && found->second->ready;
-}
-
 std::vector<QueueEntry>
 SolveCache::publishSuccess(const Hash128 &key, const Tensor &output)
 {
@@ -123,17 +86,9 @@ SolveCache::publishSuccess(const Hash128 &key, const Tensor &output)
     ExactShard &shard = exactShard(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto found = shard.map.find(key);
-    if (found == shard.map.end()) {
-        // No pending entry (raced owner, or a re-dispatched follower
-        // finishing its own solve): insert the value fresh.
-        shard.lru.emplace_front();
-        shard.lru.front().key = key;
-        shard.map.emplace(key, shard.lru.begin());
-        found = shard.map.find(key);
-    }
+    if (found == shard.map.end())
+        return followers; // no owner registered the key
     ExactEntry &e = *found->second;
-    // A concurrent owner may have published first; refreshing the value
-    // is harmless (deterministic solves produce identical bytes).
     e.value.copyFrom(output);
     e.ready = true;
     followers.swap(e.followers);

@@ -95,59 +95,43 @@ class SolveCache
     SolveCache(const SolveCache &) = delete;
     SolveCache &operator=(const SolveCache &) = delete;
 
-    /** Verdict of the admission-path lookup. */
+    /** Verdict of the admission-path lookup: the one cache decision a
+     *  keyed request gets. */
     enum class Lookup
     {
         Hit,      ///< `out` holds the cached output; respond immediately
         Attached, ///< entry joined a pending solve; its promise will be
                   ///< fulfilled when the owner publishes
-        Miss      ///< no entry; caller should queue and registerPending
+        Owner     ///< no entry: a pending one is now registered, and the
+                  ///< caller owns the key's only solve
     };
 
     /**
      * Admission-path lookup, atomic per shard. On Hit, `out` receives a
      * copy of the cached value and `entry` is untouched. On Attached,
      * `entry` (promise included) has been moved into the pending
-     * entry's follower list. On Miss, `entry` is untouched.
+     * entry's follower list. On Owner, `entry` is untouched and a
+     * pending entry now holds the key, so later identical requests
+     * attach to it; the caller must end it with publishSuccess or
+     * publishFailure, even when the request is never queued.
      */
     Lookup lookupOrAttach(const Hash128 &key, QueueEntry &entry,
                           Tensor &out);
 
     /**
-     * Mark `key` in-flight so later identical requests attach instead
-     * of solving. Call after the owner request is safely queued.
-     * @return false when an entry (pending or ready) already exists —
-     *         harmless; the raced request simply solves and publishes.
-     */
-    bool registerPending(const Hash128 &key);
-
-    /**
-     * Dispatch-time screen (the batcher's pop screen): true when a
-     * ready value exists (the key may have become ready while the
-     * request sat in the queue). Copies the value into `out` and bumps
-     * the LRU. Pending entries miss.
-     */
-    bool tryServe(const Hash128 &key, Tensor &out);
-
-    /** Lock-and-peek variant of tryServe without the value copy or
-     *  the LRU bump (does not count as a hit). */
-    bool isReady(const Hash128 &key) const;
-
-    /**
-     * A clean solve of `key` finished with `output`. Stores the value
-     * (entering LRU rotation) and detaches any followers; the caller
-     * delivers each follower a copy of `output` as its response.
+     * A clean solve of `key`'s owner finished with `output`. Stores the
+     * value in the owner's entry (entering LRU rotation) and detaches
+     * any followers; the caller delivers each follower a copy of
+     * `output` as its response.
      */
     std::vector<QueueEntry> publishSuccess(const Hash128 &key,
                                            const Tensor &output);
 
     /**
-     * The solve of `key` ended uncacheably (degraded, failed, expired,
-     * cancelled, or watchdog-failed). Drops the pending entry and
-     * returns its followers; the caller re-dispatches them as ordinary
-     * requests (each then solves and publishes for itself). A ready
-     * entry is left untouched — a concurrent owner's good value is not
-     * invalidated by a later failure.
+     * `key`'s owner ended uncacheably (shed, refused by the queue,
+     * degraded, failed, expired, cancelled, or watchdog-failed). Drops
+     * the pending entry and returns its followers; the caller re-admits
+     * them through lookupOrAttach. A ready entry is left untouched.
      */
     std::vector<QueueEntry> publishFailure(const Hash128 &key);
 
@@ -240,10 +224,6 @@ class SolveCache
     };
 
     ExactShard &exactShard(const Hash128 &key)
-    {
-        return exactShards_[key.hi % numShards_];
-    }
-    const ExactShard &exactShard(const Hash128 &key) const
     {
         return exactShards_[key.hi % numShards_];
     }

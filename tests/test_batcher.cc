@@ -16,6 +16,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -227,17 +228,17 @@ TEST(RequestQueue, TryPopTakesOnlyWhatIsQueued)
     // would hang the test), a queued entry is popped, and a closed,
     // drained queue returns false.
     RequestQueue queue(4, SelectPolicy::Fifo);
-    QueueEntry out;
-    EXPECT_FALSE(queue.tryPop(out));
+    EXPECT_FALSE(queue.tryPop());
 
     QueueEntry entry;
     entry.request.id = 7;
     EXPECT_TRUE(queue.tryPush(entry));
-    ASSERT_TRUE(queue.tryPop(out));
-    EXPECT_EQ(out.request.id, 7u);
+    const std::optional<QueueEntry> out = queue.tryPop();
+    ASSERT_TRUE(out);
+    EXPECT_EQ(out->request.id, 7u);
 
     queue.close(/*drain=*/true);
-    EXPECT_FALSE(queue.tryPop(out));
+    EXPECT_FALSE(queue.tryPop());
 }
 
 TEST(RequestQueue, TrainingPopsAfterEveryInferenceEntryOfItsStreamOrLater)
@@ -290,10 +291,10 @@ TEST(RequestQueue, TrainingPopsAfterEveryInferenceEntryOfItsStreamOrLater)
             ASSERT_TRUE(queue.tryPush(e));
         }
         std::vector<bool> popped(specs.size(), false);
-        QueueEntry out;
         while (queue.size() > 0) {
-            ASSERT_TRUE(queue.pop(out));
-            const std::size_t t = out.request.id;
+            const std::optional<QueueEntry> out = queue.pop();
+            ASSERT_TRUE(out);
+            const std::size_t t = out->request.id;
             popped[t] = true;
             if (!specs[t].train)
                 continue;
@@ -682,9 +683,11 @@ TEST(Batcher, CollectAheadTakesOnlyWhatPreemptsTheRunningTask)
 
     RequestQueue queue(16, SelectPolicy::LaterStreamFirst);
     Batcher batcher(queue, /*maxBatch=*/4);
-    QueueEntry task = entry(0, 0, never, &train);
-    ASSERT_TRUE(queue.tryPush(task));
-    ASSERT_TRUE(queue.pop(task)); // now running
+    QueueEntry queued_task = entry(0, 0, never, &train);
+    ASSERT_TRUE(queue.tryPush(queued_task));
+    const std::optional<QueueEntry> running = queue.pop();
+    ASSERT_TRUE(running);
+    const QueueEntry &task = *running;
 
     CollectedBatch batch;
     // Same stream with no deadline, admitted after the task; a later
@@ -718,9 +721,11 @@ TEST(Batcher, CollectAheadTakesOnlyWhatPreemptsTheRunningTask)
     // another training task never preempts one.
     RequestQueue fifo(16, SelectPolicy::Fifo);
     Batcher fifo_batcher(fifo, /*maxBatch=*/1);
-    QueueEntry fifo_task = entry(5, 0, never, &train);
-    ASSERT_TRUE(fifo.tryPush(fifo_task));
-    ASSERT_TRUE(fifo.pop(fifo_task));
+    QueueEntry queued_fifo_task = entry(5, 0, never, &train);
+    ASSERT_TRUE(fifo.tryPush(queued_fifo_task));
+    const std::optional<QueueEntry> fifo_running = fifo.pop();
+    ASSERT_TRUE(fifo_running);
+    const QueueEntry &fifo_task = *fifo_running;
     QueueEntry fifo_hi = entry(6, 3, later);
     ASSERT_TRUE(fifo.tryPush(fifo_hi));
     EXPECT_TRUE(fifo.inferenceHeads()) << "the hint is only a hint";

@@ -15,9 +15,11 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -41,6 +43,15 @@ makeReferenceModel()
     Rng rng(kSeed);
     return NodeModel::makeMlp(/*num_layers=*/2, kDim, /*hidden=*/24,
                               /*f_depth=*/1, rng);
+}
+
+/** The reference model with one weight moved: a second publication. */
+std::unique_ptr<NodeModel>
+makeRetrainedModel()
+{
+    auto model = makeReferenceModel();
+    model->paramSlots()[0].param->at(0) += 0.5f;
+    return model;
 }
 
 IvpOptions
@@ -207,27 +218,28 @@ TEST(SolveCache, PublishedValueIsServedBitwise)
     const Tensor input = makeInput(2);
     const Hash128 key = hashTensor(input);
 
+    // The miss registers its caller as the key's owner, so an identical
+    // lookup before the publish attaches instead of owning a second
+    // solve.
     Tensor out;
-    QueueEntry probe = makeEntry(key);
-    EXPECT_EQ(cache.lookupOrAttach(key, probe, out),
-              SolveCache::Lookup::Miss);
-    EXPECT_TRUE(cache.registerPending(key));
-    EXPECT_FALSE(cache.registerPending(key)); // already in flight
-    EXPECT_FALSE(cache.isReady(key));
-    EXPECT_FALSE(cache.tryServe(key, out));
+    QueueEntry owner = makeEntry(key);
+    EXPECT_EQ(cache.lookupOrAttach(key, owner, out),
+              SolveCache::Lookup::Owner);
+    QueueEntry twin = makeEntry(key);
+    EXPECT_EQ(cache.lookupOrAttach(key, twin, out),
+              SolveCache::Lookup::Attached);
+    EXPECT_EQ(cache.exactSize(), 1u);
 
-    EXPECT_TRUE(cache.publishSuccess(key, input).empty());
-    EXPECT_TRUE(cache.isReady(key));
-    EXPECT_TRUE(cache.tryServe(key, out));
-    EXPECT_TRUE(bitwiseEqual(out, input));
+    EXPECT_EQ(cache.publishSuccess(key, input).size(), 1u);
 
     Tensor hit;
     QueueEntry again = makeEntry(key);
     EXPECT_EQ(cache.lookupOrAttach(key, again, hit),
               SolveCache::Lookup::Hit);
     EXPECT_TRUE(bitwiseEqual(hit, input));
-    EXPECT_EQ(cache.exactHits(), 2u); // tryServe + lookupOrAttach
+    EXPECT_EQ(cache.exactHits(), 1u);
     EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.singleFlightWaits(), 1u);
     EXPECT_EQ(cache.inserts(), 1u);
     EXPECT_EQ(cache.exactSize(), 1u);
 }
@@ -237,12 +249,14 @@ TEST(SolveCache, SingleFlightFollowersReleasedOnSuccess)
     SolveCache cache(unitCacheOptions());
     const Tensor value = makeInput(3);
     const Hash128 key = hashTensor(value);
-    ASSERT_TRUE(cache.registerPending(key));
+    Tensor out;
+    QueueEntry owner = makeEntry(key);
+    ASSERT_EQ(cache.lookupOrAttach(key, owner, out),
+              SolveCache::Lookup::Owner);
 
     QueueEntry follower = makeEntry(key);
     follower.request.id = 42;
     auto future = follower.promise.get_future();
-    Tensor out;
     EXPECT_EQ(cache.lookupOrAttach(key, follower, out),
               SolveCache::Lookup::Attached);
     EXPECT_EQ(cache.singleFlightWaits(), 1u);
@@ -262,26 +276,31 @@ TEST(SolveCache, FailureRetractsPendingButKeepsReadyValues)
     const Tensor value = makeInput(4);
     const Hash128 pending_key = hashTensor(value);
     const Hash128 ready_key{pending_key.hi + 1, pending_key.lo + 1};
+    const auto lookup = [&](const Hash128 &key, Tensor &out) {
+        QueueEntry entry = makeEntry(key);
+        return cache.lookupOrAttach(key, entry, out);
+    };
 
-    ASSERT_TRUE(cache.registerPending(ready_key));
+    Tensor out;
+    ASSERT_EQ(lookup(ready_key, out), SolveCache::Lookup::Owner);
     cache.publishSuccess(ready_key, value);
 
-    ASSERT_TRUE(cache.registerPending(pending_key));
+    ASSERT_EQ(lookup(pending_key, out), SolveCache::Lookup::Owner);
     QueueEntry follower = makeEntry(pending_key);
     follower.request.id = 7;
-    Tensor out;
     ASSERT_EQ(cache.lookupOrAttach(pending_key, follower, out),
               SolveCache::Lookup::Attached);
 
     std::vector<QueueEntry> returned = cache.publishFailure(pending_key);
     ASSERT_EQ(returned.size(), 1u);
     EXPECT_EQ(returned[0].request.id, 7u);
-    EXPECT_FALSE(cache.isReady(pending_key));
     EXPECT_EQ(cache.exactSize(), 1u);
+    // The retracted key is free: the next lookup owns it afresh.
+    EXPECT_EQ(lookup(pending_key, out), SolveCache::Lookup::Owner);
 
     // A late failure for an already-ready key is a no-op.
     EXPECT_TRUE(cache.publishFailure(ready_key).empty());
-    EXPECT_TRUE(cache.tryServe(ready_key, out));
+    EXPECT_EQ(lookup(ready_key, out), SolveCache::Lookup::Hit);
     EXPECT_TRUE(bitwiseEqual(out, value));
 }
 
@@ -292,32 +311,38 @@ TEST(SolveCache, LruEvictionBoundsReadyEntriesAndSparesPending)
     opts.shards = 1;
     SolveCache cache(opts);
     const Tensor value = makeInput(5);
+    const auto lookup = [&](const Hash128 &key) {
+        QueueEntry entry = makeEntry(key);
+        Tensor out;
+        return cache.lookupOrAttach(key, entry, out);
+    };
 
-    std::vector<Hash128> keys;
     for (std::uint64_t i = 0; i < 5; i++) {
-        Hash128 key{0x1000 + i, 0x2000 + i};
-        keys.push_back(key);
-        ASSERT_TRUE(cache.registerPending(key));
+        const Hash128 key{0x1000 + i, 0x2000 + i};
+        ASSERT_EQ(lookup(key), SolveCache::Lookup::Owner);
         cache.publishSuccess(key, value);
     }
     EXPECT_EQ(cache.exactSize(), 3u);
     EXPECT_EQ(cache.evictions(), 2u);
-    // Cold end evicted, hot end retained.
-    EXPECT_FALSE(cache.isReady(keys[0]));
-    EXPECT_FALSE(cache.isReady(keys[1]));
-    EXPECT_TRUE(cache.isReady(keys[4]));
+    // The hot end is retained, so the first two published left.
+    for (std::uint64_t i = 2; i < 5; i++)
+        EXPECT_EQ(lookup(Hash128{0x1000 + i, 0x2000 + i}),
+                  SolveCache::Lookup::Hit);
 
     // Pending entries hold follower promises and are never evicted,
     // even with the shard over budget — the ready values are the ones
     // sacrificed to make room.
     for (std::uint64_t i = 0; i < 5; i++)
-        ASSERT_TRUE(cache.registerPending(Hash128{0x9000 + i, 0x9900 + i}));
+        ASSERT_EQ(lookup(Hash128{0x9000 + i, 0x9900 + i}),
+                  SolveCache::Lookup::Owner);
     EXPECT_EQ(cache.exactSize(), 5u);
     for (std::uint64_t i = 0; i < 5; i++)
-        EXPECT_FALSE(cache.registerPending(Hash128{0x9000 + i, 0x9900 + i}));
+        EXPECT_EQ(lookup(Hash128{0x9000 + i, 0x9900 + i}),
+                  SolveCache::Lookup::Attached);
     for (std::uint64_t i = 0; i < 5; i++)
-        EXPECT_TRUE(
-            cache.publishFailure(Hash128{0x9000 + i, 0x9900 + i}).empty());
+        EXPECT_EQ(
+            cache.publishFailure(Hash128{0x9000 + i, 0x9900 + i}).size(),
+            1u);
     EXPECT_EQ(cache.exactSize(), 0u);
 }
 
@@ -562,14 +587,68 @@ TEST(CachedServing, ConcurrentIdenticalRequestsCostOneSolve)
         if (!r.cacheHit)
             solved++;
     }
-    // One owner solved; every other submission either attached to the
-    // owner's pending entry at admission or was screened at dispatch.
+    // One owner solved; every other submission attached to the owner's
+    // pending entry at admission.
     EXPECT_EQ(solved, 1u);
     EXPECT_EQ(server.solveCache()->singleFlightWaits(), n - 1);
     const MetricsSummary s = server.metrics().summary();
     EXPECT_EQ(s.admitted, n);
     EXPECT_EQ(s.completed, n);
     EXPECT_EQ(s.cacheHits, n - 1);
+}
+
+TEST(CachedServing, RacingIdenticalSubmitsSolveEachKeyOnce)
+{
+    // Producers released together race on every key: each submits the
+    // same inputs in the same order. The admission lookup decides each
+    // request once, under its shard lock: a hit, a follower, or the
+    // key's only owner. However the submits interleave, each key is
+    // therefore solved exactly once. Repeated under TSan in CI.
+    constexpr std::size_t kThreads = 4;
+    constexpr std::size_t kInputs = 400;
+    constexpr std::size_t kRounds = 5;
+    for (std::size_t round = 0; round < kRounds; round++) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        ServerOptions opts =
+            cachedServerOptions(2, kThreads * kInputs, /*paused=*/false,
+                                /*exact_cap=*/kThreads * kInputs);
+        opts.maxBatch = 4;
+        InferenceServer server(makeReferenceModel, opts);
+        std::vector<Tensor> inputs;
+        for (std::size_t k = 0; k < kInputs; k++)
+            inputs.push_back(makeInput(1000 + round * kInputs + k));
+
+        std::latch start(kThreads);
+        std::vector<std::vector<InferenceServer::Submission>> subs(kThreads);
+        std::vector<std::thread> producers;
+        for (std::size_t t = 0; t < kThreads; t++) {
+            producers.emplace_back([&, t] {
+                start.arrive_and_wait();
+                for (const Tensor &input : inputs)
+                    subs[t].push_back(server.submit(input));
+            });
+        }
+        for (std::thread &producer : producers)
+            producer.join();
+
+        std::vector<std::size_t> solves(kInputs, 0);
+        for (std::size_t t = 0; t < kThreads; t++) {
+            for (std::size_t k = 0; k < kInputs; k++) {
+                ASSERT_TRUE(subs[t][k].accepted);
+                const InferResponse r = subs[t][k].result.get();
+                ASSERT_EQ(r.status, RequestStatus::Ok);
+                solves[k] += r.cacheHit ? 0 : 1;
+            }
+        }
+        server.stop();
+        std::size_t twice = 0;
+        for (std::size_t k = 0; k < kInputs; k++) {
+            EXPECT_GE(solves[k], 1u) << "key " << k;
+            twice += solves[k] > 1 ? 1 : 0;
+        }
+        EXPECT_EQ(twice, 0u) << "keys solved more than once";
+        EXPECT_EQ(server.solveCache()->inserts(), kInputs);
+    }
 }
 
 TEST(CachedServing, WarmStartStaysWithinToleranceAndCutsTrials)
@@ -728,53 +807,78 @@ TEST(CachedServingChaos, FaultedSolvesNeverPopulateEitherTier)
 TEST(CachedServingChaos, PublishFaultRedispatchesSingleFlightFollowers)
 {
     setLogLevel(LogLevel::Silent);
-    // One worker, both requests staged before any dispatch: the first
-    // registers as single-flight owner, the identical second attaches
-    // as its follower.
+    // One worker, every request staged before any dispatch: the first
+    // owns the key, and the identical requests after it attach as its
+    // followers.
+    constexpr std::size_t kFollowers = 3;
     InferenceServer server(makeReferenceModel,
                            cachedServerOptions(1, 16, /*paused=*/true));
     const Tensor input = makeInput(21);
 
-    auto owner = server.submit(input);
-    auto follower = server.submit(input);
-    ASSERT_TRUE(owner.accepted);
-    ASSERT_TRUE(follower.accepted);
+    std::vector<std::future<InferResponse>> futures;
+    for (std::size_t i = 0; i <= kFollowers; i++) {
+        auto sub = server.submit(input);
+        ASSERT_TRUE(sub.accepted);
+        futures.push_back(std::move(sub.result));
+    }
+    EXPECT_EQ(server.solveCache()->singleFlightWaits(), kFollowers);
 
-    // A fault between the owner's solve and its cache publish: the
-    // solve succeeds, the publish is lost. The pending entry must be
-    // retracted and the follower redispatched to solve for itself —
-    // never parked forever on a publish that will not come.
-    FaultPlan plan;
-    plan.seed = 31;
-    FaultSpec spec;
-    spec.site = "cache.publish";
-    spec.kind = FaultKind::Reject;
-    spec.firstHit = 0;
-    spec.count = std::numeric_limits<std::uint64_t>::max();
-    plan.faults.push_back(spec);
-    ScopedFaultPlan scoped(plan);
+    // A one-shot fault between the owner's solve and its cache publish:
+    // the solve succeeds, the publish is lost. The pending entry must be
+    // retracted and the followers re-admitted through the lookup, never
+    // parked forever on a publish that will not come: the first owns
+    // the key and solves, the rest attach to it. No solve may populate
+    // the cache while a plan is armed, so the plan is disarmed once the
+    // owner has answered; the stall keeps the new owner's solve from
+    // finishing before then.
+    std::vector<InferResponse> responses;
+    {
+        FaultPlan plan;
+        plan.seed = 31;
+        FaultSpec lost;
+        lost.site = "cache.publish";
+        lost.kind = FaultKind::Reject;
+        lost.firstHit = 0;
+        lost.count = 1;
+        plan.faults.push_back(lost);
+        FaultSpec stall;
+        stall.site = "worker.stall";
+        stall.kind = FaultKind::Stall;
+        stall.firstHit = 1; // the second dispatch: the new owner's
+        stall.count = 1;
+        stall.stallMs = 500.0;
+        plan.faults.push_back(stall);
+        ScopedFaultPlan scoped(plan);
 
-    server.resume();
-    InferResponse r_owner = owner.result.get();
-    InferResponse r_follower = follower.result.get();
+        server.resume();
+        responses.push_back(futures[0].get());
+        EXPECT_EQ(FaultInjector::instance().hits("cache.publish"), 1u);
+    }
+    for (std::size_t i = 1; i <= kFollowers; i++)
+        responses.push_back(futures[i].get());
     setLogLevel(LogLevel::Info);
 
-    // Both solved for themselves, neither from the cache, both faults
-    // recorded at the probe.
-    EXPECT_EQ(r_owner.status, RequestStatus::Ok);
-    EXPECT_EQ(r_follower.status, RequestStatus::Ok);
-    EXPECT_FALSE(r_owner.cacheHit);
-    EXPECT_FALSE(r_follower.cacheHit);
-    EXPECT_TRUE(bitwiseEqual(r_owner.output, r_follower.output));
-    EXPECT_GT(r_follower.stats.fEvals, 0u) << "follower never redissolved";
-    EXPECT_GE(FaultInjector::instance().hits("cache.publish"), 2u);
-    EXPECT_EQ(server.solveCache()->inserts(), 0u);
-    EXPECT_EQ(server.solveCache()->exactSize(), 0u);
+    // The owner and one re-admitted follower solved; the lost publish
+    // cost the followers one solve between them.
+    EXPECT_FALSE(responses[0].cacheHit);
+    std::size_t solved = 0;
+    for (const InferResponse &r : responses) {
+        EXPECT_EQ(r.status, RequestStatus::Ok);
+        EXPECT_TRUE(bitwiseEqual(r.output, responses[0].output));
+        if (!r.cacheHit) {
+            solved++;
+            EXPECT_GT(r.stats.fEvals, 0u);
+        }
+    }
+    EXPECT_EQ(solved, 2u);
+    EXPECT_EQ(server.solveCache()->inserts(), 1u);
+    EXPECT_EQ(server.solveCache()->exactSize(), 1u);
 
     server.stop();
     const MetricsSummary s = server.metrics().summary();
-    EXPECT_EQ(s.admitted, 2u);
-    EXPECT_EQ(s.completed, 2u);
+    EXPECT_EQ(s.admitted, kFollowers + 1);
+    EXPECT_EQ(s.completed, kFollowers + 1);
+    EXPECT_EQ(s.cacheHits, kFollowers - 1);
     EXPECT_EQ(s.admitted, s.completed + s.expired + s.failed +
                               s.cancelled + s.shed);
 }
@@ -904,6 +1008,83 @@ TEST(CachedServing, ExpiredOwnerDoesNotPoisonRepeatTraffic)
     EXPECT_EQ(r.status, RequestStatus::Ok);
     EXPECT_FALSE(r.cacheHit);
     server.stop();
+}
+
+TEST(CachedServing, ShedOwnerDoesNotPoisonRepeatTraffic)
+{
+    // The admission lookup registers the owner before overload control
+    // decides, so a shed owner retracts its registration. The next
+    // identical request then solves instead of attaching to a pending
+    // entry that no solve will ever publish.
+    ServerOptions opts = cachedServerOptions(1, 16);
+    opts.overload.enabled = true;
+    InferenceServer server(makeReferenceModel, opts);
+    const Tensor input = makeInput(24);
+
+    auto shed = server.submit(
+        input, /*stream=*/0,
+        RuntimeClock::now() - std::chrono::milliseconds(1));
+    ASSERT_TRUE(shed.accepted);
+    EXPECT_EQ(shed.result.get().status, RequestStatus::Shed);
+    EXPECT_EQ(server.solveCache()->exactSize(), 0u);
+
+    auto retry = server.submit(input);
+    ASSERT_TRUE(retry.accepted);
+    ASSERT_EQ(retry.result.wait_for(std::chrono::seconds(20)),
+              std::future_status::ready);
+    InferResponse r = retry.result.get();
+    EXPECT_EQ(r.status, RequestStatus::Ok);
+    EXPECT_FALSE(r.cacheHit);
+    server.stop();
+    const MetricsSummary s = server.metrics().summary();
+    EXPECT_EQ(s.shed, 1u);
+    EXPECT_EQ(s.admitted, s.completed + s.expired + s.failed +
+                              s.cancelled + s.shed);
+}
+
+TEST(CachedServing, FollowersAdmittedBeforeAPublicationSolveOnTheNewWeights)
+{
+    // An owner and three followers are keyed against version 0, then
+    // version 1 is published before anything dispatches. Each solves on
+    // the new weights, so none may publish under the old key: every
+    // end is uncacheable and re-admits the remaining followers through
+    // the lookup, which makes one of them the next owner. They solve
+    // one after another, one dispatch each, and all complete Ok.
+    ServerOptions opts = cachedServerOptions(1, 16, /*paused=*/true);
+    opts.maxBatch = 4;
+    InferenceServer server(makeReferenceModel, opts);
+    const Tensor input = makeInput(25);
+
+    std::vector<std::future<InferResponse>> futures;
+    for (std::size_t i = 0; i < 4; i++) {
+        auto sub = server.submit(input);
+        ASSERT_TRUE(sub.accepted);
+        futures.push_back(std::move(sub.result));
+    }
+    EXPECT_EQ(server.solveCache()->singleFlightWaits(), 3u);
+    server.registry().publish(*makeRetrainedModel());
+    server.resume();
+
+    FixedFactorController controller;
+    const Tensor expected =
+        makeRetrainedModel()
+            ->forward(input, server.tableau(), controller, servingOptions())
+            .output;
+    for (std::size_t i = 0; i < 4; i++) {
+        const InferResponse r = futures[i].get();
+        EXPECT_EQ(r.status, RequestStatus::Ok) << "request " << i;
+        EXPECT_FALSE(r.cacheHit) << "request " << i;
+        EXPECT_EQ(r.modelVersion, 1u) << "request " << i;
+        EXPECT_TRUE(bitwiseEqual(r.output, expected)) << "request " << i;
+    }
+    // Nothing was published, and the last owner retracted its entry
+    // before it answered.
+    EXPECT_EQ(server.solveCache()->inserts(), 0u);
+    EXPECT_EQ(server.solveCache()->exactSize(), 0u);
+    server.stop();
+    const MetricsSummary s = server.metrics().summary();
+    EXPECT_EQ(s.batchesDispatched, 4u);
+    EXPECT_EQ(s.completed, 4u);
 }
 
 TEST(CachedServing, RefusedPushRetractsPendingRegistration)

@@ -1,7 +1,7 @@
 /**
  * @file
  * The thread-local tensor workspace pool and the zero-allocation solver
- * hot path built on it.
+ * hot path built on it, plus the batcher's allocation-free pop.
  *
  * The pool's miss counter is a real heap allocation, so the central
  * assertions here — "misses == 0 after warm-up" — are the software
@@ -23,6 +23,7 @@
 #include "ode/ivp.h"
 #include "ode/ode_function.h"
 #include "ode/step_control.h"
+#include "runtime/batcher.h"
 #include "tensor/tensor.h"
 #include "tensor/workspace.h"
 
@@ -491,6 +492,44 @@ TEST(Workspace, Fp16OdeQuantizesWithoutCopyAllocations)
     expect.quantizeFp16();
     fp16.evalInto(0.0, h, out);
     EXPECT_TRUE(Tensor::allClose(out, expect, 0.0, 0.0));
+}
+
+TEST(Workspace, CollectOfAQueuedRequestMakesNoHeapCalls)
+{
+    // A pop moves the queued entry out of the queue. Nothing
+    // default-constructs a QueueEntry, whose std::promise allocates its
+    // shared state, only to assign the popped entry over it. Building
+    // the entry is the producer's cost and is not counted.
+    constexpr int kWarmup = 2;
+    constexpr int kRounds = 100;
+    for (const std::size_t max_batch : {1, 4}) {
+        RequestQueue queue(4, SelectPolicy::Fifo);
+        Batcher batcher(queue, max_batch);
+        CollectedBatch batch;
+        std::uint64_t push_calls = 0, collect_calls = 0;
+        for (int i = 0; i < kWarmup + kRounds; i++) {
+            QueueEntry entry;
+            entry.request.input = Tensor(Shape{16});
+            const std::uint64_t before =
+                g_heap_allocs.load(std::memory_order_relaxed);
+            ASSERT_TRUE(queue.tryPush(entry));
+            const std::uint64_t pushed =
+                g_heap_allocs.load(std::memory_order_relaxed);
+            ASSERT_TRUE(batcher.collect(batch));
+            const std::uint64_t collected =
+                g_heap_allocs.load(std::memory_order_relaxed);
+            ASSERT_EQ(batch.entries.size(), 1u);
+            if (i < kWarmup)
+                continue;
+            push_calls += pushed - before;
+            collect_calls += collected - pushed;
+        }
+        EXPECT_EQ(push_calls, 0u) << "maxBatch " << max_batch;
+        EXPECT_EQ(collect_calls, 0u)
+            << "maxBatch " << max_batch << ": "
+            << static_cast<double>(collect_calls) / kRounds
+            << " heap calls per collect";
+    }
 }
 
 } // namespace
