@@ -7,7 +7,6 @@
 #include "nn/linear.h"
 #include "nn/norm.h"
 #include "nn/pool.h"
-#include "nn/serialize.h"
 
 namespace enode {
 
@@ -181,12 +180,6 @@ NodeModel::zeroGrad()
 {
     for (auto &net : nets_)
         net->zeroGrad();
-}
-
-void
-NodeModel::syncParametersFrom(NodeModel &master)
-{
-    copyParameters(master.paramSlots(), paramSlots());
 }
 
 std::size_t

@@ -196,15 +196,6 @@ class NodeModel
     void zeroGrad();
     std::size_t paramCount();
 
-    /**
-     * Overwrite this model's parameters with the master's (matched by
-     * slot name and shape; structural mismatch is fatal). The serving
-     * runtime uses this to stamp bit-identical weights into per-worker
-     * replicas: the master is treated as read-only shared state and the
-     * replica becomes the worker's private scratch copy.
-     */
-    void syncParametersFrom(NodeModel &master);
-
   private:
     std::vector<std::unique_ptr<EmbeddedNet>> nets_;
     double layerTime_;

@@ -136,29 +136,4 @@ loadParameters(const std::string &path, const std::vector<ParamSlot> &slots)
     }
 }
 
-void
-copyParameters(const std::vector<ParamSlot> &from,
-               const std::vector<ParamSlot> &to)
-{
-    if (from.size() != to.size())
-        ENODE_FATAL("parameter copy between models with ", from.size(),
-                    " vs ", to.size(), " slots");
-    for (std::size_t i = 0; i < from.size(); i++) {
-        const ParamSlot &src = from[i];
-        const ParamSlot &dst = to[i];
-        ENODE_ASSERT(src.param != nullptr && dst.param != nullptr,
-                     "null param in slot '", src.name, "'");
-        if (src.name != dst.name)
-            ENODE_FATAL("slot ", i, " name mismatch: '", src.name,
-                        "' vs '", dst.name, "'");
-        if (src.param->shape() != dst.param->shape())
-            ENODE_FATAL("shape mismatch for '", src.name, "': ",
-                        src.param->shape().str(), " vs ",
-                        dst.param->shape().str());
-        const Tensor &source = *src.param;
-        std::memcpy(dst.param->data(), source.data(),
-                    source.numel() * sizeof(float));
-    }
-}
-
 } // namespace enode

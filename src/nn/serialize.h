@@ -40,16 +40,6 @@ void saveParameters(const std::string &path,
 void loadParameters(const std::string &path,
                     const std::vector<ParamSlot> &slots);
 
-/**
- * Memory-to-memory parameter copy between two structurally identical
- * models (e.g. a serving master and a worker replica). Slots are matched
- * positionally and validated by name and shape; any mismatch is a hard
- * error, exactly as for checkpoints. Source tensors are only read, so a
- * master's weights stay untouched while replicas synchronize from it.
- */
-void copyParameters(const std::vector<ParamSlot> &from,
-                    const std::vector<ParamSlot> &to);
-
 } // namespace enode
 
 #endif // ENODE_NN_SERIALIZE_H

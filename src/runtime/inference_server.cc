@@ -21,6 +21,17 @@ toMs(RuntimeClock::duration d)
     return std::chrono::duration<double, std::milli>(d).count();
 }
 
+/**
+ * Cache identity of (solver config, weights): a plain combination of
+ * the two digests. The version *number* is deliberately absent, so a
+ * republication of identical bytes keeps its cache identity.
+ */
+Hash128
+combineDigests(const Hash128 &config, const Hash128 &params)
+{
+    return {mix64(config.hi ^ params.hi), mix64(config.lo ^ params.lo)};
+}
+
 } // namespace
 
 std::size_t
@@ -126,23 +137,20 @@ InferenceServer::InferenceServer(ModelFactory make_model,
         workers_.push_back(std::move(worker));
     }
 
-    // Replica 0 is the weight master: stamp its parameters into every
-    // other replica so all workers serve bit-identical weights. The
-    // master is only read; each replica is its worker's private
-    // scratch space from here on.
-    for (std::size_t i = 1; i < workers_.size(); i++)
-        workers_[i]->model->syncParametersFrom(*workers_[0]->model);
-
-    // The construction weights become registry version 0; every worker
-    // replica starts there (Worker::replicaVersion's default). The
-    // training service publishes versions 1, 2, ... through publish().
+    // Replica 0's weights become registry version 0, and every other
+    // replica gets them the way later versions arrive, through applyTo,
+    // so all workers serve bit-identical weights and start at version
+    // 0 (Worker::replicaVersion's default). The training service
+    // publishes versions 1, 2, ... through publish().
     registry_.seed(*workers_[0]->model);
+    const std::shared_ptr<const WeightSnapshot> v0 = registry_.latest();
+    for (std::size_t i = 1; i < workers_.size(); i++)
+        ModelRegistry::applyTo(*v0, *workers_[i]->model);
 
     // Solver-config digest every cache key embeds: everything a
-    // response's bytes depend on *except* the weights, which live in
-    // the registry snapshots (their digest is combined per version in
-    // digestFor). Two servers agree on a key only when a fresh solve
-    // would produce identical outputs.
+    // response's bytes depend on *except* the weights, whose digest
+    // the stamp takes from the live snapshot. Two servers agree on a
+    // key only when a fresh solve would produce identical outputs.
     if (solveCache_ != nullptr) {
         StreamHasher hasher;
         NodeModel &master = *workers_[0]->model;
@@ -217,68 +225,41 @@ InferenceServer::submit(Tensor input, std::uint32_t stream,
     entry.request.stream = stream;
     entry.request.deadline = deadline;
     entry.request.input = std::move(input);
-    // Admission-version stamp: the registry version this request is
-    // keyed against. Workers may serve it on a newer replica after a
-    // hot swap, but its cache identity follows this stamp: a solve on
-    // any other version never publishes into the cache.
-    entry.request.modelVersion = registry_.latestVersion();
     entry.enqueueTime = RuntimeClock::now();
+    stamp(entry.request);
 
     const std::uint64_t id = entry.request.id;
     std::future<InferResponse> future = entry.promise.get_future();
 
-    if (solveCache_ != nullptr) {
-        // Stamp the cache identities onto the request, then make its
-        // one exact-tier decision right here on the admission path: a
-        // ready value answers without ever touching the queue, an
-        // in-flight identical solve absorbs this request as a follower,
-        // and otherwise this request becomes the key's only owner. The
-        // digest is per registry version, so a weight hot swap moves
-        // new admissions into a fresh key space — a post-swap request
-        // can never hit a pre-swap entry.
-        const Hash128 version_digest =
-            digestFor(entry.request.modelVersion);
-        if (options_.cache.exactCapacity > 0) {
-            StreamHasher hasher;
-            hasher.update(version_digest.hi);
-            hasher.update(version_digest.lo);
-            hashTensorInto(hasher, entry.request.input);
-            entry.request.cacheKey = hasher.digest();
-        }
-        if (options_.cache.warmCapacity > 0) {
-            // Mixed with the version digest so two servers' (or two
-            // versions') signature spaces do not alias; 0 stays the
-            // "no signature" sentinel.
-            entry.request.warmSig = mix64(
-                coarseSignature(entry.request.input,
-                                options_.cache.signatureQuantum) ^
-                version_digest.lo);
-        }
-        if (entry.request.cacheKey.valid()) {
-            Tensor hit;
-            switch (solveCache_->lookupOrAttach(entry.request.cacheKey,
-                                                entry, hit)) {
-              case SolveCache::Lookup::Hit:
-                metrics_.recordAdmitted();
-                deliverCacheHit(0, entry, std::move(hit));
-                sub.accepted = true;
-                sub.id = id;
-                sub.result = std::move(future);
-                return sub;
-              case SolveCache::Lookup::Attached:
-                // The entry (promise included) now rides the pending
-                // solve; the owner's publish will fulfil it.
-                metrics_.recordAdmitted();
-                sub.accepted = true;
-                sub.id = id;
-                sub.result = std::move(future);
-                return sub;
-              case SolveCache::Lookup::Owner:
-                // Registered under the lookup's lock: from here every
-                // path that ends this request without a clean solve
-                // retracts the registration.
-                break;
-            }
+    if (entry.request.cacheKey.valid()) {
+        // The request's one exact-tier decision, right here on the
+        // admission path: a ready value answers without ever touching
+        // the queue, an in-flight identical solve absorbs this request
+        // as a follower, and otherwise this request becomes the key's
+        // only owner.
+        Tensor hit;
+        switch (solveCache_->lookupOrAttach(entry.request.cacheKey, entry,
+                                            hit)) {
+          case SolveCache::Lookup::Hit:
+            metrics_.recordAdmitted();
+            deliverCacheHit(0, entry, std::move(hit));
+            sub.accepted = true;
+            sub.id = id;
+            sub.result = std::move(future);
+            return sub;
+          case SolveCache::Lookup::Attached:
+            // The entry (promise included) now rides the pending solve;
+            // the owner's publish will fulfil it.
+            metrics_.recordAdmitted();
+            sub.accepted = true;
+            sub.id = id;
+            sub.result = std::move(future);
+            return sub;
+          case SolveCache::Lookup::Owner:
+            // Registered under the lookup's lock: from here every path
+            // that ends this request without a clean solve retracts the
+            // registration.
+            break;
         }
     }
 
@@ -337,7 +318,6 @@ InferenceServer::submitTrainTask(TrainTask &task)
     // when no inference request of equal or higher priority is waiting.
     entry.request.input = task.input; // copy: the task survives retries
     entry.request.train = &task;
-    entry.request.modelVersion = task.weights->version;
     entry.enqueueTime = RuntimeClock::now();
 
     const std::uint64_t id = entry.request.id;
@@ -423,7 +403,6 @@ InferenceServer::serveTrain(std::size_t worker_id, QueueEntry &entry,
     // take the task over, and its service then retries or reuses it.
     const Tensor target = task.target;
     const IvpOptions ivp = task.ivp;
-    const std::uint64_t version = task.weights->version;
 
     // Publish to the in-flight slot (train-flagged) so the watchdog
     // aborts a wedged training solve exactly like an inference one —
@@ -464,7 +443,6 @@ InferenceServer::serveTrain(std::size_t worker_id, QueueEntry &entry,
     response.solveMs = toMs(end - start);
     response.totalMs = toMs(end - entry.enqueueTime);
     response.workerId = worker_id;
-    response.modelVersion = version;
     span.arg("status", static_cast<double>(response.status));
 
     if (!ok)
@@ -591,20 +569,6 @@ InferenceServer::stop(bool drain)
     std::vector<QueueEntry> leftovers = queue_.close(drain);
     resume(); // paused workers must wake to drain or exit
 
-    const auto cancelEntry = [this](QueueEntry &entry) {
-        // A full Cancelled response, so admitted == completed + expired
-        // + failed + cancelled holds exactly. A gradient task's
-        // TrainingService sees the status through its future and gives
-        // up the step.
-        InferResponse response;
-        response.id = entry.request.id;
-        response.status = RequestStatus::Cancelled;
-        response.queueWaitMs = toMs(RuntimeClock::now() - entry.enqueueTime);
-        response.totalMs = response.queueWaitMs;
-        deliverTerminal(entry.promise, std::move(response),
-                        entry.request.train != nullptr);
-    };
-
     // Cancelled entries may own pending cache entries with attached
     // followers; retracting those surfaces the followers, which are
     // cancelled in the same sweep (the queue is closed, so they cannot
@@ -684,49 +648,51 @@ InferenceServer::metricsText() const
     return text;
 }
 
-Hash128
-InferenceServer::digestFor(std::uint64_t version) const
+void
+InferenceServer::stamp(InferRequest &request) const
 {
-    if (!configDigest_.valid())
-        return Hash128{}; // caching off: requests carry no key
-    {
-        std::lock_guard<std::mutex> lock(digestMutex_);
-        if (digestVersion_ == version)
-            return digestCache_;
+    // One read of the live snapshot: the version and both cache
+    // identities name the same weights, whatever publishes meanwhile.
+    // A publication of new weights moves every later stamp into a
+    // fresh key space, so a post-swap request never hits a pre-swap
+    // entry.
+    const std::shared_ptr<const WeightSnapshot> live = registry_.latest();
+    request.modelVersion = live->version;
+    if (solveCache_ == nullptr)
+        return;
+    const Hash128 digest = combineDigests(configDigest_, live->paramsDigest);
+    if (options_.cache.exactCapacity > 0) {
+        StreamHasher hasher;
+        hasher.update(digest.hi);
+        hasher.update(digest.lo);
+        hashTensorInto(hasher, request.input);
+        request.cacheKey = hasher.digest();
     }
-    auto snap = registry_.at(version);
-    if (snap == nullptr)
-        snap = registry_.latest(); // evicted: the live one is what serves
-    // Plain combination of the two digests; the version *number* is
-    // deliberately absent so republished identical bytes keep their
-    // cache identity.
-    Hash128 digest;
-    digest.hi = mix64(configDigest_.hi ^ snap->paramsDigest.hi);
-    digest.lo = mix64(configDigest_.lo ^ snap->paramsDigest.lo);
-    {
-        std::lock_guard<std::mutex> lock(digestMutex_);
-        digestVersion_ = version;
-        digestCache_ = digest;
+    if (options_.cache.warmCapacity > 0) {
+        // Mixed with the weights' digest so two servers' (or two
+        // versions') signature spaces do not alias; 0 stays the "no
+        // signature" sentinel.
+        request.warmSig = mix64(
+            coarseSignature(request.input, options_.cache.signatureQuantum) ^
+            digest.lo);
     }
-    return digest;
 }
 
 Hash128
 InferenceServer::modelDigest() const
 {
-    return digestFor(registry_.latestVersion());
+    if (solveCache_ == nullptr)
+        return Hash128{}; // caching off: requests carry no key
+    return combineDigests(configDigest_, registry_.latest()->paramsDigest);
 }
 
 void
 InferenceServer::maybeSwapReplica(std::size_t worker_id)
 {
     Worker &worker = *workers_[worker_id];
-    const std::uint64_t live = registry_.latestVersion();
-    if (live == worker.replicaVersion)
+    if (registry_.latestVersion() == worker.replicaVersion)
         return;
-    auto snap = registry_.at(live);
-    if (snap == nullptr)
-        snap = registry_.latest(); // `live` evicted by an even newer publish
+    const std::shared_ptr<const WeightSnapshot> snap = registry_.latest();
     TraceSpan span("model.swap", "serve");
     span.arg("worker", static_cast<double>(worker_id));
     span.arg("version", static_cast<double>(snap->version));
@@ -756,8 +722,8 @@ InferenceServer::deliverCacheHit(std::size_t worker_id, QueueEntry &entry,
     response.queueWaitMs = toMs(now - entry.enqueueTime);
     response.totalMs = response.queueWaitMs;
     response.workerId = worker_id;
-    // A cached value is the admission version's bytes by construction
-    // (the key embeds that version's digest).
+    // A cached value is the stamped version's bytes by construction
+    // (the key embeds that snapshot's digest).
     response.modelVersion = entry.request.modelVersion;
     if (now > entry.request.deadline) {
         // Same terminal status the request would have received from the
@@ -780,15 +746,19 @@ InferenceServer::deliverCacheHit(std::size_t worker_id, QueueEntry &entry,
 void
 InferenceServer::redispatchFollowers(std::vector<QueueEntry> followers)
 {
-    // Each follower is admitted again through the same lookup: the
-    // first owns the key and queues, the rest attach to it (or hit, if
-    // an identical request published meanwhile). An owner the queue
-    // refuses (closed at shutdown, or full) is cancelled — the
-    // backpressure verdict it would have received at admission — and
-    // its registration is retracted; whoever attached to it joins this
-    // sweep.
+    // Each follower is stamped again and admitted again through the
+    // same lookup: the first owns the live version's key and queues,
+    // the rest attach to it (or hit, if an identical request published
+    // meanwhile). Stamping again matters when the owner failed because
+    // a publication moved the replicas past its stamp: its followers
+    // then share one live-version key, and one solve serves them all.
+    // An owner the queue refuses (closed at shutdown, or full) is
+    // cancelled — the backpressure verdict it would have received at
+    // admission — and its registration is retracted; whoever attached
+    // to it joins this sweep.
     for (std::size_t i = 0; i < followers.size(); i++) {
         QueueEntry f = std::move(followers[i]);
+        stamp(f.request);
         Tensor hit;
         switch (solveCache_->lookupOrAttach(f.request.cacheKey, f, hit)) {
           case SolveCache::Lookup::Hit:
@@ -803,13 +773,20 @@ InferenceServer::redispatchFollowers(std::vector<QueueEntry> followers)
             continue;
         for (QueueEntry &g : solveCache_->publishFailure(f.request.cacheKey))
             followers.push_back(std::move(g));
-        InferResponse response;
-        response.id = f.request.id;
-        response.status = RequestStatus::Cancelled;
-        response.queueWaitMs = toMs(RuntimeClock::now() - f.enqueueTime);
-        response.totalMs = response.queueWaitMs;
-        deliverTerminal(f.promise, std::move(response));
+        cancelEntry(f);
     }
+}
+
+void
+InferenceServer::cancelEntry(QueueEntry &entry)
+{
+    InferResponse response;
+    response.id = entry.request.id;
+    response.status = RequestStatus::Cancelled;
+    response.queueWaitMs = toMs(RuntimeClock::now() - entry.enqueueTime);
+    response.totalMs = response.queueWaitMs;
+    deliverTerminal(entry.promise, std::move(response),
+                    entry.request.train != nullptr);
 }
 
 void

@@ -7,10 +7,11 @@
  *
  * Turns the single-threaded NodeModel library into a servable engine:
  * a fixed pool of worker threads, each owning a *private replica* of
- * the embedded nets (weights stamped bit-identically from replica 0 at
- * startup and treated as read-only thereafter; all scratch state —
- * layer forward caches, solver controllers, eval counters — is
- * per-worker), drains a bounded MPMC request queue ordered by the same
+ * the embedded nets (weights written only from the registry's live
+ * snapshot: version 0 at startup, each later publication at a dispatch
+ * boundary; all scratch state — layer forward caches, solver
+ * controllers, eval counters — is per-worker), drains a bounded MPMC
+ * request queue ordered by the same
  * SelectPolicy the hardware priority selector uses. Producers are never
  * blocked: a full queue rejects at admission (backpressure), exactly
  * like the selector's full state buffers.
@@ -223,10 +224,10 @@ class InferenceServer
 
     /**
      * @param make_model Called numWorkers times (sequentially, on the
-     *        constructing thread). Replica 0 acts as the weight master:
-     *        every other replica's parameters are overwritten with
-     *        replica 0's, so all workers serve bit-identical weights
-     *        even if the factory is not deterministic.
+     *        constructing thread). Replica 0's weights become registry
+     *        version 0, which is applied to every other replica, so all
+     *        workers serve bit-identical weights even if the factory is
+     *        not deterministic.
      * @param options Pool/queue/solver configuration.
      * @param make_controller Stepsize controller per batch slot (and
      *        per training replica); defaults to FixedFactorController.
@@ -324,16 +325,16 @@ class InferenceServer
     const AdmissionController *admission() const { return admission_.get(); }
 
     /** Digest of (weights, solver config) every cache key embeds,
-     *  for the *live* registry version; invalid when caching is off.
+     *  for the *live* registry snapshot; invalid when caching is off.
      *  Exposed for key-stability tests — after a weight hot swap the
      *  value changes, which is exactly what keeps post-swap requests
      *  from hitting pre-swap cache entries. */
     Hash128 modelDigest() const;
 
     /**
-     * The versioned weight store. The training service publishes new
+     * The live weight snapshot. The training service publishes new
      * versions through it; workers hot-swap their private replicas to
-     * the latest version at dispatch boundaries (never mid-solve).
+     * the live version at dispatch boundaries (never mid-solve).
      */
     ModelRegistry &registry() { return registry_; }
     const ModelRegistry &registry() const { return registry_; }
@@ -482,22 +483,22 @@ class InferenceServer
     /**
      * Dispatch-boundary hot swap: if the registry has published past
      * the worker's replica version, overwrite the replica's weights
-     * with the latest snapshot. Called only between solves on the
+     * with the live snapshot. Called only between solves on the
      * worker's own thread, so in-flight requests are never touched; a
-     * request admitted against an older version is still served (on
-     * the newer weights) but its solve can no longer publish into the
-     * cache, whose key embeds the admission-time version digest.
+     * request stamped with an older version is still served (on the
+     * newer weights) but its solve can no longer publish into the
+     * cache, whose key embeds the stamped snapshot's digest.
      */
     void maybeSwapReplica(std::size_t worker_id);
     /**
-     * Cache-identity digest for a registry version: the solver-config
-     * digest combined with the snapshot's parameter digest. The
-     * version *number* is deliberately not mixed in — two versions
-     * with bitwise-identical weights produce identical outputs and
-     * should share cache entries. Cached per version under a mutex
-     * (workers and the admission path race on it).
+     * Stamp `request` from one read of the live snapshot: its
+     * modelVersion and, when the cache is on, its cacheKey and warmSig
+     * (both embed the solver-config digest combined with the
+     * snapshot's parameter digest, so they name the weights the stamp
+     * names). Admission stamps every request; re-admission stamps each
+     * follower again.
      */
-    Hash128 digestFor(std::uint64_t version) const;
+    void stamp(InferRequest &request) const;
     /**
      * End one request, the only way any request ends: an inference
      * terminal takes the next completionIndex and is counted once
@@ -518,12 +519,21 @@ class InferenceServer
     void deliverCacheHit(std::size_t worker_id, QueueEntry &entry,
                          Tensor value);
     /**
-     * A pending solve failed: re-admit its followers through the
-     * cache lookup — the first owns the key and queues, the rest
-     * attach to it. An owner the (closing or full) queue refuses is
-     * Cancelled.
+     * A pending solve failed: stamp each follower again from the live
+     * snapshot and re-admit it through the cache lookup — the first
+     * owns the key and queues, the rest attach to it. An owner the
+     * (closing or full) queue refuses is Cancelled.
      */
     void redispatchFollowers(std::vector<QueueEntry> followers);
+    /**
+     * Terminal Cancelled response for an entry that is never solved:
+     * left queued by a non-draining stop, stranded in the cache at
+     * stop, or a re-admitted owner the queue refuses. Routed through
+     * deliverTerminal, so admitted == completed + expired + failed +
+     * cancelled + shed holds exactly; a gradient task's TrainingService
+     * sees the status through its future and gives up the step.
+     */
+    void cancelEntry(QueueEntry &entry);
     /**
      * Terminal bookkeeping for a keyed owner that did not produce a
      * cacheable value (shed / refused / expired / failed / degraded /
@@ -567,15 +577,11 @@ class InferenceServer
     std::unique_ptr<SolveCache> solveCache_;
     /** Overload controller; null when overload.enabled is false. */
     std::unique_ptr<AdmissionController> admission_;
-    /** Versioned weight snapshots (seeded with version 0 at build). */
+    /** The live weight snapshot (seeded with version 0 at build). */
     ModelRegistry registry_;
     /** Solver-config half of the cache digest (weights live in the
-     *  registry snapshots); valid only when caching is on. */
+     *  registry snapshot); valid only when caching is on. */
     Hash128 configDigest_;
-    /** digestFor() memo: one entry, keyed by version. */
-    mutable std::mutex digestMutex_;
-    mutable std::uint64_t digestVersion_ = ~std::uint64_t{0};
-    mutable Hash128 digestCache_;
     /** Factories kept for lazily building per-worker training replicas. */
     ModelFactory modelFactory_;
     ControllerFactory controllerFactory_;

@@ -20,14 +20,7 @@ digestParams(const std::vector<std::pair<std::string, Tensor>> &params)
 
 } // namespace
 
-ModelRegistry::ModelRegistry(std::size_t historyCapacity)
-    : historyCapacity_(historyCapacity)
-{
-    ENODE_ASSERT(historyCapacity_ >= 1,
-                 "ModelRegistry history capacity must be >= 1");
-}
-
-std::shared_ptr<const WeightSnapshot>
+std::shared_ptr<WeightSnapshot>
 ModelRegistry::capture(NodeModel &model, std::uint64_t version)
 {
     auto snap = std::make_shared<WeightSnapshot>();
@@ -47,21 +40,23 @@ void
 ModelRegistry::seed(NodeModel &model)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    ENODE_ASSERT(history_.empty(), "ModelRegistry already seeded");
-    history_.push_back(capture(model, 0));
+    ENODE_ASSERT(live_ == nullptr, "ModelRegistry already seeded");
+    live_ = capture(model, 0);
     latestVersion_.store(0, std::memory_order_release);
 }
 
 std::uint64_t
 ModelRegistry::publish(NodeModel &model)
 {
+    // Copy and digest the weights before taking the lock: every
+    // admission reads the live snapshot, and none of them should wait
+    // for a copy.
+    std::shared_ptr<WeightSnapshot> next = capture(model, 0);
     std::lock_guard<std::mutex> lock(mutex_);
-    ENODE_ASSERT(!history_.empty(),
-                 "ModelRegistry::publish before seed()");
-    const std::uint64_t version = history_.back()->version + 1;
-    history_.push_back(capture(model, version));
-    while (history_.size() > historyCapacity_)
-        history_.pop_front();
+    ENODE_ASSERT(live_ != nullptr, "ModelRegistry::publish before seed()");
+    const std::uint64_t version = live_->version + 1;
+    next->version = version;
+    live_ = std::move(next);
     published_.fetch_add(1, std::memory_order_relaxed);
     latestVersion_.store(version, std::memory_order_release);
     return version;
@@ -71,18 +66,8 @@ std::shared_ptr<const WeightSnapshot>
 ModelRegistry::latest() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    ENODE_ASSERT(!history_.empty(), "ModelRegistry::latest before seed()");
-    return history_.back();
-}
-
-std::shared_ptr<const WeightSnapshot>
-ModelRegistry::at(std::uint64_t version) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &snap : history_)
-        if (snap->version == version)
-            return snap;
-    return nullptr;
+    ENODE_ASSERT(live_ != nullptr, "ModelRegistry::latest before seed()");
+    return live_;
 }
 
 void
@@ -110,10 +95,6 @@ ModelRegistry::snapshotStats() const
     stats.set("model.version", static_cast<double>(latestVersion()));
     stats.setCounter("model.published", published());
     stats.setCounter("model.swaps", swapsApplied());
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stats.set("model.history", static_cast<double>(history_.size()));
-    }
     return stats;
 }
 

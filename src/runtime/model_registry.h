@@ -3,28 +3,28 @@
 
 /**
  * @file
- * Versioned weight snapshots for online training and hot reload.
+ * The live weight snapshot, for online training and hot reload.
  *
  * The registry is the handoff point between the training service and
  * the serving workers: the trainer publishes an immutable snapshot of
  * the master weights, the registry stamps it with a monotonically
- * increasing version, and each worker swaps the latest snapshot into
- * its private NodeModel replica at its next dispatch boundary. The
- * swap is purely thread-local — a worker only touches its own replica
- * between solves — so in-flight inference is never corrupted: a solve
- * that started on version v finishes on version v, and the next
- * dispatch runs on the new weights.
+ * increasing version and makes it the live one, and each worker swaps
+ * the live snapshot into its private NodeModel replica at its next
+ * dispatch boundary. The swap is purely thread-local — a worker only
+ * touches its own replica between solves — so in-flight inference is
+ * never corrupted: a solve that started on version v finishes on
+ * version v, and the next dispatch runs on the new weights.
  *
  * Version 0 is the server's construction weights (seeded by the
- * server itself); every publish() bumps the version. Snapshots are
- * shared_ptr-immutable, so readers never block the publisher and a
- * worker mid-swap keeps its snapshot alive even if the bounded
- * history evicts it concurrently.
+ * server itself, which also applies it to every replica); every
+ * publish() bumps the version. The registry holds only the live
+ * snapshot. Snapshots are shared_ptr-immutable, so a reader keeps the
+ * one it read alive however many publications replace it, and never
+ * blocks the publisher beyond one pointer copy.
  */
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -48,14 +48,11 @@ struct WeightSnapshot
     Hash128 paramsDigest;
 };
 
-/** Thread-safe store of versioned weight snapshots. */
+/** Thread-safe holder of the live weight snapshot. */
 class ModelRegistry
 {
   public:
-    /** @param historyCapacity Snapshots retained (>= 1); older versions
-     *         are evicted but stay alive for any worker still holding
-     *         their shared_ptr. */
-    explicit ModelRegistry(std::size_t historyCapacity = 4);
+    ModelRegistry() = default;
 
     ModelRegistry(const ModelRegistry &) = delete;
     ModelRegistry &operator=(const ModelRegistry &) = delete;
@@ -74,9 +71,6 @@ class ModelRegistry
     /** The live snapshot (never null after seed()). */
     std::shared_ptr<const WeightSnapshot> latest() const;
 
-    /** A specific version, or null if it was evicted / never existed. */
-    std::shared_ptr<const WeightSnapshot> at(std::uint64_t version) const;
-
     /** The live version number; lock-free fast path for worker polls. */
     std::uint64_t latestVersion() const
     {
@@ -87,9 +81,10 @@ class ModelRegistry
      *  positionally by slot name and shape; mismatch is fatal). */
     static void applyTo(const WeightSnapshot &snap, NodeModel &model);
 
-    /** Capture a model's parameters (no registry interaction). */
-    static std::shared_ptr<const WeightSnapshot>
-    capture(NodeModel &model, std::uint64_t version);
+    /** Capture a model's parameters (no registry interaction). The
+     *  caller holds the only reference until it shares the snapshot. */
+    static std::shared_ptr<WeightSnapshot> capture(NodeModel &model,
+                                                   std::uint64_t version);
 
     /** publish() calls since construction. */
     std::uint64_t published() const
@@ -113,9 +108,8 @@ class ModelRegistry
     StatGroup snapshotStats() const;
 
   private:
-    const std::size_t historyCapacity_;
     mutable std::mutex mutex_;
-    std::deque<std::shared_ptr<const WeightSnapshot>> history_;
+    std::shared_ptr<const WeightSnapshot> live_;
     std::atomic<std::uint64_t> latestVersion_{0};
     std::atomic<std::uint64_t> published_{0};
     std::atomic<std::uint64_t> swapsApplied_{0};

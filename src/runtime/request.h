@@ -48,10 +48,10 @@ struct InferRequest
     Tensor input;
 
     /**
-     * Exact-dedup cache key: digest of (model version, solver config,
-     * input bytes), stamped at admission when the solve cache is on.
-     * Invalid (all-zero) when caching is off — the serving paths then
-     * skip every cache interaction for this request.
+     * Exact-dedup cache key: digest of (the stamped snapshot's weights,
+     * solver config, input bytes), stamped with modelVersion when the
+     * solve cache is on. Invalid (all-zero) when caching is off — the
+     * serving paths then skip every cache interaction for this request.
      */
     Hash128 cacheKey;
 
@@ -63,13 +63,15 @@ struct InferRequest
     std::uint64_t warmSig = 0;
 
     /**
-     * Model-registry version the request was admitted against. Workers
-     * swap their replica to the latest published version at dispatch
-     * boundaries, so a batch may mix stamps and still run on one
-     * version; this stamp is what makes hot swaps safe for the cache —
-     * a solve may only publish into the cache when the replica that
-     * produced it still matches the version its cache key was derived
-     * from.
+     * Version of the registry's live snapshot when the request was
+     * stamped: at admission, and again when a follower is re-admitted
+     * after its owner's solve could not be cached. cacheKey and warmSig
+     * come from the same snapshot. Workers swap their replica to the
+     * live version at dispatch boundaries, so a batch may mix stamps
+     * and still run on one version; this stamp is what makes hot swaps
+     * safe for the cache — a solve may only publish into the cache
+     * when the replica that produced it still matches the version its
+     * cache key was derived from. Unset on training tasks.
      */
     std::uint64_t modelVersion = 0;
 
@@ -193,7 +195,8 @@ struct InferResponse
      */
     bool brownoutRelaxed = false;
 
-    /** Registry version of the weights this response was served with. */
+    /** Registry version of the weights this response was served with
+     *  (unset on a training task's response). */
     std::uint64_t modelVersion = 0;
 };
 

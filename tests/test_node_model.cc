@@ -138,8 +138,6 @@ TEST(NodeModel, BatchedForwardFollowsEveryParameterWrite)
                      registry.publish(*makeModel(101));
                      ModelRegistry::applyTo(*registry.latest(), *model);
                  }},
-                {"syncParametersFrom",
-                 [&] { model->syncParametersFrom(*makeModel(202)); }},
                 {"Sgd::step",
                  [&] {
                      model->zeroGrad();

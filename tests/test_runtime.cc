@@ -121,6 +121,53 @@ TEST(InferenceServer, ResultsBitwiseMatchSingleThreadedReference)
     EXPECT_EQ(s.rejected, 0u);
 }
 
+TEST(InferenceServer, EveryReplicaServesTheFirstBuiltWeights)
+{
+    // The factory seeds every call differently, so the four replicas
+    // come out of it with four different weight sets. Construction
+    // makes replica 0's weights version 0 and applies them to the
+    // others: whichever worker serves a request, it answers with the
+    // first-built model's bytes, stamped version 0.
+    constexpr std::size_t n = 32;
+    std::uint64_t calls = 0;
+    const auto factory = [&calls] {
+        Rng rng(kSeed + calls++);
+        return NodeModel::makeMlp(/*num_layers=*/2, kDim, /*hidden=*/24,
+                                  /*f_depth=*/1, rng);
+    };
+    std::vector<Tensor> inputs, expected;
+    for (std::size_t i = 0; i < n; i++) {
+        inputs.push_back(makeInput(100 + i));
+        expected.push_back(referenceForward(inputs.back()));
+    }
+
+    InferenceServer server(factory, serverOptions(4, 64, /*paused=*/true));
+    ASSERT_EQ(calls, 4u);
+    // The factory's later builds really differ from the first.
+    FixedFactorController controller;
+    EXPECT_FALSE(bitwiseEqual(factory()
+                                  ->forward(inputs[0], ButcherTableau::rk23(),
+                                            controller, servingOptions())
+                                  .output,
+                              expected[0]));
+
+    std::vector<std::future<InferResponse>> futures;
+    for (const Tensor &input : inputs) {
+        auto sub = server.submit(input);
+        ASSERT_TRUE(sub.accepted);
+        futures.push_back(std::move(sub.result));
+    }
+    server.resume();
+    for (std::size_t i = 0; i < n; i++) {
+        const InferResponse r = futures[i].get();
+        ASSERT_EQ(r.status, RequestStatus::Ok) << "request " << i;
+        EXPECT_EQ(r.modelVersion, 0u) << "request " << i;
+        EXPECT_TRUE(bitwiseEqual(r.output, expected[i]))
+            << "request " << i << " on worker " << r.workerId;
+    }
+    server.stop();
+}
+
 TEST(IntraOpClamp, KeepsWorkerTimesWidthWithinHardware)
 {
     // Pure policy function, testable with injected hardware counts

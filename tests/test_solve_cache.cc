@@ -1045,11 +1045,12 @@ TEST(CachedServing, ShedOwnerDoesNotPoisonRepeatTraffic)
 TEST(CachedServing, FollowersAdmittedBeforeAPublicationSolveOnTheNewWeights)
 {
     // An owner and three followers are keyed against version 0, then
-    // version 1 is published before anything dispatches. Each solves on
-    // the new weights, so none may publish under the old key: every
-    // end is uncacheable and re-admits the remaining followers through
-    // the lookup, which makes one of them the next owner. They solve
-    // one after another, one dispatch each, and all complete Ok.
+    // version 1 is published before anything dispatches. The owner
+    // solves on the new weights, so it may not publish under its old
+    // key: its end is uncacheable and re-admits the followers, each
+    // stamped again from the live snapshot. They now share version 1's
+    // key, so the first owns it and the other two attach: one more
+    // solve serves all three.
     ServerOptions opts = cachedServerOptions(1, 16, /*paused=*/true);
     opts.maxBatch = 4;
     InferenceServer server(makeReferenceModel, opts);
@@ -1070,21 +1071,113 @@ TEST(CachedServing, FollowersAdmittedBeforeAPublicationSolveOnTheNewWeights)
         makeRetrainedModel()
             ->forward(input, server.tableau(), controller, servingOptions())
             .output;
+    std::size_t hits = 0;
     for (std::size_t i = 0; i < 4; i++) {
         const InferResponse r = futures[i].get();
         EXPECT_EQ(r.status, RequestStatus::Ok) << "request " << i;
-        EXPECT_FALSE(r.cacheHit) << "request " << i;
         EXPECT_EQ(r.modelVersion, 1u) << "request " << i;
         EXPECT_TRUE(bitwiseEqual(r.output, expected)) << "request " << i;
+        hits += r.cacheHit ? 1 : 0;
     }
-    // Nothing was published, and the last owner retracted its entry
-    // before it answered.
-    EXPECT_EQ(server.solveCache()->inserts(), 0u);
-    EXPECT_EQ(server.solveCache()->exactSize(), 0u);
+    EXPECT_EQ(hits, 2u);
+    // The second owner's clean solve is the one value published.
+    EXPECT_EQ(server.solveCache()->inserts(), 1u);
+    EXPECT_EQ(server.solveCache()->exactSize(), 1u);
     server.stop();
     const MetricsSummary s = server.metrics().summary();
-    EXPECT_EQ(s.batchesDispatched, 4u);
+    EXPECT_EQ(s.batchesDispatched, 2u);
+    EXPECT_EQ(s.cacheHits, 2u);
     EXPECT_EQ(s.completed, 4u);
+}
+
+TEST(CachedServing, RacingPublicationsServeEachResponseItsVersionsBytes)
+{
+    // One thread publishes distinct weight sets while producers submit
+    // a few repeated inputs as fast as they can, so a backlog builds,
+    // owners keep losing their key to a swap and their followers are
+    // stamped again mid-race, often onto a key whose value a newer
+    // owner has just published. Whatever answered a request (its own
+    // solve, a ready value or a follower delivery), an Ok response
+    // carries exactly the bytes forward() computes on the weights of
+    // the version it reports. Repeated under TSan in CI.
+    constexpr std::size_t kVersions = 21; // v0 plus 20 publications
+    constexpr std::size_t kInputs = 8;
+    constexpr std::size_t kProducers = 3;
+    constexpr std::size_t kPerProducer = 120;
+    const auto makeVersion = [](std::size_t v) {
+        auto model = makeReferenceModel();
+        model->paramSlots()[0].param->at(0) += 0.05f * static_cast<float>(v);
+        return model;
+    };
+    std::vector<Tensor> inputs;
+    for (std::size_t k = 0; k < kInputs; k++)
+        inputs.push_back(makeInput(300 + k));
+    // expected[v][k]: forward() on version v's weights for input k.
+    std::vector<std::vector<Tensor>> expected(kVersions);
+    for (std::size_t v = 0; v < kVersions; v++) {
+        auto model = makeVersion(v);
+        for (const Tensor &input : inputs) {
+            FixedFactorController controller;
+            expected[v].push_back(model
+                                      ->forward(input, ButcherTableau::rk23(),
+                                                controller, servingOptions())
+                                      .output);
+        }
+    }
+
+    ServerOptions opts =
+        cachedServerOptions(2, kProducers * kPerProducer, /*paused=*/false,
+                            /*exact_cap=*/kVersions * kInputs);
+    opts.maxBatch = 4;
+    InferenceServer server([&] { return makeVersion(0); }, opts);
+
+    std::latch start(kProducers + 1);
+    std::thread publisher([&] {
+        start.arrive_and_wait();
+        for (std::size_t v = 1; v < kVersions; v++) {
+            server.registry().publish(*makeVersion(v));
+            std::this_thread::sleep_for(std::chrono::microseconds(250));
+        }
+    });
+    std::vector<std::vector<InferenceServer::Submission>> subs(kProducers);
+    std::vector<std::thread> producers;
+    for (std::size_t p = 0; p < kProducers; p++) {
+        producers.emplace_back([&, p] {
+            start.arrive_and_wait();
+            for (std::size_t i = 0; i < kPerProducer; i++)
+                subs[p].push_back(server.submit(inputs[(p + i) % kInputs]));
+        });
+    }
+    publisher.join();
+    for (std::thread &producer : producers)
+        producer.join();
+
+    std::uint64_t accepted = 0;
+    std::uint64_t ok = 0;
+    for (std::size_t p = 0; p < kProducers; p++) {
+        for (std::size_t i = 0; i < kPerProducer; i++) {
+            InferenceServer::Submission &sub = subs[p][i];
+            if (!sub.accepted)
+                continue;
+            accepted++;
+            const InferResponse r = sub.result.get();
+            if (r.status != RequestStatus::Ok || r.degraded)
+                continue;
+            ok++;
+            ASSERT_LT(r.modelVersion, kVersions);
+            EXPECT_TRUE(bitwiseEqual(
+                r.output, expected[r.modelVersion][(p + i) % kInputs]))
+                << "producer " << p << " request " << i << " version "
+                << r.modelVersion << (r.cacheHit ? " (cache hit)" : "");
+        }
+    }
+    server.stop();
+    EXPECT_GT(ok, 0u);
+    EXPECT_EQ(server.registry().latestVersion(), kVersions - 1);
+    const MetricsSummary s = server.metrics().summary();
+    EXPECT_EQ(s.admitted, accepted);
+    EXPECT_EQ(s.admitted,
+              s.completed + s.expired + s.failed + s.cancelled + s.shed);
 }
 
 TEST(CachedServing, RefusedPushRetractsPendingRegistration)
