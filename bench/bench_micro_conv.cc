@@ -2,8 +2,7 @@
  * @file
  * Microbenchmarks of the convolution kernels in all three unified-core
  * modes: the retained scalar reference kernels, the blocked/vectorized
- * fast kernels (direct and im2col+GEMM paths), and the cycle-accurate
- * PE-array model.
+ * fast kernels, and the cycle-accurate PE-array model.
  *
  * Besides the google-benchmark console output, the binary writes the
  * reference-vs-fast pairing (ns/op, GFLOP/s, steady-state heap
@@ -78,19 +77,6 @@ BM_ConvForwardReference(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 8 * 8 * 32 * 32 * 9);
 }
 BENCHMARK(BM_ConvForwardReference);
-
-void
-BM_ConvForwardIm2col(benchmark::State &state)
-{
-    auto &f = fixture();
-    Tensor out;
-    for (auto _ : state) {
-        conv::forwardIm2colGemm(out, f.x, f.weight, f.bias);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 8 * 8 * 32 * 32 * 9);
-}
-BENCHMARK(BM_ConvForwardIm2col);
 
 void
 BM_ConvBackwardData(benchmark::State &state)

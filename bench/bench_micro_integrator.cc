@@ -10,9 +10,8 @@
  * per-sample cost of one batched MLP f evaluation at batch 1 and 4
  * (what coalescing requests buys) and a per-SIMD-backend sweep of the
  * stepper's element kernels (WRMS norm, axpy, FP16 quantization) and
- * the MLP f's kernels (tanh, Linear matvec from row-major weights and
- * from column panels), each with its speedup vs the forced scalar
- * backend.
+ * the MLP f's kernels (tanh, Linear matvec from column panels), each
+ * with its speedup vs the forced scalar backend.
  */
 
 #include <cstdio>
@@ -273,10 +272,10 @@ emitBatchedFevalReport()
  * datapath quantization, each on a 4096-element state — and of the MLP
  * f's kernels at the shapes of the perfbench models: tanh over 64
  * activations, and the 64x17 input and 64x64 hidden Linear matvecs with
- * bias, each from row-major weights (matvec, what forward() runs) and
- * from column panels (matvecPanels, what forwardBatched() runs). Every
- * compiled and supported backend is forced in turn; speedup is against
- * the forced scalar backend (always first in availableSimdBackends()).
+ * bias from column panels (matvecPanels, what both Linear forwards
+ * run). Every compiled and supported backend is forced in turn; speedup
+ * is against the forced scalar backend (always first in
+ * availableSimdBackends()).
  */
 void
 emitBackendSweep()
@@ -325,20 +324,6 @@ emitBackendSweep()
         {"tanh", "64", 0.0,
          [&] {
              simdOps().tanh(out.data(), act.data(), kHidden);
-             benchmark::DoNotOptimize(out.data());
-             benchmark::ClobberMemory();
-         }},
-        {"linear_matvec", "64x64", 2.0 * kHidden * kHidden,
-         [&] {
-             simdOps().matvec(out.data(), w.data(), bias.data(), act.data(),
-                              kHidden, kHidden);
-             benchmark::DoNotOptimize(out.data());
-             benchmark::ClobberMemory();
-         }},
-        {"linear_matvec", "64x17", 2.0 * kHidden * kIn,
-         [&] {
-             simdOps().matvec(out.data(), wIn.data(), bias.data(),
-                              act.data(), kHidden, kIn);
              benchmark::DoNotOptimize(out.data());
              benchmark::ClobberMemory();
          }},

@@ -49,7 +49,6 @@ struct VecF
     {
         return {a.v < b.v ? x.v : y.v};
     }
-    static void transpose(VecF[1]) {}
 };
 
 struct VecD

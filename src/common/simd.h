@@ -23,7 +23,7 @@
  *    translation units are compiled with -ffp-contract=off to keep the
  *    compiler from re-fusing them.
  *  - Reductions use a *fixed lane structure* independent of register
- *    width: dot products (and each matvec row) accumulate into 16
+ *    width: dot products (and each matvecPanels row) accumulate into 16
  *    float lanes (AVX-512 uses one 16-wide register, AVX2 two 8-wide,
  *    NEON four 4-wide, scalar a 16-element array) and sum-of-squares
  *    into 8 double lanes, with a serial tail and a serial final
@@ -124,23 +124,13 @@ struct SimdOps
      */
     float (*dot)(const float *a, const float *b, std::size_t n);
     /**
-     * Row-major matvec under dot's fixed-lane contract: out[r] =
-     * bias[r] + dot(w + r*n, x, n) for r < rows, or the bare dot when
-     * bias is null. Each row keeps dot's 16 lanes, serial tail and
-     * tail-first reduce, so every output equals the per-row dot plus
-     * bias bitwise; the kernel only reduces several rows at once.
-     * `out` must not alias w, bias or x.
-     */
-    void (*matvec)(float *out, const float *w, const float *bias,
-                   const float *x, std::size_t rows, std::size_t n);
-    /**
-     * matvec from W packed as 16-row column panels (packMatvecPanels):
-     * the same outputs, bit for bit, as matvec on the row-major W and
-     * so as the per-row dot plus bias. A row's tail, 16 lanes and
-     * `tail + l0 + ... + l15` reduce run vertically, one row per vector
-     * lane, with no transpose. Padded rows are computed but never
-     * stored: out[r] is written for r < rows only. `out` must not
-     * alias panels, bias or x.
+     * Matvec under dot's fixed-lane contract, from W (rows x n) packed
+     * as 16-row column panels (packMatvecPanels): out[r] = bias[r] +
+     * dot(W[r], x, n) for r < rows, or the bare dot when bias is null,
+     * bit for bit. A row's tail, 16 lanes and `tail + l0 + ... + l15`
+     * reduce run vertically, one row per vector lane. Padded rows are
+     * computed but never stored: out[r] is written for r < rows only.
+     * `out` must not alias panels, bias or x.
      */
     void (*matvecPanels)(float *out, const float *panels, const float *bias,
                          const float *x, std::size_t rows, std::size_t n);

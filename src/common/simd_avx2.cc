@@ -55,35 +55,6 @@ struct VecF
                                  _mm256_cmp_ps(a.v, b.v, _CMP_LT_OQ))};
     }
 
-    /** 8x8 transpose: unpack pairs of rows, then pairs of pairs, then
-     *  swap 128-bit halves. */
-    static void
-    transpose(VecF r[8])
-    {
-        __m256 t[8], u[8];
-#pragma GCC unroll 4
-        for (int i = 0; i < 8; i += 2) {
-            t[i] = _mm256_unpacklo_ps(r[i].v, r[i + 1].v);
-            t[i + 1] = _mm256_unpackhi_ps(r[i].v, r[i + 1].v);
-        }
-        // u[4g + c], 128-bit half h: rows 4g..4g+3 at column 4h + c.
-#pragma GCC unroll 2
-        for (int g = 0; g < 2; g++) {
-            const __m256d lo0 = _mm256_castps_pd(t[4 * g]);
-            const __m256d lo1 = _mm256_castps_pd(t[4 * g + 2]);
-            const __m256d hi0 = _mm256_castps_pd(t[4 * g + 1]);
-            const __m256d hi1 = _mm256_castps_pd(t[4 * g + 3]);
-            u[4 * g] = _mm256_castpd_ps(_mm256_unpacklo_pd(lo0, lo1));
-            u[4 * g + 1] = _mm256_castpd_ps(_mm256_unpackhi_pd(lo0, lo1));
-            u[4 * g + 2] = _mm256_castpd_ps(_mm256_unpacklo_pd(hi0, hi1));
-            u[4 * g + 3] = _mm256_castpd_ps(_mm256_unpackhi_pd(hi0, hi1));
-        }
-#pragma GCC unroll 4
-        for (int c = 0; c < 4; c++) {
-            r[c].v = _mm256_permute2f128_ps(u[c], u[4 + c], 0x20);
-            r[4 + c].v = _mm256_permute2f128_ps(u[c], u[4 + c], 0x31);
-        }
-    }
 };
 
 struct VecD

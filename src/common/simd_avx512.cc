@@ -47,42 +47,6 @@ struct VecF
                                      y.v, x.v)};
     }
 
-    /** 16x16 transpose: unpack pairs of rows, then pairs of pairs, then
-     *  a 4x4 transpose of the 128-bit blocks in two shuffle rounds. */
-    static void
-    transpose(VecF r[16])
-    {
-        __m512 t[16], u[16];
-#pragma GCC unroll 8
-        for (int i = 0; i < 16; i += 2) {
-            t[i] = _mm512_unpacklo_ps(r[i].v, r[i + 1].v);
-            t[i + 1] = _mm512_unpackhi_ps(r[i].v, r[i + 1].v);
-        }
-        // u[4c + g], 128-bit block b: rows 4g..4g+3 at column 4b + c.
-#pragma GCC unroll 4
-        for (int g = 0; g < 4; g++) {
-            const __m512d lo0 = _mm512_castps_pd(t[4 * g]);
-            const __m512d lo1 = _mm512_castps_pd(t[4 * g + 2]);
-            const __m512d hi0 = _mm512_castps_pd(t[4 * g + 1]);
-            const __m512d hi1 = _mm512_castps_pd(t[4 * g + 3]);
-            u[g] = _mm512_castpd_ps(_mm512_unpacklo_pd(lo0, lo1));
-            u[4 + g] = _mm512_castpd_ps(_mm512_unpackhi_pd(lo0, lo1));
-            u[8 + g] = _mm512_castpd_ps(_mm512_unpacklo_pd(hi0, hi1));
-            u[12 + g] = _mm512_castpd_ps(_mm512_unpackhi_pd(hi0, hi1));
-        }
-#pragma GCC unroll 4
-        for (int c = 0; c < 4; c++) {
-            const __m512 *q = u + 4 * c;
-            const __m512 a = _mm512_shuffle_f32x4(q[0], q[1], 0x44);
-            const __m512 b = _mm512_shuffle_f32x4(q[0], q[1], 0xee);
-            const __m512 e = _mm512_shuffle_f32x4(q[2], q[3], 0x44);
-            const __m512 f = _mm512_shuffle_f32x4(q[2], q[3], 0xee);
-            r[c].v = _mm512_shuffle_f32x4(a, e, 0x88);
-            r[4 + c].v = _mm512_shuffle_f32x4(a, e, 0xdd);
-            r[8 + c].v = _mm512_shuffle_f32x4(b, f, 0x88);
-            r[12 + c].v = _mm512_shuffle_f32x4(b, f, 0xdd);
-        }
-    }
 };
 
 struct VecD

@@ -50,21 +50,6 @@ struct VecF
         return {vbslq_f32(vcltq_f32(a.v, b.v), x.v, y.v)};
     }
 
-    /** 4x4 transpose: trn pairs of rows, then recombine 64-bit halves. */
-    static void
-    transpose(VecF r[4])
-    {
-        const float32x4x2_t p01 = vtrnq_f32(r[0].v, r[1].v);
-        const float32x4x2_t p23 = vtrnq_f32(r[2].v, r[3].v);
-        r[0].v = vcombine_f32(vget_low_f32(p01.val[0]),
-                              vget_low_f32(p23.val[0]));
-        r[1].v = vcombine_f32(vget_low_f32(p01.val[1]),
-                              vget_low_f32(p23.val[1]));
-        r[2].v = vcombine_f32(vget_high_f32(p01.val[0]),
-                              vget_high_f32(p23.val[0]));
-        r[3].v = vcombine_f32(vget_high_f32(p01.val[1]),
-                              vget_high_f32(p23.val[1]));
-    }
 };
 
 struct VecD

@@ -137,11 +137,6 @@ NodeModel::forwardBatched(const std::vector<Tensor> &xs,
             ctrls.push_back(controllers[i]);
             layer_guards.push_back(guards ? (*guards)[i] : nullptr);
         }
-        // The batched layers read their parameters as of the last
-        // refresh; refreshing here, by content, serves every writer
-        // (replica swaps, optimizer steps, checkpoint loads, direct
-        // writes) fresh weights without any of them invalidating.
-        net->body().refreshBatched();
         BatchedNetOde ode(*net);
         BatchedIvpResult layer = solveIvpBatched(
             ode, y0, 0.0, layerTime_, tableau, ctrls, opts,

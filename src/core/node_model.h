@@ -168,9 +168,8 @@ class NodeModel
      * evaluation per RK stage across the batch while keeping error
      * control, stats, and failure status per sample. A sample that
      * fails a layer drops out of later layers; the rest continue.
-     * Each net's batched layers are refreshed (Layer::refreshBatched)
-     * before its layer solve, so the solve reads the parameters as
-     * they are at the call, whoever last wrote them.
+     * Like forward(), it reads the parameters as they are at the call,
+     * whoever last wrote them.
      *
      * @param xs Initial states (same shape each).
      * @param controllers One stepsize controller per sample (reset per

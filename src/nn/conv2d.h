@@ -85,36 +85,12 @@ void convBackwardWeightsInto(Tensor &grad_w, const Tensor &x,
 
 /**
  * Batched forward over a leading batch dimension: xs is (N, C, H, W)
- * and the output (N, M, H, W). The path heuristic runs once per batch,
- * and each sample then runs through the identical per-sample core, so
- * every sample's output is bitwise identical to convForwardInto.
+ * and the output (N, M, H, W). Each sample runs through the identical
+ * per-sample core, so every sample's output is bitwise identical to
+ * convForwardInto.
  */
 void convForwardBatchedInto(Tensor &out, const Tensor &xs,
                             const Tensor &weight, const Tensor &bias);
-
-namespace conv {
-
-/** Forward implementation selected by the shape heuristic. */
-enum class Path
-{
-    Direct,     ///< register-tiled direct convolution (fused taps)
-    Im2colGemm, ///< im2col lowering + blocked GEMM
-};
-
-/** The path convForward would take for these shapes. */
-Path forwardPathFor(std::size_t in_channels, std::size_t out_channels,
-                    std::size_t height, std::size_t width,
-                    std::size_t kernel);
-
-/** Force the direct path (exposed for equivalence tests and benches). */
-void forwardDirect(Tensor &out, const Tensor &x, const Tensor &weight,
-                   const Tensor &bias);
-
-/** Force the im2col+GEMM path (exposed for tests and benches). */
-void forwardIm2colGemm(Tensor &out, const Tensor &x, const Tensor &weight,
-                       const Tensor &bias);
-
-} // namespace conv
 
 /**
  * The original scalar kernels, retained verbatim as the ground truth

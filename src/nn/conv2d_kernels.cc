@@ -27,16 +27,14 @@
  *    branch-free dot-product of the grad map with the tap-shifted
  *    padded map, accumulated into 16 independent register lanes,
  *    replacing the reference kernel's single serial reduction chain.
- *  - An im2col+GEMM path lowers the convolution to a dense
- *    matrix-multiply (saxpy-panel GEMM) and is selected by a shape
- *    heuristic for large-tap/wide-channel shapes.
+ *  - Taps beyond 3 run one saxpy sweep per tap on the same padded
+ *    rows, so the direct core serves every odd K and every map width.
  *
  * All three kernels are tiled for intra-op parallelism on the task
  * pool (common/task_pool.h), mirroring the paper's core ring splitting
  * one f evaluation across NN cores: the direct path over
- * (out-channel-tile x output-row) work items, the weight-grad over
- * (m, c) kernel-plane pairs, and the im2col+GEMM path over im2col
- * panels and GEMM output rows. Every output element's accumulation
+ * (out-channel-tile x output-row) work items and the weight-grad over
+ * (m, c) kernel-plane pairs. Every output element's accumulation
  * order is contained entirely within one work item, and the partition
  * only groups whole items, so results are bitwise identical to the
  * serial kernels at every thread count. Without an IntraOpScope the
@@ -251,147 +249,7 @@ backwardWeightsCore(float *ENODE_RESTRICT wd, const float *ENODE_RESTRICT pin,
     });
 }
 
-/**
- * im2col lowering: B[p][j] with p = (ci*K + kh)*K + kw and j = h*W + w
- * holding in[ci][h+kh-pad][w+kw-pad] (zero outside the map). Each
- * panel p is an independent row of B, built in parallel (one item per
- * panel; every byte of B has exactly one writer).
- */
-void
-buildIm2col(float *B, const float *xd, std::size_t Ci, std::size_t H,
-            std::size_t W, std::size_t K)
-{
-    const std::size_t pad = K / 2;
-    const std::size_t HW = H * W;
-    const std::size_t KK = K * K;
-    intraOpParallelFor(
-        KK, Ci * KK, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t p = begin; p < end; p++) {
-                const std::size_t ci = p / KK;
-                const std::size_t kh = (p % KK) / K;
-                const std::size_t kw = p % K;
-                const float *in_map = xd + ci * H * W;
-                const std::ptrdiff_t dh =
-                    static_cast<std::ptrdiff_t>(kh) -
-                    static_cast<std::ptrdiff_t>(pad);
-                const std::ptrdiff_t dw =
-                    static_cast<std::ptrdiff_t>(kw) -
-                    static_cast<std::ptrdiff_t>(pad);
-                float *brow = B + p * HW;
-                const std::size_t w_lo =
-                    dw < 0 ? static_cast<std::size_t>(-dw) : 0;
-                const std::size_t w_hi =
-                    dw > 0 ? (W > static_cast<std::size_t>(dw)
-                                  ? W - static_cast<std::size_t>(dw)
-                                  : 0)
-                           : W;
-                for (std::size_t h = 0; h < H; h++) {
-                    float *dst = brow + h * W;
-                    const std::ptrdiff_t ih =
-                        static_cast<std::ptrdiff_t>(h) + dh;
-                    if (ih < 0 || ih >= static_cast<std::ptrdiff_t>(H)) {
-                        std::fill(dst, dst + W, 0.0f);
-                        continue;
-                    }
-                    const float *src = in_map + ih * W + dw;
-                    if (w_lo > 0)
-                        std::fill(dst, dst + w_lo, 0.0f);
-                    for (std::size_t w = w_lo; w < w_hi; w++)
-                        dst[w] = src[w];
-                    if (w_hi < W)
-                        std::fill(dst + w_hi, dst + W, 0.0f);
-                }
-            }
-        });
-}
-
-/**
- * im2col+GEMM core on raw pointers, shared by the solo entry point and
- * the batched per-sample loop: out[m] = bias[m] + A[m] . B, as P saxpy
- * passes over an L1-resident output panel. The weight matrix A is the
- * conv weight viewed as (M, C*K*K) — no repacking needed. Output rows
- * are independent (each reads all of B, writes only its own panel), so
- * the GEMM splits over row panels with the saxpy order per row
- * unchanged.
- */
-void
-im2colGemmCore(float *od, const float *xd, const float *A, const float *bd,
-               std::size_t M, std::size_t C, std::size_t H, std::size_t W,
-               std::size_t K)
-{
-    const std::size_t HW = H * W;
-    const std::size_t P = C * K * K;
-    const SimdOps &ops = simdOps();
-
-    PooledScratch scratch(P * HW);
-    float *B = scratch.data();
-    buildIm2col(B, xd, C, H, W, K);
-
-    intraOpParallelFor(1, M, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t m = begin; m < end; m++) {
-            float *orow = od + m * HW;
-            std::fill(orow, orow + HW, bd ? bd[m] : 0.0f);
-            const float *arow = A + m * P;
-            for (std::size_t p = 0; p < P; p++) {
-                const float a = arow[p];
-                if (a == 0.0f)
-                    continue;
-                ops.axpy(orow, a, B + p * HW, HW);
-            }
-        }
-    });
-}
-
 } // namespace
-
-namespace conv {
-
-Path
-forwardPathFor(std::size_t in_channels, std::size_t out_channels,
-               std::size_t height, std::size_t width, std::size_t kernel)
-{
-    (void)out_channels;
-    // The fused-tap direct kernel holds K FMA chains per input-row pass
-    // in registers; beyond kMaxFusedK taps (or degenerate maps narrower
-    // than the kernel, where the padded halo dwarfs the payload) the
-    // GEMM lowering's unconditional saxpy panels win.
-    if (kernel > kMaxFusedK)
-        return Path::Im2colGemm;
-    if (width < kernel && in_channels * kernel >= 16)
-        return Path::Im2colGemm;
-    (void)height;
-    return Path::Direct;
-}
-
-void
-forwardDirect(Tensor &out, const Tensor &x, const Tensor &weight,
-              const Tensor &bias)
-{
-    const std::size_t C = x.shape().dim(0);
-    const std::size_t H = x.shape().dim(1);
-    const std::size_t W = x.shape().dim(2);
-    const std::size_t M = weight.shape().dim(0);
-    const std::size_t K = weight.shape().dim(2);
-    out.resize(Shape{M, H, W});
-    directConvCore(out.data(), x.data(), weight.data(),
-                   bias.empty() ? nullptr : bias.data(), M, C, H, W, K);
-}
-
-void
-forwardIm2colGemm(Tensor &out, const Tensor &x, const Tensor &weight,
-                  const Tensor &bias)
-{
-    const std::size_t C = x.shape().dim(0);
-    const std::size_t H = x.shape().dim(1);
-    const std::size_t W = x.shape().dim(2);
-    const std::size_t M = weight.shape().dim(0);
-    const std::size_t K = weight.shape().dim(2);
-    out.resize(Shape{M, H, W});
-    im2colGemmCore(out.data(), x.data(), weight.data(),
-                   bias.empty() ? nullptr : bias.data(), M, C, H, W, K);
-}
-
-} // namespace conv
 
 void
 convForwardInto(Tensor &out, const Tensor &x, const Tensor &weight,
@@ -405,13 +263,12 @@ convForwardInto(Tensor &out, const Tensor &x, const Tensor &weight,
                  weight.shape().dim(1), " vs ", C);
     ENODE_ASSERT(K % 2 == 1 && weight.shape().dim(3) == K,
                  "kernel must be odd square");
-
-    const conv::Path path = conv::forwardPathFor(
-        C, weight.shape().dim(0), x.shape().dim(1), x.shape().dim(2), K);
-    if (path == conv::Path::Im2colGemm)
-        conv::forwardIm2colGemm(out, x, weight, bias);
-    else
-        conv::forwardDirect(out, x, weight, bias);
+    const std::size_t M = weight.shape().dim(0);
+    const std::size_t H = x.shape().dim(1);
+    const std::size_t W = x.shape().dim(2);
+    out.resize(Shape{M, H, W});
+    directConvCore(out.data(), x.data(), weight.data(),
+                   bias.empty() ? nullptr : bias.data(), M, C, H, W, K);
 }
 
 Tensor
@@ -520,20 +377,15 @@ convForwardBatchedInto(Tensor &out, const Tensor &xs, const Tensor &weight,
                  "kernel must be odd square");
     out.resize(Shape{N, M, H, W});
 
-    // One heuristic decision per batch, then the identical per-sample
-    // core — every sample's output is bitwise the solo path's.
-    const conv::Path path = conv::forwardPathFor(C, M, H, W, K);
+    // The identical per-sample core: every sample's output is bitwise
+    // the solo path's.
     const float *bd = bias.empty() ? nullptr : bias.data();
     const std::size_t in_stride = C * H * W;
     const std::size_t out_stride = M * H * W;
-    for (std::size_t i = 0; i < N; i++) {
-        float *od = out.data() + i * out_stride;
-        const float *xd = xs.data() + i * in_stride;
-        if (path == conv::Path::Im2colGemm)
-            im2colGemmCore(od, xd, weight.data(), bd, M, C, H, W, K);
-        else
-            directConvCore(od, xd, weight.data(), bd, M, C, H, W, K);
-    }
+    for (std::size_t i = 0; i < N; i++)
+        directConvCore(out.data() + i * out_stride,
+                       xs.data() + i * in_stride, weight.data(), bd, M, C, H,
+                       W, K);
 }
 
 } // namespace enode

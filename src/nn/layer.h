@@ -52,24 +52,12 @@ class Layer
      * scatters; layers with a profitable batched kernel override it.
      * `out` must not alias `xs`.
      *
-     * A layer may serve its batched path from a copy of its parameters
-     * in the layout its batched kernel reads (Linear's column panels).
-     * Batched forward then reads the weights as of the last
-     * refreshBatched() (or of its first batched call, if there was no
-     * refresh), the same kind of contract as backward() reading the
-     * cache of the most recent forward(): a caller that writes
-     * parameters calls refreshBatched() before the next batched
-     * forward. NodeModel::forwardBatched does so for every net.
+     * Both forwards read the parameters as they are at the call. A
+     * layer that keeps a copy of a parameter in the layout its kernel
+     * reads (Linear's column panels) rebuilds it when the parameter's
+     * Tensor::writeVersion() has moved, so writers need not tell it.
      */
     virtual void forwardBatched(const Tensor &xs, Tensor &out);
-
-    /**
-     * Bring any batched-path parameter copy up to date with the
-     * parameters, by content: a copy whose source bytes still equal the
-     * parameters is kept, any difference rebuilds it. A no-op for
-     * layers that keep no such copy.
-     */
-    virtual void refreshBatched() {}
 
     /**
      * Vector-Jacobian product of the most recent forward.

@@ -1,7 +1,7 @@
 #include "nn/linear.h"
 
 #include <cmath>
-#include <cstring>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -26,6 +26,19 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng &rng,
     }
 }
 
+const float *
+Linear::panels()
+{
+    const Tensor &w = weight_;
+    if (panels_.empty() || packedVersion_ != w.writeVersion()) {
+        panels_.resize(matvecPanelsSize(outFeatures_, inFeatures_));
+        packMatvecPanels(panels_.data(), w.data(), outFeatures_,
+                         inFeatures_);
+        packedVersion_ = w.writeVersion();
+    }
+    return panels_.data();
+}
+
 Tensor
 Linear::forward(const Tensor &x)
 {
@@ -33,9 +46,9 @@ Linear::forward(const Tensor &x)
                  "Linear expects (", inFeatures_, "), got ", x.shape().str());
     cachedInput_ = x;
     Tensor out(Shape{outFeatures_});
-    simdOps().matvec(out.data(), weight_.data(),
-                     withBias_ ? bias_.data() : nullptr, x.data(),
-                     outFeatures_, inFeatures_);
+    simdOps().matvecPanels(out.data(), panels(),
+                           withBias_ ? std::as_const(bias_).data() : nullptr,
+                           x.data(), outFeatures_, inFeatures_);
     return out;
 }
 
@@ -45,37 +58,23 @@ Linear::forwardBatched(const Tensor &xs, Tensor &out)
     ENODE_ASSERT(xs.shape().rank() == 2 && xs.shape().dim(1) == inFeatures_,
                  "batched Linear expects (n, ", inFeatures_, "), got ",
                  xs.shape().str());
-    if (panels_.empty())
-        refreshBatched();
+    const float *pw = panels();
     const std::size_t n = xs.shape().dim(0);
     out.resize(Shape{n, outFeatures_});
     const float *xd = xs.data();
     float *od = out.data();
 
-    // Per-sample matvec from the panel copy, which matches forward()'s
-    // row-major matvec bit for bit, so a batched solve reproduces the
-    // solo outputs at every batch size (the batched-vs-solo contract
-    // the runtime tests pin). SIMD width comes from the panel rows, not
-    // from sample parallelism, so every batch size takes the same path
-    // with no scalar-remainder cliff at small batches.
+    // Per-sample matvec, the kernel forward() runs, so a batched solve
+    // reproduces the solo outputs at every batch size (the
+    // batched-vs-solo contract the runtime tests pin). SIMD width comes
+    // from the panel rows, not from sample parallelism, so every batch
+    // size takes the same path with no scalar-remainder cliff at small
+    // batches.
     const SimdOps &ops = simdOps();
-    const float *bd = withBias_ ? bias_.data() : nullptr;
+    const float *bd = withBias_ ? std::as_const(bias_).data() : nullptr;
     for (std::size_t s = 0; s < n; s++)
-        ops.matvecPanels(od + s * outFeatures_, panels_.data(), bd,
-                         xd + s * inFeatures_, outFeatures_, inFeatures_);
-}
-
-void
-Linear::refreshBatched()
-{
-    const std::size_t bytes = weight_.numel() * sizeof(float);
-    if (!panels_.empty() &&
-        std::memcmp(panelSource_.data(), weight_.data(), bytes) == 0)
-        return;
-    panelSource_.assign(weight_.data(), weight_.data() + weight_.numel());
-    panels_.resize(matvecPanelsSize(outFeatures_, inFeatures_));
-    packMatvecPanels(panels_.data(), weight_.data(), outFeatures_,
-                     inFeatures_);
+        ops.matvecPanels(od + s * outFeatures_, pw, bd, xd + s * inFeatures_,
+                         outFeatures_, inFeatures_);
 }
 
 Tensor
@@ -93,8 +92,8 @@ Linear::backward(const Tensor &grad_out)
     // ascending.
     const SimdOps &ops = simdOps();
     const float *g = grad_out.data();
-    const float *x = cachedInput_.data();
-    const float *wd = weight_.data();
+    const float *x = std::as_const(cachedInput_).data();
+    const float *wd = std::as_const(weight_).data();
     float *gw = weightGrad_.data();
     float *gb = withBias_ ? biasGrad_.data() : nullptr;
     Tensor grad_in(Shape{inFeatures_}); // zero filled

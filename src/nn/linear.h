@@ -10,13 +10,22 @@
  * models. Operates on rank-1 tensors.
  */
 
+#include <cstdint>
+
 #include "nn/layer.h"
 
 namespace enode {
 
 class Rng;
 
-/** y = W x + b on rank-1 tensors. */
+/**
+ * y = W x + b on rank-1 tensors.
+ *
+ * Both forwards run matvecPanels on a copy of W in 16-row column
+ * panels, packed on the first forward after each write to W (noticed by
+ * W's write version, so any writer serves fresh weights without telling
+ * the layer). The layer reads W only through const, so no read repacks.
+ */
 class Linear : public Layer
 {
   public:
@@ -25,7 +34,6 @@ class Linear : public Layer
 
     Tensor forward(const Tensor &x) override;
     void forwardBatched(const Tensor &xs, Tensor &out) override;
-    void refreshBatched() override;
     Tensor backward(const Tensor &grad_out) override;
     std::vector<ParamSlot> paramSlots() override;
     std::string name() const override;
@@ -37,6 +45,10 @@ class Linear : public Layer
     Tensor &weight() { return weight_; }
 
   private:
+    /** The column panels of weight_, repacked if weight_ was written
+     *  since they were packed. */
+    const float *panels();
+
     std::size_t inFeatures_;
     std::size_t outFeatures_;
     bool withBias_;
@@ -48,14 +60,10 @@ class Linear : public Layer
 
     Tensor cachedInput_;
 
-    /**
-     * weight_ as 16-row column panels for matvecPanels, the batched
-     * path's kernel, and the row-major bytes they were packed from.
-     * Built on the first batched use, rebuilt by refreshBatched() when
-     * weight_ no longer equals panelSource_.
-     */
+    /** weight_ as 16-row column panels, packed from weight_ at write
+     *  version packedVersion_ (empty until the first forward). */
     std::vector<float> panels_;
-    std::vector<float> panelSource_;
+    std::uint64_t packedVersion_ = 0;
 };
 
 } // namespace enode

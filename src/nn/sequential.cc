@@ -52,13 +52,6 @@ Sequential::forwardBatched(const Tensor &xs, Tensor &out)
     }
 }
 
-void
-Sequential::refreshBatched()
-{
-    for (auto &l : layers_)
-        l->refreshBatched();
-}
-
 Tensor
 Sequential::backward(const Tensor &grad_out)
 {

@@ -34,7 +34,6 @@ class Sequential : public Layer
 
     Tensor forward(const Tensor &x) override;
     void forwardBatched(const Tensor &xs, Tensor &out) override;
-    void refreshBatched() override;
     Tensor backward(const Tensor &grad_out) override;
     std::vector<ParamSlot> paramSlots() override;
     std::string name() const override;

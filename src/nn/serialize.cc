@@ -51,13 +51,15 @@ saveParameters(const std::string &path, const std::vector<ParamSlot> &slots)
             out, static_cast<std::uint32_t>(slot.name.size()));
         out.write(slot.name.data(),
                   static_cast<std::streamsize>(slot.name.size()));
-        const auto &shape = slot.param->shape();
+        // Read through const: saving must not advance the version.
+        const Tensor &param = *slot.param;
+        const auto &shape = param.shape();
         writeValue<std::uint32_t>(out,
                                   static_cast<std::uint32_t>(shape.rank()));
         for (std::size_t d = 0; d < shape.rank(); d++)
             writeValue<std::uint64_t>(out, shape.dim(d));
-        out.write(reinterpret_cast<const char *>(slot.param->data()),
-                  static_cast<std::streamsize>(slot.param->numel() *
+        out.write(reinterpret_cast<const char *>(param.data()),
+                  static_cast<std::streamsize>(param.numel() *
                                                sizeof(float)));
     }
     if (!out)

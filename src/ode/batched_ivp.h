@@ -11,8 +11,8 @@
  * analogue of the paper's function-reuse ring, Sec. V, where f's
  * weights are held once, in the layout the NN cores consume, and
  * reused by every stage of every RK loop: Linear keeps a column-panel
- * copy of its weights for its batched kernel, packed when the weights
- * change, never per call).
+ * copy of its weights for both its forwards, repacked when the
+ * weights' write version moves, never per call).
  *
  * Error control stays strictly per sample, in the spirit of ANODE's
  * per-sample accuracy discipline: each sample owns its stepsize

@@ -21,10 +21,9 @@ digestParams(const std::vector<std::pair<std::string, Tensor>> &params)
 } // namespace
 
 std::shared_ptr<WeightSnapshot>
-ModelRegistry::capture(NodeModel &model, std::uint64_t version)
+ModelRegistry::capture(NodeModel &model)
 {
     auto snap = std::make_shared<WeightSnapshot>();
-    snap->version = version;
     const auto slots = model.paramSlots();
     snap->params.reserve(slots.size());
     for (const auto &slot : slots) {
@@ -41,22 +40,22 @@ ModelRegistry::seed(NodeModel &model)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ENODE_ASSERT(live_ == nullptr, "ModelRegistry already seeded");
-    live_ = capture(model, 0);
+    live_ = capture(model);
     latestVersion_.store(0, std::memory_order_release);
 }
 
 std::uint64_t
-ModelRegistry::publish(NodeModel &model)
+ModelRegistry::publish(std::shared_ptr<WeightSnapshot> snap)
 {
-    // Copy and digest the weights before taking the lock: every
-    // admission reads the live snapshot, and none of them should wait
-    // for a copy.
-    std::shared_ptr<WeightSnapshot> next = capture(model, 0);
+    // The caller copied and digested the weights before the lock:
+    // every admission reads the live snapshot, and none of them should
+    // wait for a copy.
+    ENODE_ASSERT(snap != nullptr, "ModelRegistry::publish of null");
     std::lock_guard<std::mutex> lock(mutex_);
     ENODE_ASSERT(live_ != nullptr, "ModelRegistry::publish before seed()");
     const std::uint64_t version = live_->version + 1;
-    next->version = version;
-    live_ = std::move(next);
+    snap->version = version;
+    live_ = std::move(snap);
     published_.fetch_add(1, std::memory_order_relaxed);
     latestVersion_.store(version, std::memory_order_release);
     return version;

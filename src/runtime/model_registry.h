@@ -64,9 +64,10 @@ class ModelRegistry
      */
     void seed(NodeModel &model);
 
-    /** Capture the model's parameters as the next version and make it
-     *  the live one. Returns the new version number. */
-    std::uint64_t publish(NodeModel &model);
+    /** Stamp a captured snapshot (see capture()) with the next version
+     *  and make it the live one. Returns the new version number. The
+     *  caller may keep its reference, but must not write through it. */
+    std::uint64_t publish(std::shared_ptr<WeightSnapshot> snap);
 
     /** The live snapshot (never null after seed()). */
     std::shared_ptr<const WeightSnapshot> latest() const;
@@ -81,10 +82,11 @@ class ModelRegistry
      *  positionally by slot name and shape; mismatch is fatal). */
     static void applyTo(const WeightSnapshot &snap, NodeModel &model);
 
-    /** Capture a model's parameters (no registry interaction). The
-     *  caller holds the only reference until it shares the snapshot. */
-    static std::shared_ptr<WeightSnapshot> capture(NodeModel &model,
-                                                   std::uint64_t version);
+    /** Capture a model's parameters at version 0 (no registry
+     *  interaction; publish() stamps the version), reading them through
+     *  const. The caller holds the only reference until it shares or
+     *  publishes the snapshot. */
+    static std::shared_ptr<WeightSnapshot> capture(NodeModel &model);
 
     /** publish() calls since construction. */
     std::uint64_t published() const

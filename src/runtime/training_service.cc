@@ -22,8 +22,10 @@ TrainingService::TrainingService(InferenceServer &server,
 
     // Start from exactly what the server is serving: the registry's
     // live snapshot (version 0 = the server's construction weights
-    // unless someone already published).
-    ModelRegistry::applyTo(*server_.registry().latest(), *master_);
+    // unless someone already published). It is also the first step's
+    // task snapshot.
+    weights_ = server_.registry().latest();
+    ModelRegistry::applyTo(*weights_, *master_);
     optimizer_ = std::make_unique<Sgd>(master_->paramSlots(),
                                        options_.learningRate,
                                        options_.momentum,
@@ -63,11 +65,6 @@ TrainingService::step(const std::vector<TrainExample> &examples)
     TrainStepOutcome out;
     out.step = step_id;
 
-    // Snapshot the master's weights once: every task of this step
-    // trains the same bytes, whatever the serving replicas swap to in
-    // the meantime.
-    const auto weights = ModelRegistry::capture(*master_, step_id);
-
     // Prepare and submit the tasks. Slots of tasks that never succeed
     // stay zero, contributing nothing to the reduction.
     std::vector<std::future<InferResponse>> futures(n);
@@ -76,7 +73,7 @@ TrainingService::step(const std::vector<TrainExample> &examples)
     for (std::size_t b = 0; b < n; b++) {
         TrainTask &task = tasks_[b];
         task.step = step_id;
-        task.weights = weights;
+        task.weights = weights_;
         task.input = examples[b].input;
         task.target = examples[b].target;
         task.loss = 0.0;
@@ -188,15 +185,22 @@ TrainingService::step(const std::vector<TrainExample> &examples)
         if (options_.gradClipNorm > 0.0)
             optimizer_->clipGradNorm(options_.gradClipNorm);
         optimizer_->step();
+
+        // Snapshot the stepped master once: the registry serves it if
+        // this step publishes, and every task of the next step trains
+        // it, whatever the serving replicas swap to in the meantime.
+        std::shared_ptr<WeightSnapshot> next = ModelRegistry::capture(*master_);
+        if (options_.publishEvery > 0 &&
+            step_id % options_.publishEvery == 0) {
+            out.publishedVersion = server_.registry().publish(next);
+            published_.fetch_add(1, std::memory_order_relaxed);
+            span.arg("published",
+                     static_cast<double>(out.publishedVersion));
+        }
+        weights_ = std::move(next);
     }
 
     stepsDone_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.publishEvery > 0 && n_ok > 0 &&
-        step_id % options_.publishEvery == 0) {
-        out.publishedVersion = server_.registry().publish(*master_);
-        published_.fetch_add(1, std::memory_order_relaxed);
-        span.arg("published", static_cast<double>(out.publishedVersion));
-    }
     return out;
 }
 

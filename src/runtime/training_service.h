@@ -183,7 +183,12 @@ class TrainingService
         return stepsDone_.load(std::memory_order_relaxed);
     }
 
-    /** The master model (the training-trajectory source of truth). */
+    /**
+     * The master model (the training-trajectory source of truth). Only
+     * step() writes it: each step trains the snapshot the previous
+     * step captured (or the registry's at construction), so a write
+     * from outside would reach neither the tasks nor the registry.
+     */
     NodeModel &master() { return *master_; }
 
     /** "train.*" counters and gauges for exposition/benches. */
@@ -194,6 +199,10 @@ class TrainingService
     std::unique_ptr<NodeModel> master_;
     TrainingOptions options_;
     std::unique_ptr<Sgd> optimizer_;
+    /** The master's weights as the next step's tasks train them:
+     *  captured after each optimizer step, and published from the
+     *  same copy when that step publishes. */
+    std::shared_ptr<const WeightSnapshot> weights_;
 
     /** Task and gradient-slot storage, reused across steps. */
     std::vector<TrainTask> tasks_;

@@ -104,7 +104,8 @@ Tensor::~Tensor()
 
 Tensor::Tensor(const Tensor &other)
     : shape_(other.shape_),
-      data_(detail::acquireBuffer(other.data_.size()))
+      data_(detail::acquireBuffer(other.data_.size())),
+      writeVersion_(other.writeVersion())
 {
     std::copy(other.data_.begin(), other.data_.end(), data_.begin());
 }
@@ -118,10 +119,13 @@ Tensor::operator=(const Tensor &other)
 }
 
 Tensor::Tensor(Tensor &&other) noexcept
-    : shape_(std::move(other.shape_)), data_(std::move(other.data_))
+    : shape_(std::move(other.shape_)),
+      data_(std::move(other.data_)),
+      writeVersion_(other.writeVersion())
 {
     other.shape_ = Shape();
     other.data_.clear();
+    other.advanceWriteVersion();
 }
 
 Tensor &
@@ -130,9 +134,12 @@ Tensor::operator=(Tensor &&other) noexcept
     if (this != &other) {
         // Swap rather than destroy: the moved-from tensor carries our
         // old buffer back to the pool (or gets it recycled in place by
-        // a later copyFrom, the stepper workspace pattern).
+        // a later copyFrom, the stepper workspace pattern). Both
+        // tensors' storage changed, and each advances its own count.
         std::swap(shape_, other.shape_);
         std::swap(data_, other.data_);
+        advanceWriteVersion();
+        other.advanceWriteVersion();
     }
     return *this;
 }
@@ -140,6 +147,7 @@ Tensor::operator=(Tensor &&other) noexcept
 void
 Tensor::resize(const Shape &shape)
 {
+    advanceWriteVersion();
     if (shape.numel() != data_.size()) {
         detail::releaseBuffer(std::move(data_));
         data_ = detail::acquireBuffer(shape.numel());
@@ -151,6 +159,7 @@ void
 Tensor::copyFrom(const Tensor &src)
 {
     ENODE_ASSERT(this != &src, "copyFrom self");
+    advanceWriteVersion();
     // Match src's exact storage size (an empty tensor has no buffer even
     // though a rank-0 shape reports numel() == 1).
     if (src.data_.size() != data_.size()) {
@@ -164,6 +173,7 @@ Tensor::copyFrom(const Tensor &src)
 void
 Tensor::reset()
 {
+    advanceWriteVersion();
     detail::releaseBuffer(std::move(data_));
     data_.clear();
     shape_ = Shape();
@@ -203,6 +213,7 @@ float &
 Tensor::at(std::size_t i)
 {
     ENODE_ASSERT(i < data_.size(), "flat index ", i, " out of ", data_.size());
+    advanceWriteVersion();
     return data_[i];
 }
 
@@ -213,6 +224,9 @@ Tensor::at(std::size_t i) const
     return data_[i];
 }
 
+// The const and non-const element accessors each carry the index
+// check: a shared helper would add a call to every element access,
+// since the check's failure path keeps it from being inlined.
 float &
 Tensor::at(std::size_t c, std::size_t h, std::size_t w)
 {
@@ -220,13 +234,18 @@ Tensor::at(std::size_t c, std::size_t h, std::size_t w)
     const std::size_t H = shape_.dim(1), W = shape_.dim(2);
     ENODE_ASSERT(c < shape_.dim(0) && h < H && w < W, "chw index out of ",
                  shape_.str());
+    advanceWriteVersion();
     return data_[(c * H + h) * W + w];
 }
 
 float
 Tensor::at(std::size_t c, std::size_t h, std::size_t w) const
 {
-    return const_cast<Tensor *>(this)->at(c, h, w);
+    ENODE_ASSERT(shape_.rank() == 3, "rank-3 access on ", shape_.str());
+    const std::size_t H = shape_.dim(1), W = shape_.dim(2);
+    ENODE_ASSERT(c < shape_.dim(0) && h < H && w < W, "chw index out of ",
+                 shape_.str());
+    return data_[(c * H + h) * W + w];
 }
 
 float &
@@ -236,13 +255,18 @@ Tensor::at(std::size_t n, std::size_t c, std::size_t h, std::size_t w)
     const std::size_t C = shape_.dim(1), H = shape_.dim(2), W = shape_.dim(3);
     ENODE_ASSERT(n < shape_.dim(0) && c < C && h < H && w < W,
                  "nchw index out of ", shape_.str());
+    advanceWriteVersion();
     return data_[((n * C + c) * H + h) * W + w];
 }
 
 float
 Tensor::at(std::size_t n, std::size_t c, std::size_t h, std::size_t w) const
 {
-    return const_cast<Tensor *>(this)->at(n, c, h, w);
+    ENODE_ASSERT(shape_.rank() == 4, "rank-4 access on ", shape_.str());
+    const std::size_t C = shape_.dim(1), H = shape_.dim(2), W = shape_.dim(3);
+    ENODE_ASSERT(n < shape_.dim(0) && c < C && h < H && w < W,
+                 "nchw index out of ", shape_.str());
+    return data_[((n * C + c) * H + h) * W + w];
 }
 
 Tensor
@@ -282,6 +306,7 @@ Tensor::setSample(std::size_t n, const Tensor &sample)
     const std::size_t stride = shape_.numel() / shape_.dim(0);
     ENODE_ASSERT(sample.numel() == stride, "sample numel mismatch");
     ENODE_ASSERT(n < shape_.dim(0), "sample index out of batch");
+    advanceWriteVersion();
     std::copy(sample.data_.begin(), sample.data_.end(),
               data_.begin() + n * stride);
 }
@@ -289,6 +314,7 @@ Tensor::setSample(std::size_t n, const Tensor &sample)
 void
 Tensor::fill(float value)
 {
+    advanceWriteVersion();
     std::fill(data_.begin(), data_.end(), value);
 }
 
@@ -303,6 +329,7 @@ Tensor &
 Tensor::operator+=(const Tensor &other)
 {
     checkSameShape(other, "+=");
+    advanceWriteVersion();
     simdOps().addInPlace(data_.data(), other.data_.data(), data_.size());
     return *this;
 }
@@ -311,6 +338,7 @@ Tensor &
 Tensor::operator-=(const Tensor &other)
 {
     checkSameShape(other, "-=");
+    advanceWriteVersion();
     simdOps().subInPlace(data_.data(), other.data_.data(), data_.size());
     return *this;
 }
@@ -318,6 +346,7 @@ Tensor::operator-=(const Tensor &other)
 Tensor &
 Tensor::operator*=(float s)
 {
+    advanceWriteVersion();
     simdOps().scale(data_.data(), s, data_.size());
     return *this;
 }
@@ -350,12 +379,14 @@ void
 Tensor::axpy(float alpha, const Tensor &x)
 {
     checkSameShape(x, "axpy");
+    advanceWriteVersion();
     simdOps().axpy(data_.data(), alpha, x.data_.data(), data_.size());
 }
 
 void
 Tensor::quantizeFp16()
 {
+    advanceWriteVersion();
     quantizeFp16Buffer(data_.data(), data_.size());
 }
 

@@ -16,7 +16,9 @@
  */
 
 #include <array>
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -111,6 +113,10 @@ class Shape
  * the pool, so steady-state solver loops allocate nothing from the
  * heap. Copy assignment into a tensor of equal element count reuses the
  * existing storage outright.
+ *
+ * Every tensor counts the writes it takes (writeVersion()), so a holder
+ * of a copy derived from its elements, such as Linear's column panels,
+ * can tell in O(1) whether the copy is still current.
  */
 class Tensor
 {
@@ -147,8 +153,37 @@ class Tensor
     std::size_t numel() const { return data_.size(); }
     bool empty() const { return data_.empty(); }
 
-    float *data() { return data_.data(); }
+    /**
+     * Mutable element pointer. Taking it advances writeVersion(): the
+     * version moves when the pointer is taken, not when it is written
+     * through. Writes through a pointer taken before a reader compared
+     * versions are invisible to that reader, so take the pointer again
+     * for every round of writes.
+     */
+    float *data()
+    {
+        advanceWriteVersion();
+        return data_.data();
+    }
     const float *data() const { return data_.data(); }
+
+    /**
+     * This tensor's write count. Every member that can write the
+     * elements or replace the storage advances it: non-const data() and
+     * at(), fill, setSample, copyFrom, resize, reset, the in-place
+     * arithmetic, axpy, quantizeFp16, and copy and move assignment.
+     * Const access never does. An assignment advances the destination's
+     * own count and never imports the source's, so it never lands on a
+     * version the destination held before; a copy or move construction
+     * starts at the source's version. Threads that write disjoint elements at
+     * once may all advance it without racing; they may lose counts
+     * between them, but once they are done the count differs from any
+     * taken before they began.
+     */
+    std::uint64_t writeVersion() const
+    {
+        return writeVersion_.load(std::memory_order_relaxed);
+    }
 
     /** Flat element access with bounds check in debug paths. */
     float &at(std::size_t i);
@@ -243,8 +278,17 @@ class Tensor
   private:
     void checkSameShape(const Tensor &other, const char *op) const;
 
+    /** A relaxed load and a relaxed store, not a locked increment: on
+     *  x86 the same code as a plain `++`. */
+    void advanceWriteVersion()
+    {
+        writeVersion_.store(writeVersion_.load(std::memory_order_relaxed) + 1,
+                            std::memory_order_relaxed);
+    }
+
     Shape shape_;
     std::vector<float> data_;
+    std::atomic<std::uint64_t> writeVersion_{0};
 };
 
 } // namespace enode

@@ -564,7 +564,8 @@ TEST(Batching, WeightPublicationDoesNotSplitABatch)
     std::vector<std::future<InferResponse>> futures;
     for (std::size_t i = 0; i < 4; i++) {
         if (i == 2)
-            server.registry().publish(*makeRetrainedModel());
+            server.registry().publish(
+                ModelRegistry::capture(*makeRetrainedModel()));
         inputs.push_back(makeInput(200 + i));
         auto sub = server.submit(inputs.back());
         ASSERT_TRUE(sub.accepted);

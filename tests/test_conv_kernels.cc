@@ -1,11 +1,11 @@
 /**
  * @file
  * Exhaustive equivalence of the blocked/vectorized convolution kernels
- * (and the im2col+GEMM path) against the retained reference kernels in
- * enode::reference, across odd/even map shapes, degenerate maps
- * narrower than the kernel, and 1x1/3x3/5x5/7x7/9x9 taps. All kernels
- * are stride-1 same-(zero)-padding by contract; the shape sweep covers
- * every padding regime that contract produces (interior-only maps,
+ * against the retained reference kernels in enode::reference, across
+ * odd/even map shapes, degenerate maps narrower than the kernel, and
+ * 1x1/3x3/5x5/7x7/9x9 taps. All kernels are stride-1
+ * same-(zero)-padding by contract; the shape sweep covers every
+ * padding regime that contract produces (interior-only maps,
  * edge-dominated maps, maps narrower than the kernel).
  *
  * Where the fast kernel preserves the reference accumulation order
@@ -44,8 +44,9 @@ sweepCases()
             for (auto [h, w] : maps)
                 for (auto k : kernels)
                     cases.push_back({c, m, h, w, k});
-    // Large taps: the >kMaxFusedK fallbacks (im2col forward, reference
-    // weight-grad) and maps narrower than the kernel.
+    // Large taps: the generic-K direct forward and adjoint, the
+    // >kMaxFusedK reference weight-grad, and maps narrower than the
+    // kernel.
     cases.push_back({3, 4, 9, 9, 7});
     cases.push_back({2, 3, 5, 5, 9});
     cases.push_back({4, 4, 3, 2, 5});
@@ -114,21 +115,20 @@ TEST(ConvKernelEquivalence, BackwardWeightsMatchesReferenceAcrossShapes)
 
 TEST(ConvKernelEquivalence, BothForwardPathsMatchReference)
 {
-    // The heuristic picks one path; equivalence must hold for both on
-    // every shape (each path also serves shapes the heuristic would
-    // route to the other).
+    // The direct core is the only forward path: it serves every odd K
+    // (the K = 7 and 9 cases) and maps narrower than the kernel. One
+    // output tensor is reused across the whole sweep, so every shape
+    // change goes through convForwardInto's resize.
     Rng rng(45);
+    Tensor out;
     for (const auto &cs : sweepCases()) {
         const Tensor x = Tensor::randn(Shape{cs.C, cs.H, cs.W}, rng, 1.0f);
         const Tensor w =
             Tensor::randn(Shape{cs.M, cs.C, cs.K, cs.K}, rng, 0.5f);
         const Tensor b = Tensor::randn(Shape{cs.M}, rng, 0.5f);
-        const Tensor ref = reference::convForward(x, w, b);
-        Tensor out;
-        conv::forwardDirect(out, x, w, b);
-        expectClose(out, ref, cs, "forward-direct");
-        conv::forwardIm2colGemm(out, x, w, b);
-        expectClose(out, ref, cs, "forward-im2col");
+        convForwardInto(out, x, w, b);
+        expectClose(out, reference::convForward(x, w, b), cs,
+                    "forward-into");
     }
 }
 
@@ -227,7 +227,7 @@ TEST(ConvKernelParallel, AllKernelsBitwiseEqualSerialAcrossShapes)
     // The tiled kernels keep each output element's accumulation order
     // inside one work item, so splitting across the pool must not move
     // a single bit relative to the serial run — on every shape of the
-    // sweep, for all three kernels and both forward paths.
+    // sweep, for all three kernels.
     Rng rng(49);
     TaskPool pool(3);
     for (const auto &cs : sweepCases()) {
@@ -237,18 +237,15 @@ TEST(ConvKernelParallel, AllKernelsBitwiseEqualSerialAcrossShapes)
             Tensor::randn(Shape{cs.M, cs.C, cs.K, cs.K}, rng, 0.5f);
         const Tensor b = Tensor::randn(Shape{cs.M}, rng, 0.5f);
 
-        Tensor ser_fwd, ser_gemm, ser_gx, ser_gw;
-        conv::forwardDirect(ser_fwd, x, w, b);
-        conv::forwardIm2colGemm(ser_gemm, x, w, b);
+        Tensor ser_fwd, ser_gx, ser_gw;
+        convForwardInto(ser_fwd, x, w, b);
         convBackwardDataInto(ser_gx, g, w);
         convBackwardWeightsInto(ser_gw, x, g, cs.K);
 
         IntraOpScope scope(&pool, 4);
         Tensor out;
-        conv::forwardDirect(out, x, w, b);
-        expectBitwise(out, ser_fwd, cs, "parallel-direct");
-        conv::forwardIm2colGemm(out, x, w, b);
-        expectBitwise(out, ser_gemm, cs, "parallel-im2col");
+        convForwardInto(out, x, w, b);
+        expectBitwise(out, ser_fwd, cs, "parallel-forward");
         convBackwardDataInto(out, g, w);
         expectBitwise(out, ser_gx, cs, "parallel-backward-data");
         convBackwardWeightsInto(out, x, g, cs.K);
@@ -267,12 +264,12 @@ TEST(ConvKernelParallel, SameBitsAtEveryWidth)
     const Tensor b = Tensor::randn(Shape{cs.M}, rng, 0.5f);
 
     Tensor baseline;
-    conv::forwardDirect(baseline, x, w, b);
+    convForwardInto(baseline, x, w, b);
     for (std::size_t width : {1u, 2u, 4u, 8u}) {
         TaskPool pool(width - 1);
         IntraOpScope scope(&pool, width);
         Tensor out;
-        conv::forwardDirect(out, x, w, b);
+        convForwardInto(out, x, w, b);
         expectBitwise(out, baseline, cs, "width-sweep");
     }
 }
@@ -315,7 +312,7 @@ TEST(ConvKernelSimdBackends, AllKernelsBitwiseEqualScalarOnEveryBackend)
     // backends by contract — per-op rounding, no FMA, fixed lane count.
     // Force each compiled-and-supported vector backend over the full
     // shape sweep and demand bit equality with the scalar backend's
-    // output for all three kernels and both forward paths.
+    // output for all three kernels.
     Rng rng(52);
     for (const auto &cs : sweepCases()) {
         const Tensor x = Tensor::randn(Shape{cs.C, cs.H, cs.W}, rng, 1.0f);
@@ -324,12 +321,11 @@ TEST(ConvKernelSimdBackends, AllKernelsBitwiseEqualScalarOnEveryBackend)
             Tensor::randn(Shape{cs.M, cs.C, cs.K, cs.K}, rng, 0.5f);
         const Tensor b = Tensor::randn(Shape{cs.M}, rng, 0.5f);
 
-        Tensor sc_fwd, sc_gemm, sc_gx, sc_gw;
+        Tensor sc_fwd, sc_gx, sc_gw;
         {
             ScopedSimdBackend force(SimdBackend::Scalar);
             ASSERT_TRUE(force.applied());
-            conv::forwardDirect(sc_fwd, x, w, b);
-            conv::forwardIm2colGemm(sc_gemm, x, w, b);
+            convForwardInto(sc_fwd, x, w, b);
             convBackwardDataInto(sc_gx, g, w);
             convBackwardWeightsInto(sc_gw, x, g, cs.K);
         }
@@ -341,25 +337,14 @@ TEST(ConvKernelSimdBackends, AllKernelsBitwiseEqualScalarOnEveryBackend)
             ASSERT_TRUE(force.applied());
             const char *bn = simdBackendName(backend);
             Tensor out;
-            conv::forwardDirect(out, x, w, b);
+            convForwardInto(out, x, w, b);
             expectBitwise(out, sc_fwd, cs, bn);
-            conv::forwardIm2colGemm(out, x, w, b);
-            expectBitwise(out, sc_gemm, cs, bn);
             convBackwardDataInto(out, g, w);
             expectBitwise(out, sc_gx, cs, bn);
             convBackwardWeightsInto(out, x, g, cs.K);
             expectBitwise(out, sc_gw, cs, bn);
         }
     }
-}
-
-TEST(ConvKernelHeuristic, LargeTapsRouteToGemm)
-{
-    EXPECT_EQ(conv::forwardPathFor(8, 8, 32, 32, 3), conv::Path::Direct);
-    EXPECT_EQ(conv::forwardPathFor(8, 8, 32, 32, 9),
-              conv::Path::Im2colGemm);
-    EXPECT_EQ(conv::forwardPathFor(8, 8, 2, 2, 5), conv::Path::Im2colGemm);
-    EXPECT_EQ(conv::forwardPathFor(1, 1, 2, 2, 3), conv::Path::Direct);
 }
 
 } // namespace

@@ -5,9 +5,11 @@
  */
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -196,6 +198,32 @@ TEST(Linear, GradientsMatchFiniteDifferences)
     Tensor x = Tensor::randn(Shape{6}, rng, 1.0f);
     checkInputGradient(lin, x, rng);
     checkParamGradients(lin, x, rng);
+}
+
+TEST(Linear, ForwardsAndBackwardLeaveTheWeightVersion)
+{
+    // Linear repacks its panels when the weight's write version moves,
+    // so its own reads must not move it: forward, backward and
+    // forwardBatched read every parameter through const.
+    Rng rng(9);
+    Linear lin(17, 64, rng);
+    const Tensor x = Tensor::randn(Shape{17}, rng, 1.0f);
+    const Tensor xs = Tensor::randn(Shape{3, 17}, rng, 1.0f);
+    const Tensor g = Tensor::randn(Shape{64}, rng, 1.0f);
+    std::vector<std::uint64_t> versions;
+    for (const ParamSlot &slot : lin.paramSlots())
+        versions.push_back(slot.param->writeVersion());
+
+    Tensor out;
+    for (int round = 0; round < 2; round++) {
+        lin.forward(x);
+        lin.backward(g);
+        lin.forwardBatched(xs, out);
+        const auto slots = lin.paramSlots();
+        for (std::size_t s = 0; s < slots.size(); s++)
+            EXPECT_EQ(slots[s].param->writeVersion(), versions[s])
+                << slots[s].name << ", round " << round;
+    }
 }
 
 /** Number of positions where a and b differ in any bit. */

@@ -17,6 +17,7 @@
 #include "core/aca_trainer.h"
 #include "core/memory_profile.h"
 #include "core/node_model.h"
+#include "nn/linear.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
 #include "runtime/model_registry.h"
@@ -103,19 +104,46 @@ batchedOutputs(NodeModel &model, const std::vector<Tensor> &xs,
     return std::move(res.outputs);
 }
 
-TEST(NodeModel, BatchedForwardFollowsEveryParameterWrite)
+/** Per-sample outputs of one solo forward per input. */
+std::vector<Tensor>
+soloOutputs(NodeModel &model, const std::vector<Tensor> &xs,
+            const IvpOptions &opts)
 {
-    // Linear's batched path reads a column-panel copy of its weights,
-    // which NodeModel::forwardBatched refreshes by content; no writer
-    // invalidates anything. Each writer below must show up in the next
-    // batched forward, which must stay bitwise equal to the solo
-    // forward. perfbench's MLP shape: dim 16, hidden 64, f depth 2.
+    std::vector<Tensor> outs;
+    for (const Tensor &x : xs) {
+        FixedFactorController ctrl;
+        outs.push_back(
+            model.forward(x, ButcherTableau::rk23(), ctrl, opts).output);
+    }
+    return outs;
+}
+
+/** Every parameter's write version, in paramSlots() order. */
+std::vector<std::uint64_t>
+paramVersions(NodeModel &model)
+{
+    std::vector<std::uint64_t> versions;
+    for (const ParamSlot &slot : model.paramSlots())
+        versions.push_back(slot.param->writeVersion());
+    return versions;
+}
+
+TEST(NodeModel, BothForwardsFollowEveryParameterWrite)
+{
+    // Linear's forwards read a column-panel copy of its weights, which
+    // it repacks when the weight's write version moves; no writer
+    // tells it. After each writer below, the solo and the batched
+    // forward must both equal, bit for bit, those of a model that never
+    // ran a forward and got the same bytes through applyTo. At batch 1
+    // the solo forward is the first read after the write, at batch 3
+    // the batched one, so each entry point repacks in turn.
+    // perfbench's MLP shape: dim 16, hidden 64, f depth 2.
     constexpr std::size_t kDim = 16;
     const auto makeModel = [](std::uint64_t seed) {
         Rng rng(seed);
         return NodeModel::makeMlp(2, kDim, 64, 2, rng);
     };
-    const std::string path = ::testing::TempDir() + "batched_fresh.ckpt";
+    const std::string path = ::testing::TempDir() + "forward_fresh.ckpt";
     IvpOptions opts;
     opts.tolerance = 1e-4;
     opts.initialDt = 0.05;
@@ -124,19 +152,20 @@ TEST(NodeModel, BatchedForwardFollowsEveryParameterWrite)
         ASSERT_TRUE(forced.applied());
         for (std::size_t n : {1, 3}) {
             auto model = makeModel(41);
+            auto &lin =
+                dynamic_cast<Linear &>(model->net(0).body().layer(1));
             Rng rng(43);
             std::vector<Tensor> xs;
             for (std::size_t i = 0; i < n; i++)
                 xs.push_back(Tensor::randn(Shape{kDim}, rng, 0.5f));
             const Tensor target = Tensor::randn(Shape{kDim}, rng, 0.5f);
-            ModelRegistry registry;
-            registry.seed(*model);
+            const Shape wshape = lin.weight().shape();
 
             const std::pair<const char *, std::function<void()>> writers[] = {
                 {"ModelRegistry::applyTo",
                  [&] {
-                     registry.publish(*makeModel(101));
-                     ModelRegistry::applyTo(*registry.latest(), *model);
+                     ModelRegistry::applyTo(
+                         *ModelRegistry::capture(*makeModel(101)), *model);
                  }},
                 {"Sgd::step",
                  [&] {
@@ -152,31 +181,65 @@ TEST(NodeModel, BatchedForwardFollowsEveryParameterWrite)
                      saveParameters(path, makeModel(303)->paramSlots());
                      loadParameters(path, model->paramSlots());
                  }},
-                {"direct write",
-                 [&] { model->paramSlots()[0].param->at(5) += 0.25f; }},
+                {"at()", [&] { lin.weight().at(5) += 0.25f; }},
+                {"data() pointer",
+                 [&] {
+                     float *w = lin.weight().data();
+                     w[7] -= 0.5f;
+                     w[70] += 0.5f;
+                 }},
+                {"fill", [&] { lin.weight().fill(0.01f); }},
+                {"copy assignment",
+                 [&] {
+                     const Tensor w = Tensor::randn(wshape, rng, 0.3f);
+                     lin.weight() = w;
+                 }},
+                {"move assignment",
+                 [&] { lin.weight() = Tensor::randn(wshape, rng, 0.3f); }},
             };
 
-            std::vector<Tensor> before = batchedOutputs(*model, xs, opts);
+            std::vector<Tensor> before = soloOutputs(*model, xs, opts);
             for (const auto &[name, write] : writers) {
                 write();
-                const std::vector<Tensor> after =
-                    batchedOutputs(*model, xs, opts);
+                auto fresh = makeModel(7);
+                ModelRegistry::applyTo(*ModelRegistry::capture(*model), *fresh);
+                const std::vector<Tensor> expected =
+                    batchedOutputs(*fresh, xs, opts);
+                std::vector<Tensor> solo, batched;
+                if (n == 1) {
+                    solo = soloOutputs(*model, xs, opts);
+                    batched = batchedOutputs(*model, xs, opts);
+                } else {
+                    batched = batchedOutputs(*model, xs, opts);
+                    solo = soloOutputs(*model, xs, opts);
+                }
                 bool changed = false;
                 for (std::size_t i = 0; i < n; i++) {
-                    changed = changed || !sameBits(after[i], before[i]);
-                    FixedFactorController ctrl;
-                    const NodeForwardResult solo = model->forward(
-                        xs[i], ButcherTableau::rk23(), ctrl, opts);
-                    EXPECT_TRUE(sameBits(after[i], solo.output))
+                    changed = changed || !sameBits(solo[i], before[i]);
+                    EXPECT_TRUE(sameBits(solo[i], expected[i]))
                         << name << " on " << simdBackendName(b)
-                        << ": batched != solo, batch " << n << " sample "
-                        << i;
+                        << ": stale solo forward, batch " << n
+                        << " sample " << i;
+                    EXPECT_TRUE(sameBits(batched[i], expected[i]))
+                        << name << " on " << simdBackendName(b)
+                        << ": stale batched forward, batch " << n
+                        << " sample " << i;
                 }
                 EXPECT_TRUE(changed)
                     << name << " on " << simdBackendName(b) << ", batch "
-                    << n << ": batched output did not move";
-                before = after;
+                    << n << ": output did not move";
+                before = solo;
             }
+
+            // Reads never repack: forwards, a capture and a checkpoint
+            // save leave every parameter's version where it was.
+            const std::vector<std::uint64_t> versions = paramVersions(*model);
+            soloOutputs(*model, xs, opts);
+            batchedOutputs(*model, xs, opts);
+            ModelRegistry::capture(*model);
+            saveParameters(path, model->paramSlots());
+            EXPECT_EQ(paramVersions(*model), versions)
+                << simdBackendName(b) << ", batch " << n;
         }
     }
     std::remove(path.c_str());

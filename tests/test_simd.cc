@@ -7,9 +7,8 @@
  *  - elementwise kernels and the fixed-lane reductions (16-float dot,
  *    8-double sum of squares) are *bitwise identical* across backends,
  *    at every size including ragged tails;
- *  - every matvec row equals the per-row dot plus bias bitwise, and
- *    every matvecPanels row equals matvec's, storing nothing past the
- *    last row;
+ *  - every matvecPanels row equals the per-row dot plus bias bitwise,
+ *    storing nothing past the last row;
  *  - tanh is bitwise identical across backends, odd, maps NaN to NaN
  *    and +-inf to +-1, and stays within a pinned error of std::tanh;
  *  - the fixed-lane reductions sit within a documented reduction-order
@@ -461,37 +460,6 @@ TEST(SimdTanh, WithinPinnedErrorOfStdTanh)
         EXPECT_EQ(one[i], 1.0f) << "tanh(" << big[i] << ")";
 }
 
-TEST(SimdMatvec, RowsEqualPerRowDotPlusBiasOnEveryBackend)
-{
-    const std::size_t widths[] = {1, 15, 16, 17, 33, 64, 65};
-    for (SimdBackend b : availableSimdBackends()) {
-        ScopedSimdBackend forced(b);
-        ASSERT_TRUE(forced.applied());
-        const SimdOps &ops = simdOps();
-        for (std::size_t n : widths) {
-            const std::vector<float> x = testData(n, 103);
-            for (std::size_t rows = 1; rows <= 33; rows++) {
-                const std::vector<float> w = testData(rows * n, 107 + rows);
-                const std::vector<float> bias = testData(rows, 109);
-                for (const float *bd : {bias.data(),
-                                        static_cast<const float *>(nullptr)}) {
-                    std::vector<float> expected(rows);
-                    for (std::size_t r = 0; r < rows; r++) {
-                        const float sum =
-                            ops.dot(w.data() + r * n, x.data(), n);
-                        expected[r] = bd ? bd[r] + sum : sum;
-                    }
-                    std::vector<float> got(rows, -1.0f);
-                    ops.matvec(got.data(), w.data(), bd, x.data(), rows, n);
-                    EXPECT_TRUE(bitwiseEqual(got, expected))
-                        << simdBackendName(b) << " rows=" << rows
-                        << " n=" << n << " bias=" << (bd != nullptr);
-                }
-            }
-        }
-    }
-}
-
 /** Bitwise equal, except that any NaN equals any NaN. */
 bool
 sameBitsOrBothNan(const std::vector<float> &a, const std::vector<float> &b)
@@ -507,10 +475,10 @@ sameBitsOrBothNan(const std::vector<float> &a, const std::vector<float> &b)
     return true;
 }
 
-TEST(SimdMatvecPanels, RowsEqualRowMajorMatvecOnEveryBackend)
+TEST(SimdMatvecPanels, RowsEqualPerRowDotPlusBiasOnEveryBackend)
 {
-    // The matvec grid plus the 64- and 65-row shapes of a hidden layer.
-    // Finite x compares bitwise. The other two x hold +-inf, and then
+    // Every row count to 33 plus the 64- and 65-row shapes of a hidden
+    // layer. Finite x compares bitwise. The other two x hold +-inf, and then
     // NaN as well: a padded panel row computes 0 * inf = NaN, and the
     // slots past `rows` must keep their sentinel. NaN payloads may
     // legally differ by operand order, so those x compare NaN-ness,
@@ -544,8 +512,11 @@ TEST(SimdMatvecPanels, RowsEqualRowMajorMatvecOnEveryBackend)
                     for (const float *bd :
                          {bias.data(), static_cast<const float *>(nullptr)}) {
                         std::vector<float> expected(rows);
-                        ops.matvec(expected.data(), w.data(), bd, x.data(),
-                                   rows, n);
+                        for (std::size_t r = 0; r < rows; r++) {
+                            const float sum =
+                                ops.dot(w.data() + r * n, x.data(), n);
+                            expected[r] = bd ? bd[r] + sum : sum;
+                        }
                         std::vector<float> got(rows + 16, sentinel);
                         ops.matvecPanels(got.data(), panels.data(), bd,
                                          x.data(), rows, n);

@@ -1063,7 +1063,7 @@ TEST(CachedServing, FollowersAdmittedBeforeAPublicationSolveOnTheNewWeights)
         futures.push_back(std::move(sub.result));
     }
     EXPECT_EQ(server.solveCache()->singleFlightWaits(), 3u);
-    server.registry().publish(*makeRetrainedModel());
+    server.registry().publish(ModelRegistry::capture(*makeRetrainedModel()));
     server.resume();
 
     FixedFactorController controller;
@@ -1135,7 +1135,7 @@ TEST(CachedServing, RacingPublicationsServeEachResponseItsVersionsBytes)
     std::thread publisher([&] {
         start.arrive_and_wait();
         for (std::size_t v = 1; v < kVersions; v++) {
-            server.registry().publish(*makeVersion(v));
+            server.registry().publish(ModelRegistry::capture(*makeVersion(v)));
             std::this_thread::sleep_for(std::chrono::microseconds(250));
         }
     });

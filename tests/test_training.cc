@@ -178,7 +178,7 @@ TEST(ModelRegistry, SeedPublishApplyRoundtrip)
     // become bitwise identical to a.
     auto slots_a = a->paramSlots();
     slots_a[0].param->at(0) += 1.0f;
-    const std::uint64_t v1 = registry.publish(*a);
+    const std::uint64_t v1 = registry.publish(ModelRegistry::capture(*a));
     EXPECT_EQ(v1, 1u);
     EXPECT_EQ(registry.latestVersion(), 1u);
     EXPECT_EQ(registry.published(), 1u);
@@ -194,7 +194,7 @@ TEST(ModelRegistry, SeedPublishApplyRoundtrip)
 
     // Distinct weights -> distinct params digests; same weights -> same.
     EXPECT_NE(v0_snap->paramsDigest.hi, v1_snap->paramsDigest.hi);
-    const auto recapture = ModelRegistry::capture(*a, 99);
+    const auto recapture = ModelRegistry::capture(*a);
     EXPECT_EQ(recapture->paramsDigest.hi, v1_snap->paramsDigest.hi);
     EXPECT_EQ(recapture->paramsDigest.lo, v1_snap->paramsDigest.lo);
 }
@@ -270,7 +270,7 @@ TEST(TrainingService, GradientsBitwiseIdenticalAcrossWorkerCounts)
             digests.push_back(out.gradDigest);
         }
         const Hash128 weights =
-            ModelRegistry::capture(service.master(), 0)->paramsDigest;
+            ModelRegistry::capture(service.master())->paramsDigest;
         done.store(true);
         if (producer.joinable())
             producer.join();
@@ -483,7 +483,7 @@ TEST(TrainingService, SwapInvalidatesExactCacheIdentity)
     // entry must NOT serve it.
     auto master = makeReferenceModel();
     master->paramSlots()[0].param->at(0) += 0.5f;
-    server.registry().publish(*master);
+    server.registry().publish(ModelRegistry::capture(*master));
     const Hash128 v1_digest = server.modelDigest();
     ASSERT_TRUE(v1_digest.valid());
     EXPECT_FALSE(v1_digest.hi == v0_digest.hi &&
@@ -524,7 +524,7 @@ TEST(TrainingService, PreSwapPendingEntryCannotPublishIntoNewVersion)
     // Publish v1 before any worker dispatches.
     auto master = makeReferenceModel();
     master->paramSlots()[0].param->at(0) += 0.5f;
-    server.registry().publish(*master);
+    server.registry().publish(ModelRegistry::capture(*master));
 
     server.resume();
     InferResponse r = sub.result.get();
@@ -580,7 +580,7 @@ TEST(TrainingService, InferenceOvertakesARunningTrainingTask)
         const TrainExample example = makeExample(0);
         TrainTask task;
         task.step = 1;
-        task.weights = ModelRegistry::capture(*master, 1);
+        task.weights = ModelRegistry::capture(*master);
         task.input = example.input;
         task.target = example.target;
         task.ivp = slowTrainingOptions(/*batch=*/1).ivp;
