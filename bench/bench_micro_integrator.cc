@@ -7,7 +7,8 @@
  * solver's steady-state heap-allocation rate (workspace-pool misses per
  * accepted RK step — zero after warm-up) and merges the numbers into
  * BENCH_kernels.json next to the convolution entries, together with the
- * per-sample cost of one batched MLP f evaluation at batch 1 and 4
+ * solo and the batch-of-1 batched adaptive solve (timed interleaved),
+ * the per-sample cost of one batched MLP f evaluation at batch 1 and 4
  * (what coalescing requests buys) and a per-SIMD-backend sweep of the
  * stepper's element kernels (WRMS norm, axpy, FP16 quantization) and
  * the MLP f's kernels (tanh, Linear matvec from column panels), each
@@ -29,6 +30,7 @@
 #include "core/node_model.h"
 #include "core/slope_adaptive.h"
 #include "nn/loss.h"
+#include "ode/batched_ivp.h"
 #include "ode/ivp.h"
 #include "tensor/workspace.h"
 
@@ -180,11 +182,32 @@ emitIntegratorReport()
         stepper.stepInto(ode, 0.0, f.x0, 0.1, nullptr, step_result);
     });
 
-    const bench::NsPerOp solve_ns = bench::timeNsPerOp([&] {
-        benchmark::DoNotOptimize(solveIvp(ode, f.x0, 0.0, 1.0,
-                                          ButcherTableau::rk23(), ctrl,
-                                          opts, nullptr, &ws));
-    });
+    // The batched driver at batch 1 on the same fixture, options and
+    // controller computes the same numbers as the solo one. The gap
+    // between the two entries is the drivers' own bookkeeping plus the
+    // difference between f's two paths: EmbeddedNet::eval runs each
+    // layer's forward, evalBatched its forwardBatched. Their loops are
+    // interleaved, so a drift in the host reaches both alike.
+    BatchedNetOde batched_ode(f.model->net(0));
+    const std::vector<const Tensor *> y0 = {&f.x0};
+    FixedFactorController batched_ctrl;
+    const std::vector<StepController *> batched_ctrls = {&batched_ctrl};
+    BatchedIvpWorkspace batched_ws;
+    const auto solveBatched = [&] {
+        benchmark::DoNotOptimize(
+            solveIvpBatched(batched_ode, y0, 0.0, 1.0,
+                            ButcherTableau::rk23(), batched_ctrls, opts,
+                            &batched_ws));
+    };
+    const std::vector<bench::NsPerOp> solve_ns =
+        bench::timeNsPerOpInterleaved(
+            {[&] {
+                 benchmark::DoNotOptimize(
+                     solveIvp(ode, f.x0, 0.0, 1.0, ButcherTableau::rk23(),
+                              ctrl, opts, nullptr, &ws));
+             },
+             solveBatched});
+    const double batched_miss = bench::allocMissesPerOp(solveBatched);
 
     // Heap allocations per *accepted* step at steady state — the
     // headline zero-allocation metric. Results are dropped immediately
@@ -212,10 +235,16 @@ emitIntegratorReport()
 
     bench::KernelBenchEntry solve_entry;
     solve_entry.name = "solve_ivp_serving_mlp8";
-    solve_entry.ns = solve_ns;
+    solve_entry.ns = solve_ns[0];
     solve_entry.allocMissesPerOp = miss_per_step;
 
-    bench::writeKernelReport({step_entry, solve_entry});
+    // Pool misses per whole solve.
+    bench::KernelBenchEntry batched_entry;
+    batched_entry.name = "solve_ivp_batched1_mlp8";
+    batched_entry.ns = solve_ns[1];
+    batched_entry.allocMissesPerOp = batched_miss;
+
+    bench::writeKernelReport({step_entry, solve_entry, batched_entry});
     std::printf("BENCH_kernels.json: %.3f heap allocations per accepted "
                 "RK step after warm-up (%llu steps sampled)\n",
                 miss_per_step, static_cast<unsigned long long>(accepted));

@@ -22,6 +22,9 @@ namespace {
  *   ybar_j = kbar_j^T df/dy_j           (VJP through f)
  *   dL/dh  = abar + sum_j ybar_j
  *
+ * The local forward builds each stage input with
+ * RkStepper::stageInput, the arithmetic the forward solve's trials ran.
+ *
  * Stages whose kbar is structurally zero are skipped entirely, in the
  * local forward and in the reverse sweep. For the FSAL RK23 this skips
  * k4 — matching the paper's observation that "the backward pass only
@@ -38,6 +41,7 @@ adjointStep(EmbeddedNet &net, const ButcherTableau &tableau, double t,
             const Tensor &h, double dt, const Tensor &abar, AcaStats &stats,
             AcaWorkspace &ws)
 {
+    const RkStepper stepper(tableau);
     const std::size_t s = tableau.stages();
     const auto &a = tableau.a();
     const auto &b = tableau.b();
@@ -73,13 +77,8 @@ adjointStep(EmbeddedNet &net, const ButcherTableau &tableau, double t,
     for (std::size_t j = 0; j < s; j++) {
         if (!contributes(j))
             continue;
-        Tensor &yj = ws.stageInputs[j];
-        yj.copyFrom(h);
-        for (std::size_t l = 0; l < j; l++) {
-            if (a[j][l] != 0.0)
-                yj.axpy(static_cast<float>(dt * a[j][l]), ws.stages[l]);
-        }
-        ws.stages[j] = net.eval(t + c[j] * dt, yj);
+        stepper.stageInput(j, h, dt, ws.stages, ws.stageInputs[j]);
+        ws.stages[j] = net.eval(t + c[j] * dt, ws.stageInputs[j]);
         stats.localForwardEvals++;
         evaluated = j;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/logging.h"
 #include "common/task_pool.h"
@@ -11,6 +12,19 @@
 #include "nn/conv2d.h"
 
 namespace enode {
+
+namespace {
+
+/** `prefix` then `n` in decimal ("k", 2 -> "k2"). Appending, unlike
+ *  `"k" + std::to_string(n)`, keeps GCC 12's -Wrestrict quiet at -O3. */
+std::string
+numbered(std::string prefix, std::size_t n)
+{
+    prefix += std::to_string(n);
+    return prefix;
+}
+
+} // namespace
 
 // ---------------------------------------------------------------------------
 // DDG construction
@@ -42,12 +56,11 @@ DepthFirstDdg::DepthFirstDdg(const ButcherTableau &tableau)
             if (a[i][j] != 0.0)
                 inputs.push_back(k_idx[j]);
             prev = addNode(DdgNodeKind::PartialState,
-                           "p" + std::to_string(i + 1) +
-                               std::to_string(j + 1),
+                           numbered(numbered("p", i + 1), j + 1),
                            static_cast<int>(i), static_cast<int>(j), inputs);
         }
         k_idx[i] = addNode(DdgNodeKind::IntegralState,
-                           "k" + std::to_string(i + 1), static_cast<int>(i),
+                           numbered("k", i + 1), static_cast<int>(i),
                            -1, {prev});
     }
 
@@ -81,7 +94,7 @@ DepthFirstDdg::DepthFirstDdg(const ButcherTableau &tableau)
                 addNode(DdgNodeKind::ErrorState, "e", -1, -1, inputs);
             } else {
                 prev_e = addNode(DdgNodeKind::PartialError,
-                                 "e" + std::to_string(count), -1,
+                                 numbered("e", count), -1,
                                  static_cast<int>(j), inputs);
                 have_prev = true;
             }
@@ -390,12 +403,11 @@ class StreamEngine
         z_.resize(s_);
         for (std::size_t j = 0; j < s_; j++) {
             if (j > 0)
-                stage_in_[j] = {"y" + std::to_string(j + 1),
+                stage_in_[j] = {numbered("y", j + 1),
                                 Tensor(Shape{C_, H_, W_}), 0, 0, true};
             z_[j].resize(depth_);
             for (std::size_t l = 0; l < depth_; l++)
-                z_[j][l] = {"z" + std::to_string(j + 1) + "." +
-                                std::to_string(l + 1),
+                z_[j][l] = {numbered(numbered("z", j + 1) + ".", l + 1),
                             Tensor(Shape{C_, H_, W_}), 0, 0, true};
         }
         y_next_ = {"h'", h, 0, 0, false}; // starts as a copy of h

@@ -10,6 +10,34 @@
 
 namespace enode {
 
+namespace {
+
+/** A request's guard seen from one layer solve: each check adds the
+ *  earlier layers' stats, so a per-request budget
+ *  (DeadlineGuard::maxFEvals) spans the whole forward pass. */
+class RequestGuard final : public SolveGuard
+{
+  public:
+    RequestGuard(SolveGuard *inner, const IvpStats &earlier)
+        : inner_(inner), earlier_(earlier)
+    {
+    }
+
+    SolveStatus
+    check(const IvpStats &stats) override
+    {
+        IvpStats total = earlier_;
+        total.accumulate(stats);
+        return inner_->check(total);
+    }
+
+  private:
+    SolveGuard *inner_;
+    const IvpStats &earlier_;
+};
+
+} // namespace
+
 NodeModel::NodeModel(std::vector<std::unique_ptr<EmbeddedNet>> nets,
                      double layer_time)
     : nets_(std::move(nets)), layerTime_(layer_time)
@@ -77,12 +105,13 @@ NodeModel::forward(const Tensor &x, const ButcherTableau &tableau,
 {
     NodeForwardResult result;
     result.layers.reserve(nets_.size());
+    RequestGuard request_guard(guard, result.totalStats);
     Tensor h = x;
     for (auto &net : nets_) {
         EmbeddedNetOde ode(*net);
-        IvpResult layer = solveIvp(ode, h, 0.0, layerTime_, tableau,
-                                   controller, opts, evaluator,
-                                   &ivpWorkspace_, guard);
+        IvpResult layer = solveIvp(
+            ode, h, 0.0, layerTime_, tableau, controller, opts, evaluator,
+            &ivpWorkspace_, guard ? &request_guard : nullptr);
         h = layer.yFinal;
         const SolveStatus status = layer.status;
         result.totalStats.accumulate(layer.stats);
@@ -111,17 +140,22 @@ NodeModel::forwardBatched(const std::vector<Tensor> &xs,
                  "guards sized like the batch when present");
 
     BatchedForwardResult result;
-    result.outputs.resize(n);
+    result.outputs = xs;
     result.stats.resize(n);
     result.status.assign(n, SolveStatus::Ok);
-    for (std::size_t i = 0; i < n; i++)
-        result.outputs[i] = xs[i];
 
     // Active set: samples still Ok. A failed sample keeps its (untrusted)
     // state in outputs but stops consuming layer solves.
     std::vector<std::size_t> active(n);
     for (std::size_t i = 0; i < n; i++)
         active[i] = i;
+    // Each sample's guard sees its request's stats so far.
+    std::vector<RequestGuard> request_guards;
+    if (guards != nullptr) {
+        request_guards.reserve(n);
+        for (std::size_t i = 0; i < n; i++)
+            request_guards.emplace_back((*guards)[i], result.stats[i]);
+    }
 
     std::vector<const Tensor *> y0;
     std::vector<StepController *> ctrls;
@@ -135,14 +169,15 @@ NodeModel::forwardBatched(const std::vector<Tensor> &xs,
         for (std::size_t i : active) {
             y0.push_back(&result.outputs[i]);
             ctrls.push_back(controllers[i]);
-            layer_guards.push_back(guards ? (*guards)[i] : nullptr);
+            if (guards != nullptr)
+                layer_guards.push_back((*guards)[i] ? &request_guards[i]
+                                                    : nullptr);
         }
         BatchedNetOde ode(*net);
         BatchedIvpResult layer = solveIvpBatched(
             ode, y0, 0.0, layerTime_, tableau, ctrls, opts,
             &batchedIvpWorkspace_, guards ? &layer_guards : nullptr);
-        std::vector<std::size_t> still_active;
-        still_active.reserve(active.size());
+        std::size_t kept = 0;
         for (std::size_t j = 0; j < active.size(); j++) {
             const std::size_t i = active[j];
             result.outputs[i] = std::move(layer.yFinal[j]);
@@ -150,9 +185,9 @@ NodeModel::forwardBatched(const std::vector<Tensor> &xs,
             if (layer.status[j] != SolveStatus::Ok)
                 result.status[i] = layer.status[j];
             else
-                still_active.push_back(i);
+                active[kept++] = i;
         }
-        active = std::move(still_active);
+        active.resize(kept);
     }
     return result;
 }

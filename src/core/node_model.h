@@ -153,8 +153,8 @@ class NodeModel
      * @param controller Stepsize-search policy; reset per layer.
      * @param opts Solver options (tolerance epsilon etc.).
      * @param evaluator Optional priority/early-stop trial evaluator.
-     * @param guard Optional per-accepted-step abort check threaded into
-     *        every layer solve (request deadlines, f-eval budgets).
+     * @param guard Optional per-accepted-step abort check on the whole
+     *        pass's stats so far (request deadlines, f-eval budgets).
      */
     NodeForwardResult forward(const Tensor &x, const ButcherTableau &tableau,
                               StepController &controller,
@@ -174,7 +174,8 @@ class NodeModel
      * @param xs Initial states (same shape each).
      * @param controllers One stepsize controller per sample (reset per
      *        layer, like the solo path's single controller).
-     * @param guards Optional per-sample abort checks, sized like xs.
+     * @param guards Optional per-sample abort checks (each as forward()'s
+     *        guard), sized like xs.
      */
     BatchedForwardResult forwardBatched(
         const std::vector<Tensor> &xs, const ButcherTableau &tableau,

@@ -9,27 +9,23 @@
  * requests; this driver integrates them together so every RK trial
  * performs ONE shared f evaluation across the batch (the serving
  * analogue of the paper's function-reuse ring, Sec. V, where f's
- * weights are held once, in the layout the NN cores consume, and
- * reused by every stage of every RK loop: Linear keeps a column-panel
- * copy of its weights for both its forwards, repacked when the
- * weights' write version moves, never per call).
+ * weights are held once and reused by every stage of every RK loop).
  *
  * Error control stays strictly per sample, in the spirit of ANODE's
- * per-sample accuracy discipline: each sample owns its stepsize
- * controller, error norm, accept/reject verdict, force-accept
- * bookkeeping, stats, and SolveStatus. Samples run the *identical*
- * arithmetic of the solo driver (same Tensor ops in the same order), so
- * a batch of one is bitwise identical to solveIvp. Only the f
- * evaluations are shared: per stage, the active samples' stage inputs
- * are gathered into one (n, ...) tensor, evaluated in a single batched
- * call, and scattered back.
+ * per-sample accuracy discipline: each sample owns its controller, its
+ * stats and SolveStatus, and a StepSearch, the search solveIvp walks,
+ * and runs RkStepper's stageInput and combine, the halves stepInto is
+ * built from; so it is bitwise identical to its solo solve by
+ * construction. Only the f evaluations are shared: per stage, the
+ * active samples' stage inputs are gathered into one (n, ...) tensor,
+ * evaluated in a single batched call, and scattered back.
  *
  * Per-sample early exit: a sample that reaches t1 (or fails) leaves the
  * active set immediately, so one stiff sample cannot hold its
  * batchmates' step sizes hostage — the stragglers simply keep
  * integrating in ever-smaller shared evaluations. Samples at different
  * points of their stepsize search coexist: each round evaluates one
- * trial per in-search sample at that sample's own dt.
+ * trial per active sample at that sample's own t and dt.
  *
  * Differences from the solo driver, by design (inference-only path):
  * no checkpoints/trialsPerPoint are recorded, no custom TrialEvaluator
@@ -74,16 +70,18 @@ struct BatchedIvpResult
 };
 
 /**
- * Reusable buffers of the batched solve: one slot of RK state per
- * sample plus the shared gather/scatter staging tensors. Pass the same
- * workspace to successive solves of same-shaped batches and the hot
- * path performs no heap allocation after warm-up. NodeModel holds one
- * per model replica.
+ * Reusable state of the batched solve: one slot per sample, holding its
+ * stepsize search beside its RK tensors, the round's index sets, and
+ * the shared gather/scatter staging tensors. Pass the same workspace to
+ * successive solves of same-shaped batches and a warm solve makes no
+ * heap call beyond its result's three vectors. NodeModel holds one per
+ * model replica.
  */
 struct BatchedIvpWorkspace
 {
     struct Slot
     {
+        StepSearch search; ///< the sample's stepsize search
         Tensor y;          ///< walking state h_i(t)
         Tensor fsal;       ///< last stage of the previous accepted step
         Tensor yNext;      ///< trial next state
@@ -93,6 +91,11 @@ struct BatchedIvpWorkspace
     };
 
     std::vector<Slot> slots;
+    /** Samples still integrating, in sample order; a round tries each. */
+    std::vector<std::size_t> active;
+    /** The active samples whose current stage needs an f evaluation
+     *  (the others reuse their FSAL stage). */
+    std::vector<std::size_t> evaluated;
     Tensor packedIn;  ///< gathered stage inputs (m, ...)
     Tensor packedOut; ///< batched f output (m, ...)
     std::vector<double> packedTimes;

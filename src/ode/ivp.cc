@@ -81,16 +81,101 @@ TrialEvaluator::evaluate(OdeFunction &f, const RkStepper &stepper, double t,
 {
     stepper.stepInto(f, t, y, dt, k1_reuse, trial.step);
     trial.decisionNorm = trial.step.errorNorm;
-    // Integrators without an embedded estimator cannot reject; they run
-    // at whatever stepsize the controller proposes (fixed-step mode).
-    // A non-finite error norm always rejects: the trial state has been
-    // poisoned by NaN/Inf and retrying at a smaller dt re-evaluates f
-    // fresh, so transient corruption heals here (persistent corruption
-    // is caught by the accepted-state screen in solveIvp).
-    trial.accepted = !stepper.tableau().hasEmbedded() ||
-                     (std::isfinite(trial.decisionNorm) &&
-                      trial.decisionNorm <= eps);
+    trial.accepted = StepSearch::withinTolerance(stepper.tableau(),
+                                                 trial.decisionNorm, eps);
     trial.workFraction = 1.0;
+}
+
+StepSearch::StepSearch(double t0, double t1, StepController &controller,
+                       const ButcherTableau &tableau, const IvpOptions &opts)
+    : controller_(&controller), tableau_(&tableau), opts_(&opts), t_(t0),
+      t1_(t1)
+{
+    controller.reset(opts.initialDt);
+}
+
+bool
+StepSearch::withinTolerance(const ButcherTableau &tableau, double err_norm,
+                            double eps)
+{
+    return !tableau.hasEmbedded() ||
+           (std::isfinite(err_norm) && err_norm <= eps);
+}
+
+bool
+StepSearch::nextPoint(const IvpStats &stats, SolveStatus &status)
+{
+    if (status != SolveStatus::Ok ||
+        !(t1_ - t_ > 1e-12 * std::max(1.0, std::abs(t1_))))
+        return false;
+    if (stats.evalPoints >= opts_->maxEvalPoints) {
+        status = SolveStatus::EvalBudgetExhausted;
+        return false;
+    }
+    trials_ = 0;
+    propose(controller_->initialDt());
+    return true;
+}
+
+bool
+StepSearch::judge(bool within, double err_norm, double work_fraction,
+                  IvpStats &stats)
+{
+    trials_++;
+    stats.trials++;
+    stats.equivalentTrials += work_fraction;
+    if (!within) {
+        const bool underflow = dt_ <= opts_->minDt;
+        if (!underflow && trials_ < opts_->maxTrialsPerPoint) {
+            stats.rejected++;
+            const double retry =
+                controller_->rejectedDt(dt_, err_norm, opts_->tolerance);
+            ENODE_ASSERT(retry > 0.0, "controller proposed dt <= 0");
+            propose(retry);
+            return false;
+        }
+        stats.forcedAccepts++;
+        (underflow ? underflowForced_ : trialBudgetForced_)++;
+        warnForcedAccept(t_, dt_, err_norm);
+    }
+    controller_->accepted(dt_, err_norm, opts_->tolerance, trials_ == 1);
+    return true;
+}
+
+SolveStatus
+StepSearch::accept(Tensor &y, Tensor &y_next,
+                   const std::vector<Tensor> &stages, Tensor &fsal,
+                   IvpStats &stats, SolveGuard *guard)
+{
+    y = std::move(y_next);
+    if (opts_->quantizeFp16)
+        y.quantizeFp16();
+    // FSAL: the last stage is the next point's k1 = f(t, y), valid
+    // across its retries too, since k1 does not depend on dt.
+    if (tableau_->fsal()) {
+        fsal.copyFrom(stages.back());
+        fsalValid_ = true;
+    }
+    t_ += dt_;
+    stats.evalPoints++;
+    // Cheap post-accept screening: a NaN/Inf accepted state (FP16
+    // overflow, corrupted f output force-accepted at minDt) ends the
+    // solve with a structured status instead of propagating garbage to
+    // the next layer.
+    if (!y.isFinite())
+        return SolveStatus::NonFinite;
+    return guard != nullptr ? guard->check(stats) : SolveStatus::Ok;
+}
+
+SolveStatus
+StepSearch::finish(SolveStatus status, const IvpStats &stats) const
+{
+    if (status != SolveStatus::Ok ||
+        stats.forcedAccepts * 2 <= stats.evalPoints)
+        return status;
+    return underflowForced_ >= trialBudgetForced_
+               ? SolveStatus::StepUnderflow
+               : SolveStatus::TrialBudgetExhausted;
 }
 
 IvpResult
@@ -109,7 +194,7 @@ solveIvp(OdeFunction &f, const Tensor &y0, double t0, double t1,
     TraceSpan solve_span("solve.ivp", "solver");
 
     RkStepper stepper(tableau);
-    controller.reset(opts.initialDt);
+    StepSearch search(t0, t1, controller, tableau, opts);
 
     IvpResult result;
     // All per-step buffers live in the workspace (a local one if the
@@ -120,128 +205,38 @@ solveIvp(OdeFunction &f, const Tensor &y0, double t0, double t1,
     TrialEvaluator::Trial &trial = ws.trial;
     ws.y.copyFrom(y0);
     Tensor &y = ws.y;
-    double t = t0;
-    // FSAL: the last stage of the previous accepted step. Only valid when
-    // the previous step was accepted at the time the new k1 is needed and
-    // the stage was evaluated at (t, y) — true for FSAL tableaus.
-    Tensor &fsal_stage = ws.fsalStage;
-    bool have_fsal = false;
-
     const std::uint64_t f_evals_at_start = f.evalCount();
-    // Forced accepts split by cause; the larger class names the final
-    // status when forcing dominated the solve.
-    std::uint64_t underflow_forced = 0;
-    std::uint64_t trial_budget_forced = 0;
 
-    while (t1 - t > 1e-12 * std::max(1.0, std::abs(t1))) {
-        if (result.stats.evalPoints >= opts.maxEvalPoints) {
-            result.status = SolveStatus::EvalBudgetExhausted;
-            break;
-        }
+    while (search.nextPoint(result.stats, result.status)) {
         eval.pointStart();
-        double dt_try = controller.initialDt();
-        std::uint32_t n_try = 0;
         bool accepted = false;
-
-        while (!accepted) {
+        do {
             // One span per stepsize-search trial: the accept/reject
             // dynamics of Fig. 2(d), time-resolved. Disarmed cost is a
             // single relaxed atomic load.
             TraceSpan trial_span("solve.trial", "solver");
-
-            // Clamp the final step to land exactly on t1. The clamped
-            // value is what gets tried and recorded.
-            const bool clamped = dt_try > t1 - t;
-            const double dt_effective = clamped ? (t1 - t) : dt_try;
-
-            // FSAL reuse is invalid right after a rejection at a new dt?
-            // No: k1 = f(t, y) does not depend on dt, so the reuse stays
-            // valid across retries at the same point as well.
-            const Tensor *k1 =
-                (have_fsal && tableau.fsal()) ? &fsal_stage : nullptr;
-
-            eval.evaluate(f, stepper, t, y, dt_effective, opts.tolerance,
-                          k1, trial);
-            n_try++;
-            result.stats.trials++;
-            result.stats.equivalentTrials += trial.workFraction;
-
-            const bool underflow = dt_effective <= opts.minDt;
-            const bool trial_budget = n_try >= opts.maxTrialsPerPoint;
-            const bool force =
-                !trial.accepted && (underflow || trial_budget);
-            trial_span.arg("dt", dt_effective);
+            eval.evaluate(f, stepper, search.t(), y, search.dt(),
+                          opts.tolerance,
+                          search.fsalValid() ? &ws.fsalStage : nullptr,
+                          trial);
+            trial_span.arg("dt", search.dt());
             trial_span.arg("err_norm", trial.decisionNorm);
-            trial_span.arg("accept",
-                           (trial.accepted || force) ? 1.0 : 0.0);
-            if (force)
+            accepted = search.judge(trial.accepted, trial.decisionNorm,
+                                    trial.workFraction, result.stats);
+            trial_span.arg("accept", accepted ? 1.0 : 0.0);
+            if (accepted && !trial.accepted)
                 trial_span.arg("forced", 1.0);
-            if (force) {
-                result.stats.forcedAccepts++;
-                if (underflow)
-                    underflow_forced++;
-                else
-                    trial_budget_forced++;
-                warnForcedAccept(t, dt_effective, trial.decisionNorm);
-            }
-            if (trial.accepted || force) {
-                accepted = true;
-                controller.accepted(dt_effective, trial.decisionNorm,
-                                    opts.tolerance, n_try == 1);
-                if (opts.recordCheckpoints) {
-                    result.checkpoints.push_back({t, dt_effective, y});
-                    result.trialsPerPoint.push_back(n_try);
-                }
-                // Swap rather than copy: trial.step.yNext inherits the
-                // outgoing state's buffer and reuses it next step.
-                y = std::move(trial.step.yNext);
-                if (opts.quantizeFp16)
-                    y.quantizeFp16();
-                if (tableau.fsal() && !trial.step.stages.empty()) {
-                    fsal_stage.copyFrom(trial.step.stages.back());
-                    have_fsal = true;
-                }
-                t += dt_effective;
-                result.stats.evalPoints++;
-                // Cheap post-accept screening: a NaN/Inf accepted state
-                // (FP16 overflow, corrupted f output force-accepted at
-                // minDt) ends the solve with a structured status
-                // instead of propagating garbage to the next layer.
-                if (!y.isFinite()) {
-                    result.status = SolveStatus::NonFinite;
-                    break;
-                }
-                if (guard != nullptr) {
-                    result.stats.fEvals =
-                        f.evalCount() - f_evals_at_start;
-                    const SolveStatus verdict =
-                        guard->check(result.stats);
-                    if (verdict != SolveStatus::Ok) {
-                        result.status = verdict;
-                        break;
-                    }
-                }
-            } else {
-                result.stats.rejected++;
-                dt_try = controller.rejectedDt(dt_effective,
-                                               trial.decisionNorm,
-                                               opts.tolerance);
-                ENODE_ASSERT(dt_try > 0.0, "controller proposed dt <= 0");
-            }
-        }
-        if (result.status != SolveStatus::Ok)
-            break;
-    }
+        } while (!accepted);
 
-    // A solve that limped to the end on force-accepted steps did not
-    // actually meet its tolerance: surface the dominant cause instead
-    // of silently returning the wrong answer.
-    if (result.status == SolveStatus::Ok &&
-        result.stats.forcedAccepts * 2 > result.stats.evalPoints) {
-        result.status = underflow_forced >= trial_budget_forced
-                            ? SolveStatus::StepUnderflow
-                            : SolveStatus::TrialBudgetExhausted;
+        if (opts.recordCheckpoints) {
+            result.checkpoints.push_back({search.t(), search.dt(), y});
+            result.trialsPerPoint.push_back(search.trials());
+        }
+        result.stats.fEvals = f.evalCount() - f_evals_at_start;
+        result.status = search.accept(y, trial.step.yNext, trial.step.stages,
+                                      ws.fsalStage, result.stats, guard);
     }
+    result.status = search.finish(result.status, result.stats);
 
     result.yFinal = std::move(y);
     result.stats.fEvals = f.evalCount() - f_evals_at_start;

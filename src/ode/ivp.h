@@ -12,17 +12,17 @@
  *     dt_try = controller.initialDt()
  *     loop: trial integrate; accept if ||e||_2 <= eps else shrink dt_try
  *
- * The *trial* itself is pluggable through TrialEvaluator so the paper's
- * priority processing + early stop (Sec. VII.B) can replace the full
- * error evaluation with a windowed, early-terminating one. The driver
- * records every accepted evaluation point as a checkpoint — exactly the
- * state the ACA backward pass (Sec. II.C) replays.
+ * The search's decisions live in StepSearch, which the batched driver
+ * walks too. The *trial* is pluggable through TrialEvaluator so the
+ * paper's priority processing + early stop (Sec. VII.B) can replace the
+ * full error evaluation with a windowed, early-terminating one. The
+ * driver records every accepted evaluation point as a checkpoint —
+ * exactly the state the ACA backward pass (Sec. II.C) replays.
  */
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "ode/rk_stepper.h"
@@ -128,7 +128,8 @@ class DeadlineGuard : public SolveGuard
     /** Wall-clock completion target; max() = no deadline. */
     Clock::time_point deadline = Clock::time_point::max();
 
-    /** Per-solve f-evaluation budget; 0 = unlimited. */
+    /** f-evaluation budget (0 = unlimited) on the checked stats:
+     *  through NodeModel's forwards, the whole pass's so far. */
     std::uint64_t maxFEvals = 0;
 
     /** External abort request (set by the serving watchdog); optional. */
@@ -189,6 +190,73 @@ class TrialEvaluator
     virtual void evaluate(OdeFunction &f, const RkStepper &stepper,
                           double t, const Tensor &y, double dt, double eps,
                           const Tensor *k1_reuse, Trial &trial);
+};
+
+/**
+ * One sample's stepsize search (Fig. 2(d)), walked by both solveIvp and
+ * solveIvpBatched: every decision either driver makes about a trial is
+ * made here, so a batched sample agrees with its solo solve bit for bit
+ * by construction. It holds t, the stepsize to try (clamped to land on
+ * t1), the trials at this point, whether FSAL is valid, and the forced
+ * accepts by cause; the trial's tensors stay with the driver. The
+ * controller, tableau and options must outlive the solve.
+ */
+class StepSearch
+{
+  public:
+    StepSearch() = default;
+
+    /** Begin a solve over [t0, t1]; resets the controller. */
+    StepSearch(double t0, double t1, StepController &controller,
+               const ButcherTableau &tableau, const IvpOptions &opts);
+
+    /** The full evaluation's verdict: ||e||_2 finite and <= eps (a
+     *  NaN/Inf norm rejects, so the retry re-evaluates f); always true
+     *  without an estimator (fixed-step mode). */
+    static bool withinTolerance(const ButcherTableau &tableau,
+                                double err_norm, double eps);
+
+    /** Begin the next evaluation point at the controller's initial
+     *  dt. False when the solve is over: `status` is not Ok, t reached
+     *  t1, or the point budget is spent (EvalBudgetExhausted). */
+    bool nextPoint(const IvpStats &stats, SolveStatus &status);
+
+    double t() const { return t_; }
+    double dt() const { return dt_; }
+    std::uint32_t trials() const { return trials_; } ///< at this point
+    bool fsalValid() const { return fsalValid_; }
+
+    /** Rule on the trial at dt() given its evaluator's verdict
+     *  `within`, decided on `err_norm` over `work_fraction` of the map:
+     *  count it in `stats`, force-accept at the minDt floor or the trial
+     *  cap (warning, rate-limited), and tell the controller. Returns
+     *  whether the step is taken; if not, dt() is the retry stepsize. */
+    bool judge(bool within, double err_norm, double work_fraction,
+               IvpStats &stats);
+
+    /** Take the accepted step: swap `y_next` into `y` (FP16-rounded if
+     *  asked), keep an FSAL tableau's last stage in `fsal`, advance t.
+     *  Returns NonFinite for a NaN/Inf state, else `guard`'s verdict on
+     *  `stats` (the caller keeps fEvals current), else Ok. */
+    SolveStatus accept(Tensor &y, Tensor &y_next,
+                       const std::vector<Tensor> &stages, Tensor &fsal,
+                       IvpStats &stats, SolveGuard *guard);
+
+    /** The dominance rule: an Ok solve whose steps were mostly forced
+     *  reports the dominant cause, StepUnderflow or
+     *  TrialBudgetExhausted. */
+    SolveStatus finish(SolveStatus status, const IvpStats &stats) const;
+
+  private:
+    void propose(double dt) { dt_ = dt > t1_ - t_ ? t1_ - t_ : dt; }
+
+    StepController *controller_ = nullptr;
+    const ButcherTableau *tableau_ = nullptr;
+    const IvpOptions *opts_ = nullptr;
+    double t_ = 0.0, t1_ = 0.0, dt_ = 0.0;
+    std::uint32_t trials_ = 0;
+    bool fsalValid_ = false;
+    std::uint64_t underflowForced_ = 0, trialBudgetForced_ = 0;
 };
 
 /**

@@ -6,6 +6,21 @@
 
 namespace enode {
 
+namespace {
+
+/** acc += dt * w_l k_l for l < count, in order, skipping zero weights. */
+void
+addStages(Tensor &acc, double dt, const std::vector<double> &w,
+          std::size_t count, const std::vector<Tensor> &stages)
+{
+    for (std::size_t l = 0; l < count; l++) {
+        if (w[l] != 0.0)
+            acc.axpy(static_cast<float>(dt * w[l]), stages[l]);
+    }
+}
+
+} // namespace
+
 RkStepper::RkStepper(const ButcherTableau &tableau) : tableau_(tableau) {}
 
 StepResult
@@ -23,8 +38,6 @@ RkStepper::stepInto(OdeFunction &f, double t, const Tensor &y, double dt,
 {
     ENODE_ASSERT(dt != 0.0, "zero stepsize");
     const std::size_t s = tableau_.stages();
-    const auto &a = tableau_.a();
-    const auto &b = tableau_.b();
     const auto &c = tableau_.c();
 
     // Shrink-or-grow to s entries; the Tensor elements that survive keep
@@ -34,50 +47,49 @@ RkStepper::stepInto(OdeFunction &f, double t, const Tensor &y, double dt,
     result.stageTimes.resize(s);
 
     for (std::size_t j = 0; j < s; j++) {
-        // Stage input y_j = y + dt * sum_{l<j} a_{jl} k_l. These are the
-        // partial states p_{j,l} of the depth-first formulation, fully
-        // accumulated (Fig. 6a).
-        Tensor &yj = result.stageInputs[j];
-        yj.copyFrom(y);
-        for (std::size_t l = 0; l < j; l++) {
-            if (a[j][l] != 0.0)
-                yj.axpy(static_cast<float>(dt * a[j][l]), result.stages[l]);
-        }
-        const double tj = t + c[j] * dt;
+        stageInput(j, y, dt, result.stages, result.stageInputs[j]);
+        result.stageTimes[j] = t + c[j] * dt;
         if (j == 0 && k1_reuse != nullptr) {
             // FSAL reuse: k1 equals the last stage of the previous
             // accepted step, saving one f evaluation.
             result.stages[0].copyFrom(*k1_reuse);
         } else {
-            f.evalInto(tj, yj, result.stages[j]);
+            f.evalInto(result.stageTimes[j], result.stageInputs[j],
+                       result.stages[j]);
         }
-        result.stageTimes[j] = tj;
     }
+    result.errorNorm =
+        combine(y, dt, result.stages, result.yNext, result.errorState);
+}
 
-    // y' = y + dt * sum_j b_j k_j.
-    result.yNext.copyFrom(y);
-    for (std::size_t j = 0; j < s; j++) {
-        if (b[j] != 0.0)
-            result.yNext.axpy(static_cast<float>(dt * b[j]),
-                              result.stages[j]);
-    }
+void
+RkStepper::stageInput(std::size_t j, const Tensor &y, double dt,
+                      const std::vector<Tensor> &stages, Tensor &yj) const
+{
+    // The partial states p_{j,l} of the depth-first formulation, fully
+    // accumulated (Fig. 6a).
+    yj.copyFrom(y);
+    addStages(yj, dt, tableau_.a()[j], j, stages);
+}
 
-    if (tableau_.hasEmbedded()) {
-        // e = dt * sum_j (b_j - b*_j) k_j, accumulated from the partial
-        // error states e_i as each k_j becomes available (Fig. 6a).
-        const auto &d = tableau_.errorWeights();
-        Tensor &e = result.errorState;
-        e.resize(y.shape());
-        e.fill(0.0f);
-        for (std::size_t j = 0; j < s; j++) {
-            if (d[j] != 0.0)
-                e.axpy(static_cast<float>(dt * d[j]), result.stages[j]);
-        }
-        result.errorNorm = e.l2Norm();
-    } else {
-        result.errorState.reset();
-        result.errorNorm = 0.0;
+double
+RkStepper::combine(const Tensor &y, double dt,
+                   const std::vector<Tensor> &stages, Tensor &y_next,
+                   Tensor &error_state) const
+{
+    const std::size_t s = tableau_.stages();
+    y_next.copyFrom(y);
+    addStages(y_next, dt, tableau_.b(), s, stages);
+    if (!tableau_.hasEmbedded()) {
+        error_state.reset();
+        return 0.0;
     }
+    // e = dt * sum_j (b_j - b*_j) k_j, accumulated from the partial
+    // error states e_i as each k_j becomes available (Fig. 6a).
+    error_state.resize(y.shape());
+    error_state.fill(0.0f);
+    addStages(error_state, dt, tableau_.errorWeights(), s, stages);
+    return error_state.l2Norm();
 }
 
 Tensor

@@ -10,9 +10,12 @@
  * stages are retained in the result because both depth-first training
  * (the k's are training states, Sec. IV.B) and the discrete ACA adjoint
  * need them.
+ *
+ * stepInto is its two per-sample halves, stageInput and combine, around
+ * the f evaluations; the batched driver and the ACA local forward call
+ * the halves directly, so all three run one arithmetic.
  */
 
-#include <optional>
 #include <vector>
 
 #include "ode/butcher.h"
@@ -62,6 +65,21 @@ class RkStepper
      */
     void stepInto(OdeFunction &f, double t, const Tensor &y, double dt,
                   const Tensor *k1_reuse, StepResult &result) const;
+
+    /** First half of a step: stage input y_j = y + dt * sum_{l<j}
+     *  a_jl k_l into `yj`, reading the stages k_l (l < j). */
+    void stageInput(std::size_t j, const Tensor &y, double dt,
+                    const std::vector<Tensor> &stages, Tensor &yj) const;
+
+    /**
+     * Second half, once every stage is in `stages`: y' = y + dt *
+     * sum_j b_j k_j into `y_next` and, for an embedded tableau, e = dt *
+     * sum_j d_j k_j into `error_state`. Returns ||e||_2 (0, with
+     * `error_state` reset, without an estimator).
+     */
+    double combine(const Tensor &y, double dt,
+                   const std::vector<Tensor> &stages, Tensor &y_next,
+                   Tensor &error_state) const;
 
     const ButcherTableau &tableau() const { return tableau_; }
 

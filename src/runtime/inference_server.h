@@ -92,8 +92,9 @@ struct DegradePolicy
 
     /**
      * Per-request f-evaluation budget enforced by the per-step solve
-     * guard (0 = unlimited). A runaway stepsize search aborts with
-     * DeadlineExceeded once the budget is spent.
+     * guard over every layer of the forward pass (0 = unlimited). A
+     * runaway stepsize search aborts with DeadlineExceeded once the
+     * budget is spent; a rung-1 retry starts a new budget.
      */
     std::uint64_t maxFEvalsPerRequest = 0;
 

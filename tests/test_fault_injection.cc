@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -186,15 +188,79 @@ TEST(FaultInjector, RejectFiresOnBooleanProbe)
 
 // ---------------------------------------------------------------------
 // Structured SolveStatus: every value reachable through the production
-// solve path.
+// solve path, and decided alike by both NodeModel forwards.
 // ---------------------------------------------------------------------
+
+/** One sample of a batched forward against its solo forward. */
+void
+expectSameSolve(const BatchedForwardResult &batched, std::size_t i,
+                const NodeForwardResult &solo, const char *what)
+{
+    const IvpStats &stats = batched.stats[i];
+    const Tensor &out = batched.outputs[i];
+    EXPECT_EQ(batched.status[i], solo.status) << what;
+    EXPECT_EQ(stats.evalPoints, solo.totalStats.evalPoints) << what;
+    EXPECT_EQ(stats.trials, solo.totalStats.trials) << what;
+    EXPECT_EQ(stats.rejected, solo.totalStats.rejected) << what;
+    EXPECT_EQ(stats.forcedAccepts, solo.totalStats.forcedAccepts) << what;
+    EXPECT_EQ(stats.fEvals, solo.totalStats.fEvals) << what;
+    EXPECT_TRUE(out.shape() == solo.output.shape() &&
+                std::memcmp(out.data(), solo.output.data(),
+                            out.numel() * sizeof(float)) == 0)
+        << what << ": output bits differ";
+}
+
+/**
+ * Solve `x` with NodeModel::forward, then check NodeModel::forwardBatched
+ * against it: as a batch of 1 and, unless the trigger is an
+ * evaluation-indexed fault `plan` (whose hit order a batch reshuffles),
+ * as the middle sample of a batch of 3 beside two clean batchmates (no
+ * guard), each of which must equal its own solo forward. Every run gets
+ * a fresh controller and a freshly armed plan. Returns the solo result.
+ */
+template <class Controller>
+NodeForwardResult
+solveBothWays(NodeModel &model, const Tensor &x, const IvpOptions &opts,
+              SolveGuard *guard = nullptr, const FaultPlan *plan = nullptr)
+{
+    const ButcherTableau &tableau = ButcherTableau::rk23();
+    const auto solo = [&](const Tensor &input, SolveGuard *g) {
+        std::optional<ScopedFaultPlan> armed;
+        if (plan != nullptr)
+            armed.emplace(*plan);
+        Controller ctrl;
+        return model.forward(input, tableau, ctrl, opts, nullptr, g);
+    };
+    const auto batched = [&](const std::vector<Tensor> &xs,
+                             std::vector<SolveGuard *> guards) {
+        std::optional<ScopedFaultPlan> armed;
+        if (plan != nullptr)
+            armed.emplace(*plan);
+        std::vector<Controller> ctrls(xs.size());
+        std::vector<StepController *> ptrs;
+        for (Controller &c : ctrls)
+            ptrs.push_back(&c);
+        return model.forwardBatched(xs, tableau, ptrs, opts, &guards);
+    };
+
+    const NodeForwardResult result = solo(x, guard);
+    expectSameSolve(batched({x}, {guard}), 0, result, "batch of 1");
+    if (plan == nullptr) {
+        const std::vector<Tensor> xs = {makeInput(90), x, makeInput(91)};
+        const BatchedForwardResult three =
+            batched(xs, {nullptr, guard, nullptr});
+        expectSameSolve(three, 1, result, "batch of 3");
+        expectSameSolve(three, 0, solo(xs[0], nullptr), "batchmate 0");
+        expectSameSolve(three, 2, solo(xs[2], nullptr), "batchmate 2");
+    }
+    return result;
+}
 
 TEST(SolveStatusMatrix, CleanSolveIsOk)
 {
     auto model = makeModel();
-    FixedFactorController ctrl;
-    auto fwd = model->forward(makeInput(0), ButcherTableau::rk23(), ctrl,
-                              quickOptions());
+    const auto fwd = solveBothWays<FixedFactorController>(
+        *model, makeInput(0), quickOptions());
     EXPECT_EQ(fwd.status, SolveStatus::Ok);
     EXPECT_TRUE(fwd.output.isFinite());
     EXPECT_EQ(fwd.totalStats.forcedAccepts, 0u);
@@ -207,14 +273,12 @@ TEST(SolveStatusMatrix, PersistentNaNCorruptionYieldsNonFinite)
     plan.seed = 1;
     plan.faults.push_back(corruptSpec(
         "node.feval", 0, std::numeric_limits<std::uint64_t>::max()));
-    ScopedFaultPlan scoped(plan);
 
     auto model = makeModel();
-    FixedFactorController ctrl;
     IvpOptions opts = quickOptions();
     opts.maxTrialsPerPoint = 4; // fail fast: every trial is poisoned
-    auto fwd = model->forward(makeInput(1), ButcherTableau::rk23(), ctrl,
-                              opts);
+    const auto fwd = solveBothWays<FixedFactorController>(
+        *model, makeInput(1), opts, nullptr, &plan);
     setLogLevel(LogLevel::Info);
     EXPECT_EQ(fwd.status, SolveStatus::NonFinite);
     // The poisoned state was force-accepted, screened, and the forward
@@ -230,12 +294,10 @@ TEST(SolveStatusMatrix, TransientNaNCorruptionHealsViaRejection)
     FaultPlan plan;
     plan.seed = 2;
     plan.faults.push_back(corruptSpec("node.feval", 1, 1));
-    ScopedFaultPlan scoped(plan);
 
     auto model = makeModel();
-    FixedFactorController ctrl;
-    auto fwd = model->forward(makeInput(2), ButcherTableau::rk23(), ctrl,
-                              quickOptions());
+    const auto fwd = solveBothWays<FixedFactorController>(
+        *model, makeInput(2), quickOptions(), nullptr, &plan);
     EXPECT_EQ(fwd.status, SolveStatus::Ok);
     EXPECT_TRUE(fwd.output.isFinite());
     EXPECT_GT(fwd.totalStats.rejected, 0u);
@@ -245,13 +307,12 @@ TEST(SolveStatusMatrix, MinDtFloorYieldsStepUnderflow)
 {
     setLogLevel(LogLevel::Silent);
     auto model = makeModel();
-    FixedFactorController ctrl;
     IvpOptions opts = quickOptions();
     opts.tolerance = 1e-30; // unreachable
     opts.initialDt = 0.05;
     opts.minDt = 0.04; // one halving hits the floor
-    auto fwd = model->forward(makeInput(3), ButcherTableau::rk23(), ctrl,
-                              opts);
+    const auto fwd = solveBothWays<FixedFactorController>(
+        *model, makeInput(3), opts);
     setLogLevel(LogLevel::Info);
     EXPECT_EQ(fwd.status, SolveStatus::StepUnderflow);
     EXPECT_GT(fwd.totalStats.forcedAccepts, 0u);
@@ -267,13 +328,12 @@ TEST(SolveStatusMatrix, TrialCapYieldsTrialBudgetExhausted)
     // ConstantInit restarts every point from C, so the forced stepsize
     // never collapses toward the minDt floor: every point burns its 3
     // trials and is forced by the cap, not by underflow.
-    ConstantInitController ctrl;
     IvpOptions opts = quickOptions();
     opts.tolerance = 1e-30; // unreachable
     opts.minDt = 1e-12;     // floor never reached in 3 trials
     opts.maxTrialsPerPoint = 3;
-    auto fwd = model->forward(makeInput(4), ButcherTableau::rk23(), ctrl,
-                              opts);
+    const auto fwd = solveBothWays<ConstantInitController>(
+        *model, makeInput(4), opts);
     setLogLevel(LogLevel::Info);
     EXPECT_EQ(fwd.status, SolveStatus::TrialBudgetExhausted);
 }
@@ -281,12 +341,11 @@ TEST(SolveStatusMatrix, TrialCapYieldsTrialBudgetExhausted)
 TEST(SolveStatusMatrix, EvalPointCapYieldsEvalBudgetExhausted)
 {
     auto model = makeModel();
-    FixedFactorController ctrl;
     IvpOptions opts = quickOptions();
     opts.initialDt = 0.01; // needs ~100 points per layer
     opts.maxEvalPoints = 2;
-    auto fwd = model->forward(makeInput(5), ButcherTableau::rk23(), ctrl,
-                              opts);
+    const auto fwd = solveBothWays<FixedFactorController>(
+        *model, makeInput(5), opts);
     EXPECT_EQ(fwd.status, SolveStatus::EvalBudgetExhausted);
     EXPECT_EQ(fwd.layers[0].stats.evalPoints, 2u);
     // The forward pass stopped at the first failing layer.
@@ -296,12 +355,11 @@ TEST(SolveStatusMatrix, EvalPointCapYieldsEvalBudgetExhausted)
 TEST(SolveStatusMatrix, ExpiredDeadlineGuardAbortsAfterFirstStep)
 {
     auto model = makeModel();
-    FixedFactorController ctrl;
     DeadlineGuard guard;
     guard.deadline = DeadlineGuard::Clock::now() -
                      std::chrono::milliseconds(1);
-    auto fwd = model->forward(makeInput(6), ButcherTableau::rk23(), ctrl,
-                              quickOptions(), nullptr, &guard);
+    const auto fwd = solveBothWays<FixedFactorController>(
+        *model, makeInput(6), quickOptions(), &guard);
     EXPECT_EQ(fwd.status, SolveStatus::DeadlineExceeded);
     EXPECT_EQ(fwd.layers[0].stats.evalPoints, 1u);
 }
@@ -309,25 +367,46 @@ TEST(SolveStatusMatrix, ExpiredDeadlineGuardAbortsAfterFirstStep)
 TEST(SolveStatusMatrix, FEvalBudgetGuardAborts)
 {
     auto model = makeModel();
-    FixedFactorController ctrl;
     DeadlineGuard guard;
     guard.maxFEvals = 1; // exceeded at the first accepted step
-    auto fwd = model->forward(makeInput(7), ButcherTableau::rk23(), ctrl,
-                              quickOptions(), nullptr, &guard);
+    const auto fwd = solveBothWays<FixedFactorController>(
+        *model, makeInput(7), quickOptions(), &guard);
     EXPECT_EQ(fwd.status, SolveStatus::DeadlineExceeded);
     EXPECT_GT(fwd.totalStats.fEvals, 1u);
     EXPECT_EQ(fwd.layers[0].stats.evalPoints, 1u);
 }
 
+TEST(SolveStatusMatrix, FEvalBudgetSpansEveryLayer)
+{
+    // A budget no single layer spends but the whole forward pass does:
+    // the guard sees the request's f evaluations over every layer so
+    // far, so the second layer's solve exceeds it.
+    auto model = makeModel();
+    FixedFactorController ctrl;
+    const NodeForwardResult clean = model->forward(
+        makeInput(9), ButcherTableau::rk23(), ctrl, quickOptions());
+    ASSERT_EQ(clean.status, SolveStatus::Ok);
+    ASSERT_EQ(clean.layers.size(), 2u);
+    DeadlineGuard guard;
+    guard.maxFEvals = std::max(clean.layers[0].stats.fEvals,
+                               clean.layers[1].stats.fEvals);
+    ASSERT_LT(guard.maxFEvals, clean.totalStats.fEvals);
+
+    const auto fwd = solveBothWays<FixedFactorController>(
+        *model, makeInput(9), quickOptions(), &guard);
+    EXPECT_EQ(fwd.status, SolveStatus::DeadlineExceeded);
+    EXPECT_EQ(fwd.layers.size(), 2u);
+    EXPECT_GT(fwd.totalStats.fEvals, guard.maxFEvals);
+}
+
 TEST(SolveStatusMatrix, AbortFlagStopsTheSolve)
 {
     auto model = makeModel();
-    FixedFactorController ctrl;
     std::atomic<bool> abort{true};
     DeadlineGuard guard;
     guard.abortFlag = &abort;
-    auto fwd = model->forward(makeInput(8), ButcherTableau::rk23(), ctrl,
-                              quickOptions(), nullptr, &guard);
+    const auto fwd = solveBothWays<FixedFactorController>(
+        *model, makeInput(8), quickOptions(), &guard);
     EXPECT_EQ(fwd.status, SolveStatus::DeadlineExceeded);
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -551,6 +552,31 @@ TEST(DegradationLadder, FEvalBudgetDegradesViaGuard)
 {
     ServerOptions opts = serverOptions(1, 8);
     opts.degrade.maxFEvalsPerRequest = 1; // spent at the first step
+    SingleShot shot = serveSingle(opts);
+    EXPECT_EQ(shot.response.status, RequestStatus::Ok);
+    EXPECT_TRUE(shot.response.degraded);
+    EXPECT_EQ(shot.response.solveStatus, SolveStatus::DeadlineExceeded);
+    EXPECT_EQ(shot.summary.solveDeadline, 1u);
+    EXPECT_EQ(shot.summary.degraded, 1u);
+}
+
+TEST(DegradationLadder, FEvalBudgetSpansEveryLayer)
+{
+    // A per-request budget that each layer's solve fits in but the
+    // whole forward pass does not: the request is over budget, and it
+    // takes the same ladder path as a budget spent at the first step.
+    auto model = makeReferenceModel();
+    FixedFactorController controller;
+    const NodeForwardResult clean = model->forward(
+        makeInput(0), ButcherTableau::rk23(), controller, servingOptions());
+    ASSERT_EQ(clean.status, SolveStatus::Ok);
+    std::uint64_t widest_layer = 0;
+    for (const IvpResult &layer : clean.layers)
+        widest_layer = std::max(widest_layer, layer.stats.fEvals);
+    ASSERT_LT(widest_layer, clean.totalStats.fEvals);
+
+    ServerOptions opts = serverOptions(1, 8);
+    opts.degrade.maxFEvalsPerRequest = widest_layer;
     SingleShot shot = serveSingle(opts);
     EXPECT_EQ(shot.response.status, RequestStatus::Ok);
     EXPECT_TRUE(shot.response.degraded);

@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "common/trace_span.h"
 #include "core/node_model.h"
+#include "ode/batched_ivp.h"
 #include "ode/ivp.h"
 #include "ode/ode_function.h"
 #include "ode/step_control.h"
@@ -368,6 +369,60 @@ TEST(Workspace, WarmBatchedSolveHeapCallsIndependentOfTrialCount)
         << "heap calls grew with trials: " << loose.trials << " trials -> "
         << loose.heapCalls << " calls, " << tight.trials << " trials -> "
         << tight.heapCalls << " calls";
+}
+
+TEST(Workspace, WarmBatchedSolveMakesOnlyItsResultHeapCalls)
+{
+    // Each sample's stepsize search lives in its workspace slot and the
+    // round's index sets in the workspace, so a warm solveIvpBatched
+    // call makes exactly the heap calls of its result's three vectors,
+    // at any batch size. On perfbench's MLP (dim 16, hidden 64, f depth
+    // 2), a warm batch-of-1 NodeModel::forwardBatched adds its own
+    // result, active-set and per-layer argument vectors.
+    Rng rng(23);
+    auto model = NodeModel::makeMlp(2, 16, 64, 2, rng);
+    BatchedNetOde f(model->net(0));
+    IvpOptions opts;
+    opts.tolerance = 1e-4;
+    opts.initialDt = 0.05;
+    opts.recordCheckpoints = false;
+    const auto heapCalls = [](const auto &run) {
+        run();
+        run();
+        const std::uint64_t before =
+            g_heap_allocs.load(std::memory_order_relaxed);
+        run();
+        return g_heap_allocs.load(std::memory_order_relaxed) - before;
+    };
+    for (const std::size_t n : {1, 4}) {
+        std::vector<Tensor> xs;
+        std::vector<const Tensor *> y0;
+        std::vector<FixedFactorController> ctrls(n);
+        std::vector<StepController *> ctrl_ptrs;
+        for (std::size_t i = 0; i < n; i++) {
+            xs.push_back(Tensor::randn(Shape{16}, rng, 0.5f));
+            ctrl_ptrs.push_back(&ctrls[i]);
+        }
+        for (const Tensor &x : xs)
+            y0.push_back(&x);
+        BatchedIvpWorkspace ws;
+        std::uint64_t trials = 0;
+        const std::uint64_t solve_calls = heapCalls([&] {
+            const BatchedIvpResult res = solveIvpBatched(
+                f, y0, 0.0, 1.0, ButcherTableau::rk23(), ctrl_ptrs, opts,
+                &ws);
+            trials = res.stats[0].trials;
+        });
+        ASSERT_GT(trials, 1u);
+        EXPECT_EQ(solve_calls, 3u) << "batch " << n;
+        if (n == 1) {
+            const std::uint64_t forward_calls = heapCalls([&] {
+                model->forwardBatched(xs, ButcherTableau::rk23(),
+                                      ctrl_ptrs, opts);
+            });
+            EXPECT_EQ(forward_calls, 12u);
+        }
+    }
 }
 
 TEST(Workspace, WarmBatchedFevalTouchesNoPool)
