@@ -9,10 +9,11 @@
  * BENCH_kernels.json next to the convolution entries, together with the
  * solo and the batch-of-1 batched adaptive solve (timed interleaved),
  * the per-sample cost of one batched MLP f evaluation at batch 1 and 4
- * (what coalescing requests buys) and a per-SIMD-backend sweep of the
- * stepper's element kernels (WRMS norm, axpy, FP16 quantization) and
- * the MLP f's kernels (tanh, Linear matvec from column panels), each
- * with its speedup vs the forced scalar backend.
+ * (what coalescing requests buys) beside one solo f evaluation, and a
+ * per-SIMD-backend sweep of the stepper's element kernels (WRMS norm,
+ * axpy, FP16 quantization) and the MLP f's kernels (tanh, Linear matvec
+ * from column panels), each with its speedup vs the forced scalar
+ * backend.
  */
 
 #include <cstdio>
@@ -183,19 +184,18 @@ emitIntegratorReport()
     });
 
     // The batched driver at batch 1 on the same fixture, options and
-    // controller computes the same numbers as the solo one. The gap
-    // between the two entries is the drivers' own bookkeeping plus the
-    // difference between f's two paths: EmbeddedNet::eval runs each
-    // layer's forward, evalBatched its forwardBatched. Their loops are
-    // interleaved, so a drift in the host reaches both alike.
-    BatchedNetOde batched_ode(f.model->net(0));
+    // controller computes the same numbers as the solo one, and both
+    // evaluate f through the same adapter on the layers' batched bodies,
+    // so the gap between the two entries is the drivers' own
+    // bookkeeping. Their loops are interleaved, so a drift in the host
+    // reaches both alike.
     const std::vector<const Tensor *> y0 = {&f.x0};
     FixedFactorController batched_ctrl;
     const std::vector<StepController *> batched_ctrls = {&batched_ctrl};
     BatchedIvpWorkspace batched_ws;
     const auto solveBatched = [&] {
         benchmark::DoNotOptimize(
-            solveIvpBatched(batched_ode, y0, 0.0, 1.0,
+            solveIvpBatched(ode, y0, 0.0, 1.0,
                             ButcherTableau::rk23(), batched_ctrls, opts,
                             &batched_ws));
     };
@@ -253,10 +253,12 @@ emitIntegratorReport()
 /**
  * Per-sample cost of one shared MLP f evaluation
  * (EmbeddedNet::evalBatched) at the perfbench models' shape — dim 16,
- * hidden 64, f depth 2 — over a stack of 1 and of 4 states. A batched
- * evaluation must not cost more per sample than a batch of one;
- * bench/check_bench.py gates batch 4 against batch 1, so the two are
- * timed in interleaved loops.
+ * hidden 64, f depth 2 — over a stack of 1 and of 4 states, and of one
+ * solo evaluation through the f adapter (EmbeddedNetOde::evalInto on
+ * one state, what every solo solve runs). A batched evaluation must not
+ * cost more per sample than a batch of one, nor a solo one more than a
+ * batch of one; bench/check_bench.py gates both against batch 1, so the
+ * three are timed in interleaved loops.
  */
 void
 emitBatchedFevalReport()
@@ -278,14 +280,26 @@ emitBatchedFevalReport()
             benchmark::DoNotOptimize(outs[i].data());
             benchmark::ClobberMemory();
         });
+    EmbeddedNetOde ode(*net);
+    const Tensor h = hs[0].sample(0);
+    Tensor solo_out;
+    evals.push_back([&] {
+        ode.evalInto(0.5, h, solo_out);
+        benchmark::DoNotOptimize(solo_out.data());
+        benchmark::ClobberMemory();
+    });
     const std::vector<bench::NsPerOp> ns =
         bench::timeNsPerOpInterleaved(evals);
 
     std::vector<bench::KernelBenchEntry> entries;
-    for (std::size_t i = 0; i < std::size(batches); i++) {
-        const double per_sample = 1.0 / static_cast<double>(batches[i]);
+    for (std::size_t i = 0; i < ns.size(); i++) {
+        const bool solo = i == std::size(batches);
+        const double per_sample =
+            solo ? 1.0 : 1.0 / static_cast<double>(batches[i]);
         bench::KernelBenchEntry e;
-        e.name = "mlp_feval_batch" + std::to_string(batches[i]) + "_16x64x2";
+        e.name = solo ? std::string("mlp_feval_solo_16x64x2")
+                      : "mlp_feval_batch" + std::to_string(batches[i]) +
+                            "_16x64x2";
         e.ns = {ns[i].median * per_sample, ns[i].min * per_sample,
                 ns[i].max * per_sample};
         std::printf("  %-32s %10.0f ns per sample\n", e.name.c_str(),

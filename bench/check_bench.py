@@ -18,7 +18,10 @@ The gates:
   MLP f's hidden layer) run at >= 1.5x;
 * one batched MLP f evaluation over 4 states costs per sample at most
   1 / 0.85 of a batch of one (coalescing requests must not cost
-  compute).
+  compute);
+* one solo MLP f evaluation (the f adapter on one state, what every solo
+  solve runs) costs at most 1 / 0.85 of a batch of one (both run the
+  layers' one forward arithmetic, so the solo path must not cost more).
 
 A missing headline entry fails. The report's "stamp" (build type,
 SIMD backend, core count, compiler) is for the reader; no gate reads
@@ -35,6 +38,7 @@ HEADLINE_SPEEDUPS = {
 }
 BATCH1 = "mlp_feval_batch1_16x64x2"
 BATCH4 = "mlp_feval_batch4_16x64x2"
+SOLO = "mlp_feval_solo_16x64x2"
 BATCH_TOLERANCE = 0.85
 
 
@@ -62,21 +66,28 @@ def check(report):
             failures.append(
                 f"{name}: {e['speedup_vs_scalar']:.2f}x < {bound}x")
 
-    missing = [n for n in (BATCH1, BATCH4) if n not in entries]
+    missing = [n for n in (BATCH1, BATCH4, SOLO) if n not in entries]
     for name in missing:
         failures.append(f"missing headline entry {name}")
-    if not missing:
+    if BATCH1 in entries:
         one = entries[BATCH1]["ns_per_op"]
-        four = entries[BATCH4]["ns_per_op"]
-        if four * BATCH_TOLERANCE > one:
-            failures.append(
-                f"batched MLP f: {four:.1f} ns per sample at batch 4 > "
-                f"{one:.1f} / {BATCH_TOLERANCE} at batch 1")
+        if BATCH4 in entries:
+            four = entries[BATCH4]["ns_per_op"]
+            if four * BATCH_TOLERANCE > one:
+                failures.append(
+                    f"batched MLP f: {four:.1f} ns per sample at batch 4 > "
+                    f"{one:.1f} / {BATCH_TOLERANCE} at batch 1")
+        if SOLO in entries:
+            solo = entries[SOLO]["ns_per_op"]
+            if solo * BATCH_TOLERANCE > one:
+                failures.append(
+                    f"solo MLP f: {solo:.1f} ns > "
+                    f"{one:.1f} / {BATCH_TOLERANCE} at batch 1")
     return failures
 
 
 def selftest():
-    """Check the gates against three synthetic, stamped reports."""
+    """Check the gates against synthetic, stamped reports."""
     def entry(name, ns, speedup=0.0):
         return {"name": name, "ns_per_op": ns, "ns_min": ns, "ns_max": ns,
                 "speedup_vs_scalar": speedup}
@@ -97,6 +108,7 @@ def selftest():
             "axpy_avx2_4096": entry("axpy_avx2_4096", 900.0, 1.1),
             BATCH1: entry(BATCH1, 1000.0),
             BATCH4: entry(BATCH4, 800.0),
+            SOLO: entry(SOLO, 1100.0),
         }
         for name, e in overrides.items():
             if e is None:
@@ -122,6 +134,12 @@ def selftest():
          ["missing headline entry wrms_norm_avx2_4096",
           "missing headline entry linear_matvec_panels_avx2_64x64",
           f"missing headline entry {BATCH4}"]),
+        ("slow solo f",
+         report(**{SOLO: entry(SOLO, 1200.0)}),
+         ["solo MLP f: 1200.0 ns > 1000.0 / 0.85 at batch 1"]),
+        ("missing solo f",
+         report(**{SOLO: None}),
+         [f"missing headline entry {SOLO}"]),
         ("slow panels",
          report(linear_matvec_panels_avx2_64x64=entry(
              "linear_matvec_panels_avx2_64x64", 1600.0, 1.25)),
@@ -149,8 +167,9 @@ def main(argv):
         return 1
     entries = {e["name"]: e for e in report["entries"]}
     print(f"check_bench OK: vector backends >= 1.0x scalar, headline "
-          f"kernels >= 1.5x, batched MLP f "
+          f"kernels >= 1.5x, MLP f "
           f"{entries[BATCH4]['ns_per_op']:.1f} ns per sample at batch 4 "
+          f"and {entries[SOLO]['ns_per_op']:.1f} solo "
           f"vs {entries[BATCH1]['ns_per_op']:.1f} at batch 1")
     return 0
 

@@ -173,7 +173,7 @@ NodeModel::forwardBatched(const std::vector<Tensor> &xs,
                 layer_guards.push_back((*guards)[i] ? &request_guards[i]
                                                     : nullptr);
         }
-        BatchedNetOde ode(*net);
+        EmbeddedNetOde ode(*net);
         BatchedIvpResult layer = solveIvpBatched(
             ode, y0, 0.0, layerTime_, tableau, ctrls, opts,
             &batchedIvpWorkspace_, guards ? &layer_guards : nullptr);

@@ -24,8 +24,16 @@
 
 namespace enode {
 
-/** Adapts an EmbeddedNet to the OdeFunction interface. */
-class EmbeddedNetOde : public OdeFunction
+/**
+ * Adapts an EmbeddedNet to both f interfaces. Every evaluation runs the
+ * layers' one forward arithmetic and keeps nothing for vjp(): a solo
+ * evaluation is EmbeddedNet::evalInto, evalBatched on a batch of one, so
+ * a solo solve and a batch-of-one batched solve evaluate f alike, and a
+ * warm solo evaluation takes no Workspace storage. The adapter holds
+ * only the net, so building it makes no heap call: NodeModel builds one
+ * per layer solve.
+ */
+class EmbeddedNetOde : public OdeFunction, public BatchedOdeFunction
 {
   public:
     explicit EmbeddedNetOde(EmbeddedNet &net) : net_(net) {}
@@ -33,48 +41,47 @@ class EmbeddedNetOde : public OdeFunction
     Tensor
     eval(double t, const Tensor &h) override
     {
-        countEval();
-        Tensor d = net_.eval(t, h);
-        // Chaos probe: an armed fault plan can corrupt this layer
-        // output with NaN/Inf at a chosen evaluation index (a single
-        // relaxed atomic load when disarmed). This is the exact tensor
-        // the RK stepper consumes, so injected corruption flows through
-        // the production trial/accept path.
-        FaultInjector::instance().maybeCorrupt("node.feval", d.data(),
-                                               d.numel());
+        Tensor d;
+        evalInto(t, h, d);
         return d;
     }
 
-    EmbeddedNet &net() { return net_; }
-
-  private:
-    EmbeddedNet &net_;
-};
-
-/** Adapts an EmbeddedNet to the BatchedOdeFunction interface. */
-class BatchedNetOde : public BatchedOdeFunction
-{
-  public:
-    explicit BatchedNetOde(EmbeddedNet &net) : net_(net) {}
+    void
+    evalInto(double t, const Tensor &h, Tensor &out) override
+    {
+        countEval();
+        net_.evalInto(t, h, out);
+        probeFaults(out, 1);
+    }
 
     void
     evalInto(const std::vector<double> &ts, const Tensor &hs,
              Tensor &out) override
     {
         net_.evalBatched(ts, hs, out);
-        // Chaos probe per sample, in sample order: walked exactly like
-        // the solo path walks successive evals, so a plan's k-th hit
-        // deterministically lands on the k-th per-sample evaluation.
-        const std::size_t n = ts.size();
+        probeFaults(out, ts.size());
+    }
+
+    EmbeddedNet &net() { return net_; }
+
+  private:
+    /**
+     * Chaos probe: an armed fault plan can corrupt a sample's f output
+     * with NaN/Inf at a chosen evaluation index (a single relaxed atomic
+     * load when disarmed). The n samples stacked in `out` are walked in
+     * order, one hit per per-sample evaluation, and this is the exact
+     * tensor the RK stepper consumes, so injected corruption flows
+     * through the production trial/accept path.
+     */
+    static void
+    probeFaults(Tensor &out, std::size_t n)
+    {
         const std::size_t stride = out.numel() / n;
         for (std::size_t i = 0; i < n; i++)
             FaultInjector::instance().maybeCorrupt(
                 "node.feval", out.data() + i * stride, stride);
     }
 
-    EmbeddedNet &net() { return net_; }
-
-  private:
     EmbeddedNet &net_;
 };
 

@@ -6,43 +6,19 @@
 
 namespace enode {
 
-Tensor
-ConcatTime::forward(const Tensor &x)
-{
-    cachedInputShape_ = x.shape();
-    if (x.shape().rank() == 1) {
-        const std::size_t n = x.shape().dim(0);
-        Tensor out(Shape{n + 1});
-        std::memcpy(out.data(), x.data(), n * sizeof(float));
-        out.at(n) = static_cast<float>(time_);
-        return out;
-    }
-    ENODE_ASSERT(x.shape().rank() == 3,
-                 "ConcatTime supports rank 1 or 3, got ", x.shape().str());
-    const std::size_t C = x.shape().dim(0);
-    const std::size_t H = x.shape().dim(1);
-    const std::size_t W = x.shape().dim(2);
-    Tensor out(Shape{C + 1, H, W});
-    std::memcpy(out.data(), x.data(), C * H * W * sizeof(float));
-    float *time_plane = out.data() + C * H * W;
-    for (std::size_t i = 0; i < H * W; i++)
-        time_plane[i] = static_cast<float>(time_);
-    return out;
-}
-
 void
 ConcatTime::forwardBatched(const Tensor &xs, Tensor &out)
 {
     const std::size_t n = xs.shape().dim(0);
-    ENODE_ASSERT(batchTimes_.size() == n, "setBatchTimes(", batchTimes_.size(),
-                 ") does not match batch of ", n);
+    ENODE_ASSERT(times_.size() == n, "set ", times_.size(),
+                 " times for a batch of ", n);
     if (xs.shape().rank() == 2) {
         const std::size_t d = xs.shape().dim(1);
         out.resize(Shape{n, d + 1});
         for (std::size_t i = 0; i < n; i++) {
             float *dst = out.data() + i * (d + 1);
             std::memcpy(dst, xs.data() + i * d, d * sizeof(float));
-            dst[d] = static_cast<float>(batchTimes_[i]);
+            dst[d] = static_cast<float>(times_[i]);
         }
         return;
     }
@@ -58,7 +34,7 @@ ConcatTime::forwardBatched(const Tensor &xs, Tensor &out)
         std::memcpy(dst, xs.data() + i * C * H * W,
                     C * H * W * sizeof(float));
         float *time_plane = dst + C * H * W;
-        const float tv = static_cast<float>(batchTimes_[i]);
+        const float tv = static_cast<float>(times_[i]);
         for (std::size_t j = 0; j < H * W; j++)
             time_plane[j] = tv;
     }
@@ -67,10 +43,8 @@ ConcatTime::forwardBatched(const Tensor &xs, Tensor &out)
 Tensor
 ConcatTime::backward(const Tensor &grad_out)
 {
-    ENODE_ASSERT(cachedInputShape_.rank() > 0,
-                 "ConcatTime backward before forward");
     // Drop the gradient of the appended time feature.
-    Tensor grad_in(cachedInputShape_);
+    Tensor grad_in(forwardInput().shape());
     std::memcpy(grad_in.data(), grad_out.data(),
                 grad_in.numel() * sizeof(float));
     return grad_in;

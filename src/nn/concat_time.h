@@ -19,34 +19,30 @@
 
 namespace enode {
 
-/** Appends the current scalar time as an extra channel / feature. */
+/** Appends each sample's scalar time as an extra channel / feature. */
 class ConcatTime : public Layer
 {
   public:
     ConcatTime() = default;
 
-    /** Set the time that the next forward() will append. */
-    void setTime(double t) { time_ = t; }
-
-    double time() const { return time_; }
+    /** Set the time the next forward() appends: a one-sample time
+     *  list. */
+    void setTime(double t) { times_.assign(1, t); }
 
     /**
      * Set per-sample times for the next forwardBatched(): samples of a
      * coalesced batch sit at different points of their own stepsize
      * searches, so each gets its own t appended.
      */
-    void setBatchTimes(const std::vector<double> &ts) { batchTimes_ = ts; }
+    void setBatchTimes(const std::vector<double> &ts) { times_ = ts; }
 
-    Tensor forward(const Tensor &x) override;
     void forwardBatched(const Tensor &xs, Tensor &out) override;
     Tensor backward(const Tensor &grad_out) override;
     std::string name() const override { return "ConcatTime"; }
     Shape outputShape(const Shape &input) const override;
 
   private:
-    double time_ = 0.0;
-    std::vector<double> batchTimes_;
-    Shape cachedInputShape_;
+    std::vector<double> times_{0.0}; ///< one per sample; t = 0 until set
 };
 
 } // namespace enode

@@ -46,25 +46,16 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
     }
 }
 
-Tensor
-Conv2d::forward(const Tensor &x)
-{
-    cachedInput_ = x;
-    return convForward(x, weight_, bias_);
-}
-
 void
 Conv2d::forwardBatched(const Tensor &xs, Tensor &out)
 {
-    // Inference-only: does not populate the backward cache.
     convForwardBatchedInto(out, xs, weight_, bias_);
 }
 
 Tensor
 Conv2d::backward(const Tensor &grad_out)
 {
-    ENODE_ASSERT(!cachedInput_.empty(), "Conv2d backward before forward");
-    weightGrad_ += convBackwardWeights(cachedInput_, grad_out, kernel_);
+    weightGrad_ += convBackwardWeights(forwardInput(), grad_out, kernel_);
     if (withBias_)
         biasGrad_ += convBackwardBias(grad_out);
     return convBackwardData(grad_out, weight_);

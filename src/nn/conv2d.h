@@ -15,8 +15,9 @@
  *                                      roles of C and M swapped, Fig. 9c)
  *  - backward-weights computation     (dL/dW from input x and grad_out)
  *
- * The Conv2d Layer wraps the three into the Layer interface with input
- * caching and gradient accumulation.
+ * The Conv2d Layer wraps the three into the Layer interface with
+ * gradient accumulation; backward-weights reads the input the training
+ * forward keeps.
  */
 
 #include <cstddef>
@@ -120,7 +121,6 @@ class Conv2d : public Layer
     Conv2d(std::size_t in_channels, std::size_t out_channels,
            std::size_t kernel, Rng &rng, bool with_bias = true);
 
-    Tensor forward(const Tensor &x) override;
     void forwardBatched(const Tensor &xs, Tensor &out) override;
     Tensor backward(const Tensor &grad_out) override;
     std::vector<ParamSlot> paramSlots() override;
@@ -146,8 +146,6 @@ class Conv2d : public Layer
     Tensor weightGrad_; // accumulated
     Tensor bias_;       // (M) or empty
     Tensor biasGrad_;
-
-    Tensor cachedInput_; // forward input, needed by backward-weights
 };
 
 } // namespace enode

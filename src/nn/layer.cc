@@ -4,19 +4,32 @@
 
 namespace enode {
 
-void
-Layer::forwardBatched(const Tensor &xs, Tensor &out)
+Tensor
+Layer::forward(const Tensor &x)
 {
-    ENODE_ASSERT(xs.shape().rank() >= 2,
-                 "forwardBatched needs a leading batch dim, got ",
-                 xs.shape().str());
-    ENODE_ASSERT(&out != &xs, "forwardBatched output aliases input");
-    const std::size_t n = xs.shape().dim(0);
-    const Shape out_sample = outputShape(
-        Shape(xs.shape().dims().begin() + 1, xs.shape().dims().end()));
-    out.resize(out_sample.prepended(n));
-    for (std::size_t i = 0; i < n; i++)
-        out.setSample(i, forward(xs.sample(i)));
+    // A same-numel resize keeps the storage and the elements, so the
+    // batch-of-one views cost no copy beyond the kept input.
+    input_.copyFrom(x);
+    input_.resize(x.shape().prepended(1));
+    forwardBatched(input_, output_);
+    input_.resize(x.shape());
+    const Shape &batched = output_.shape();
+    output_.resize(Shape(batched.dims().begin() + 1, batched.dims().end()));
+    return output_;
+}
+
+const Tensor &
+Layer::forwardInput() const
+{
+    ENODE_ASSERT(!input_.empty(), name(), " backward before forward");
+    return input_;
+}
+
+const Tensor &
+Layer::forwardOutput() const
+{
+    ENODE_ASSERT(!output_.empty(), name(), " backward before forward");
+    return output_;
 }
 
 void

@@ -39,19 +39,6 @@ Linear::panels()
     return panels_.data();
 }
 
-Tensor
-Linear::forward(const Tensor &x)
-{
-    ENODE_ASSERT(x.shape().rank() == 1 && x.shape().dim(0) == inFeatures_,
-                 "Linear expects (", inFeatures_, "), got ", x.shape().str());
-    cachedInput_ = x;
-    Tensor out(Shape{outFeatures_});
-    simdOps().matvecPanels(out.data(), panels(),
-                           withBias_ ? std::as_const(bias_).data() : nullptr,
-                           x.data(), outFeatures_, inFeatures_);
-    return out;
-}
-
 void
 Linear::forwardBatched(const Tensor &xs, Tensor &out)
 {
@@ -64,12 +51,10 @@ Linear::forwardBatched(const Tensor &xs, Tensor &out)
     const float *xd = xs.data();
     float *od = out.data();
 
-    // Per-sample matvec, the kernel forward() runs, so a batched solve
-    // reproduces the solo outputs at every batch size (the
-    // batched-vs-solo contract the runtime tests pin). SIMD width comes
-    // from the panel rows, not from sample parallelism, so every batch
-    // size takes the same path with no scalar-remainder cliff at small
-    // batches.
+    // One matvec per sample, so each row is that sample's alone at
+    // every batch size. SIMD width comes from the panel rows, not from
+    // sample parallelism, so every batch size takes the same path with
+    // no scalar-remainder cliff at small batches.
     const SimdOps &ops = simdOps();
     const float *bd = withBias_ ? std::as_const(bias_).data() : nullptr;
     for (std::size_t s = 0; s < n; s++)
@@ -80,7 +65,7 @@ Linear::forwardBatched(const Tensor &xs, Tensor &out)
 Tensor
 Linear::backward(const Tensor &grad_out)
 {
-    ENODE_ASSERT(!cachedInput_.empty(), "Linear backward before forward");
+    const Tensor &input = forwardInput();
     ENODE_ASSERT(grad_out.shape().rank() == 1 &&
                      grad_out.shape().dim(0) == outFeatures_,
                  "Linear grad_out shape mismatch");
@@ -92,7 +77,7 @@ Linear::backward(const Tensor &grad_out)
     // ascending.
     const SimdOps &ops = simdOps();
     const float *g = grad_out.data();
-    const float *x = std::as_const(cachedInput_).data();
+    const float *x = input.data();
     const float *wd = std::as_const(weight_).data();
     float *gw = weightGrad_.data();
     float *gb = withBias_ ? biasGrad_.data() : nullptr;

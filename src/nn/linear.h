@@ -21,10 +21,10 @@ class Rng;
 /**
  * y = W x + b on rank-1 tensors.
  *
- * Both forwards run matvecPanels on a copy of W in 16-row column
- * panels, packed on the first forward after each write to W (noticed by
- * W's write version, so any writer serves fresh weights without telling
- * the layer). The layer reads W only through const, so no read repacks.
+ * The forward runs matvecPanels on a copy of W in 16-row column panels,
+ * packed on the first forward after each write to W (noticed by W's
+ * write version, so any writer serves fresh weights without telling the
+ * layer). The layer reads W only through const, so no read repacks.
  */
 class Linear : public Layer
 {
@@ -32,7 +32,6 @@ class Linear : public Layer
     Linear(std::size_t in_features, std::size_t out_features, Rng &rng,
            bool with_bias = true);
 
-    Tensor forward(const Tensor &x) override;
     void forwardBatched(const Tensor &xs, Tensor &out) override;
     Tensor backward(const Tensor &grad_out) override;
     std::vector<ParamSlot> paramSlots() override;
@@ -57,8 +56,6 @@ class Linear : public Layer
     Tensor weightGrad_;
     Tensor bias_; // (out) or empty
     Tensor biasGrad_;
-
-    Tensor cachedInput_;
 
     /** weight_ as 16-row column panels, packed from weight_ at write
      *  version packedVersion_ (empty until the first forward). */

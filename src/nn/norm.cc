@@ -19,65 +19,82 @@ GroupNorm::GroupNorm(std::size_t channels, std::size_t groups, float eps)
                  "channels ", channels, " not divisible by groups ", groups);
 }
 
-Tensor
-GroupNorm::forward(const Tensor &x)
+GroupNorm::GroupStats
+GroupNorm::groupStats(const Tensor &xs, std::size_t s, std::size_t g) const
 {
-    ENODE_ASSERT(x.shape().rank() == 3 && x.shape().dim(0) == channels_,
-                 "GroupNorm expects (C=", channels_, ", H, W), got ",
-                 x.shape().str());
-    const std::size_t C = channels_;
-    const std::size_t H = x.shape().dim(1);
-    const std::size_t W = x.shape().dim(2);
-    const std::size_t cpg = C / groups_; // channels per group
+    const std::size_t cpg = channels_ / groups_; // channels per group
+    const std::size_t H = xs.shape().dim(2);
+    const std::size_t W = xs.shape().dim(3);
     const std::size_t group_elems = cpg * H * W;
-
-    Tensor x_hat(x.shape());
-    Tensor out(x.shape());
-    cachedInvStd_.assign(groups_, 0.0f);
-
-    for (std::size_t g = 0; g < groups_; g++) {
-        double sum = 0.0, sum_sq = 0.0;
-        for (std::size_t c = g * cpg; c < (g + 1) * cpg; c++) {
-            for (std::size_t h = 0; h < H; h++) {
-                for (std::size_t w = 0; w < W; w++) {
-                    const double v = x.at(c, h, w);
-                    sum += v;
-                    sum_sq += v * v;
-                }
+    double sum = 0.0, sum_sq = 0.0;
+    for (std::size_t c = g * cpg; c < (g + 1) * cpg; c++) {
+        for (std::size_t h = 0; h < H; h++) {
+            for (std::size_t w = 0; w < W; w++) {
+                const double v = xs.at(s, c, h, w);
+                sum += v;
+                sum_sq += v * v;
             }
         }
-        const double mean = sum / group_elems;
-        const double var =
-            std::max(0.0, sum_sq / group_elems - mean * mean);
-        const float inv_std = static_cast<float>(1.0 / std::sqrt(var + eps_));
-        cachedInvStd_[g] = inv_std;
+    }
+    const double mean = sum / group_elems;
+    const double var = std::max(0.0, sum_sq / group_elems - mean * mean);
+    return {static_cast<float>(mean),
+            static_cast<float>(1.0 / std::sqrt(var + eps_))};
+}
 
-        for (std::size_t c = g * cpg; c < (g + 1) * cpg; c++) {
-            for (std::size_t h = 0; h < H; h++) {
-                for (std::size_t w = 0; w < W; w++) {
-                    const float xh = (x.at(c, h, w) -
-                                      static_cast<float>(mean)) * inv_std;
-                    x_hat.at(c, h, w) = xh;
-                    out.at(c, h, w) = gamma_.at(c) * xh + beta_.at(c);
+void
+GroupNorm::forwardBatched(const Tensor &xs, Tensor &out)
+{
+    ENODE_ASSERT(xs.shape().rank() == 4 && xs.shape().dim(1) == channels_,
+                 "batched GroupNorm expects (n, C=", channels_,
+                 ", H, W), got ", xs.shape().str());
+    const std::size_t n = xs.shape().dim(0);
+    const std::size_t H = xs.shape().dim(2);
+    const std::size_t W = xs.shape().dim(3);
+    const std::size_t cpg = channels_ / groups_;
+    const Tensor &gamma = gamma_;
+    const Tensor &beta = beta_;
+    out.resize(xs.shape());
+    // Each sample's statistics come from that sample alone.
+    for (std::size_t s = 0; s < n; s++) {
+        for (std::size_t g = 0; g < groups_; g++) {
+            const GroupStats st = groupStats(xs, s, g);
+            for (std::size_t c = g * cpg; c < (g + 1) * cpg; c++) {
+                for (std::size_t h = 0; h < H; h++) {
+                    for (std::size_t w = 0; w < W; w++) {
+                        const float xh =
+                            (xs.at(s, c, h, w) - st.mean) * st.invStd;
+                        out.at(s, c, h, w) = gamma.at(c) * xh + beta.at(c);
+                    }
                 }
             }
         }
     }
-    cachedNormalized_ = x_hat;
-    return out;
 }
 
 Tensor
 GroupNorm::backward(const Tensor &grad_out)
 {
-    ENODE_ASSERT(!cachedNormalized_.empty(),
-                 "GroupNorm backward before forward");
-    const Tensor &x_hat = cachedNormalized_;
+    // Recompute the forward's statistics and x_hat from the kept input,
+    // with the forward's arithmetic in the forward's order.
+    const Tensor &input = forwardInput();
+    const Tensor x = input.reshaped(input.shape().prepended(1));
     const std::size_t C = channels_;
-    const std::size_t H = x_hat.shape().dim(1);
-    const std::size_t W = x_hat.shape().dim(2);
+    const std::size_t H = input.shape().dim(1);
+    const std::size_t W = input.shape().dim(2);
     const std::size_t cpg = C / groups_;
     const double n = static_cast<double>(cpg * H * W);
+    Tensor x_hat(input.shape());
+    std::vector<float> inv_stds(groups_);
+    for (std::size_t g = 0; g < groups_; g++) {
+        const GroupStats st = groupStats(x, 0, g);
+        inv_stds[g] = st.invStd;
+        for (std::size_t c = g * cpg; c < (g + 1) * cpg; c++)
+            for (std::size_t h = 0; h < H; h++)
+                for (std::size_t w = 0; w < W; w++)
+                    x_hat.at(c, h, w) =
+                        (x.at(0, c, h, w) - st.mean) * st.invStd;
+    }
 
     // Parameter gradients.
     for (std::size_t c = 0; c < C; c++) {
@@ -108,7 +125,7 @@ GroupNorm::backward(const Tensor &grad_out)
                 }
             }
         }
-        const double inv_std = cachedInvStd_[g];
+        const double inv_std = inv_stds[g];
         for (std::size_t c = g * cpg; c < (g + 1) * cpg; c++) {
             for (std::size_t h = 0; h < H; h++) {
                 for (std::size_t w = 0; w < W; w++) {

@@ -27,13 +27,29 @@ class GroupNorm : public Layer
      */
     GroupNorm(std::size_t channels, std::size_t groups, float eps = 1e-5f);
 
-    Tensor forward(const Tensor &x) override;
+    void forwardBatched(const Tensor &xs, Tensor &out) override;
     Tensor backward(const Tensor &grad_out) override;
     std::vector<ParamSlot> paramSlots() override;
     std::string name() const override;
     Shape outputShape(const Shape &input) const override { return input; }
 
   private:
+    /** A group's statistics as the forward applies them. */
+    struct GroupStats
+    {
+        float mean;
+        float invStd;
+    };
+
+    /**
+     * Mean and 1 / sqrt(var + eps) of group g of sample s of a stacked
+     * (n, C, H, W) tensor, reduced serially in double in (c, h, w)
+     * order. forward and backward both call it, so backward's x_hat is
+     * bitwise the forward's.
+     */
+    GroupStats groupStats(const Tensor &xs, std::size_t s,
+                          std::size_t g) const;
+
     std::size_t channels_;
     std::size_t groups_;
     float eps_;
@@ -42,10 +58,6 @@ class GroupNorm : public Layer
     Tensor gammaGrad_;
     Tensor beta_; // (C)
     Tensor betaGrad_;
-
-    // Backward cache.
-    Tensor cachedNormalized_;      // x_hat
-    std::vector<float> cachedInvStd_; // per group
 };
 
 } // namespace enode

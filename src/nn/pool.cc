@@ -4,34 +4,35 @@
 
 namespace enode {
 
-Tensor
-GlobalAvgPool::forward(const Tensor &x)
+void
+GlobalAvgPool::forwardBatched(const Tensor &xs, Tensor &out)
 {
-    ENODE_ASSERT(x.shape().rank() == 3, "GlobalAvgPool expects CHW");
-    cachedInputShape_ = x.shape();
-    const std::size_t C = x.shape().dim(0);
-    const std::size_t H = x.shape().dim(1);
-    const std::size_t W = x.shape().dim(2);
-    Tensor out(Shape{C});
-    for (std::size_t c = 0; c < C; c++) {
-        float acc = 0.0f;
-        for (std::size_t h = 0; h < H; h++)
-            for (std::size_t w = 0; w < W; w++)
-                acc += x.at(c, h, w);
-        out.at(c) = acc / static_cast<float>(H * W);
+    ENODE_ASSERT(xs.shape().rank() == 4, "batched GlobalAvgPool expects "
+                 "(n, C, H, W), got ", xs.shape().str());
+    const std::size_t n = xs.shape().dim(0);
+    const std::size_t C = xs.shape().dim(1);
+    const std::size_t H = xs.shape().dim(2);
+    const std::size_t W = xs.shape().dim(3);
+    out.resize(Shape{n, C});
+    for (std::size_t s = 0; s < n; s++) {
+        for (std::size_t c = 0; c < C; c++) {
+            float acc = 0.0f;
+            for (std::size_t h = 0; h < H; h++)
+                for (std::size_t w = 0; w < W; w++)
+                    acc += xs.at(s, c, h, w);
+            out.at(s * C + c) = acc / static_cast<float>(H * W);
+        }
     }
-    return out;
 }
 
 Tensor
 GlobalAvgPool::backward(const Tensor &grad_out)
 {
-    ENODE_ASSERT(cachedInputShape_.rank() == 3,
-                 "GlobalAvgPool backward before forward");
-    const std::size_t C = cachedInputShape_.dim(0);
-    const std::size_t H = cachedInputShape_.dim(1);
-    const std::size_t W = cachedInputShape_.dim(2);
-    Tensor grad_in(cachedInputShape_);
+    const Shape &in_shape = forwardInput().shape();
+    const std::size_t C = in_shape.dim(0);
+    const std::size_t H = in_shape.dim(1);
+    const std::size_t W = in_shape.dim(2);
+    Tensor grad_in(in_shape);
     for (std::size_t c = 0; c < C; c++) {
         const float g = grad_out.at(c) / static_cast<float>(H * W);
         for (std::size_t h = 0; h < H; h++)
@@ -46,78 +47,6 @@ GlobalAvgPool::outputShape(const Shape &input) const
 {
     ENODE_ASSERT(input.rank() == 3, "GlobalAvgPool expects CHW");
     return Shape{input.dim(0)};
-}
-
-Tensor
-AvgPool2x2::forward(const Tensor &x)
-{
-    ENODE_ASSERT(x.shape().rank() == 3, "AvgPool2x2 expects CHW");
-    ENODE_ASSERT(x.shape().dim(1) % 2 == 0 && x.shape().dim(2) % 2 == 0,
-                 "AvgPool2x2 needs even H and W, got ", x.shape().str());
-    cachedInputShape_ = x.shape();
-    const std::size_t C = x.shape().dim(0);
-    const std::size_t H = x.shape().dim(1);
-    const std::size_t W = x.shape().dim(2);
-    Tensor out(Shape{C, H / 2, W / 2});
-    for (std::size_t c = 0; c < C; c++)
-        for (std::size_t h = 0; h < H / 2; h++)
-            for (std::size_t w = 0; w < W / 2; w++)
-                out.at(c, h, w) =
-                    0.25f * (x.at(c, 2 * h, 2 * w) + x.at(c, 2 * h, 2 * w + 1) +
-                             x.at(c, 2 * h + 1, 2 * w) +
-                             x.at(c, 2 * h + 1, 2 * w + 1));
-    return out;
-}
-
-Tensor
-AvgPool2x2::backward(const Tensor &grad_out)
-{
-    ENODE_ASSERT(cachedInputShape_.rank() == 3,
-                 "AvgPool2x2 backward before forward");
-    Tensor grad_in(cachedInputShape_);
-    const std::size_t C = cachedInputShape_.dim(0);
-    const std::size_t H = cachedInputShape_.dim(1);
-    const std::size_t W = cachedInputShape_.dim(2);
-    for (std::size_t c = 0; c < C; c++) {
-        for (std::size_t h = 0; h < H / 2; h++) {
-            for (std::size_t w = 0; w < W / 2; w++) {
-                const float g = 0.25f * grad_out.at(c, h, w);
-                grad_in.at(c, 2 * h, 2 * w) = g;
-                grad_in.at(c, 2 * h, 2 * w + 1) = g;
-                grad_in.at(c, 2 * h + 1, 2 * w) = g;
-                grad_in.at(c, 2 * h + 1, 2 * w + 1) = g;
-            }
-        }
-    }
-    return grad_in;
-}
-
-Shape
-AvgPool2x2::outputShape(const Shape &input) const
-{
-    ENODE_ASSERT(input.rank() == 3, "AvgPool2x2 expects CHW");
-    return Shape{input.dim(0), input.dim(1) / 2, input.dim(2) / 2};
-}
-
-Tensor
-Flatten::forward(const Tensor &x)
-{
-    cachedInputShape_ = x.shape();
-    return x.reshaped(Shape{x.numel()});
-}
-
-Tensor
-Flatten::backward(const Tensor &grad_out)
-{
-    ENODE_ASSERT(cachedInputShape_.rank() > 0,
-                 "Flatten backward before forward");
-    return grad_out.reshaped(cachedInputShape_);
-}
-
-Shape
-Flatten::outputShape(const Shape &input) const
-{
-    return Shape{input.numel()};
 }
 
 } // namespace enode

@@ -3,7 +3,7 @@
 
 /**
  * @file
- * Pooling and shape-adapter layers for the classifier head.
+ * Pooling layer for the classifier head.
  */
 
 #include "nn/layer.h"
@@ -14,39 +14,10 @@ namespace enode {
 class GlobalAvgPool : public Layer
 {
   public:
-    Tensor forward(const Tensor &x) override;
+    void forwardBatched(const Tensor &xs, Tensor &out) override;
     Tensor backward(const Tensor &grad_out) override;
     std::string name() const override { return "GlobalAvgPool"; }
     Shape outputShape(const Shape &input) const override;
-
-  private:
-    Shape cachedInputShape_;
-};
-
-/** 2x2 average pool with stride 2: (C, H, W) -> (C, H/2, W/2). */
-class AvgPool2x2 : public Layer
-{
-  public:
-    Tensor forward(const Tensor &x) override;
-    Tensor backward(const Tensor &grad_out) override;
-    std::string name() const override { return "AvgPool2x2"; }
-    Shape outputShape(const Shape &input) const override;
-
-  private:
-    Shape cachedInputShape_;
-};
-
-/** Flatten any tensor to rank 1. */
-class Flatten : public Layer
-{
-  public:
-    Tensor forward(const Tensor &x) override;
-    Tensor backward(const Tensor &grad_out) override;
-    std::string name() const override { return "Flatten"; }
-    Shape outputShape(const Shape &input) const override;
-
-  private:
-    Shape cachedInputShape_;
 };
 
 } // namespace enode

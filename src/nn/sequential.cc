@@ -175,6 +175,19 @@ EmbeddedNet::evalBatched(const std::vector<double> &ts, const Tensor &hs,
     body_->forwardBatched(hs, out);
 }
 
+void
+EmbeddedNet::evalInto(double t, const Tensor &h, Tensor &out)
+{
+    // A same-numel resize keeps the storage and the elements, so after
+    // the first call neither view takes pool storage.
+    oneTime_.assign(1, t);
+    oneState_.copyFrom(h);
+    oneState_.resize(h.shape().prepended(1));
+    evalBatched(oneTime_, oneState_, out);
+    const Shape &batched = out.shape();
+    out.resize(Shape(batched.dims().begin() + 1, batched.dims().end()));
+}
+
 Tensor
 EmbeddedNet::vjp(const Tensor &adjoint)
 {

@@ -11,6 +11,12 @@
  * (Sec. V.A) — and its vjp() is one adjoint evaluation: the
  * vector-Jacobian products a^T df/dh and a^T df/dtheta that Eqs. (4)
  * and (5) integrate.
+ *
+ * Every evaluation runs the layers' one forward arithmetic, their
+ * forwardBatched: evalBatched over the stack, evalInto over a batch of
+ * one, and eval through each layer's training forward on a batch of
+ * one, which also keeps the input and output pair vjp() reads. So a
+ * batched row equals eval() on that sample bit for bit by construction.
  */
 
 #include <memory>
@@ -20,7 +26,12 @@
 
 namespace enode {
 
-/** Ordered stack of layers with chained forward/backward. */
+/**
+ * Ordered stack of layers with chained forward/backward. forward()
+ * chains the layers' training forwards, so each layer keeps the pair its
+ * backward reads; forwardBatched() chains their batched bodies and keeps
+ * nothing for backward.
+ */
 class Sequential : public Layer
 {
   public:
@@ -55,10 +66,12 @@ class Sequential : public Layer
  *
  * Owns a Sequential body whose first layer is a ConcatTime, so the scalar
  * time reaches the network as an input feature. Exposes the two
- * operations NODE needs:
+ * operations NODE training needs:
  *  - eval(t, h): one forward evaluation of f.
  *  - vjp(a): given the adjoint of the *most recent* eval, return
  *    a^T df/dh and accumulate a^T df/dtheta into the parameter grads.
+ * and the two the forward solves run, which keep nothing for vjp():
+ * evalInto(t, h, out) on one state and evalBatched over a stack.
  */
 class EmbeddedNet
 {
@@ -102,17 +115,27 @@ class EmbeddedNet
                                                 std::size_t hidden,
                                                 std::size_t depth, Rng &rng);
 
-    /** One evaluation of f at time t and state h. */
+    /** One evaluation of f at time t and state h, keeping what vjp()
+     *  reads (the training forward ACA's local forward runs). */
     Tensor eval(double t, const Tensor &h);
 
     /**
      * One shared evaluation of f over a stacked batch of states, each
      * at its own time (ts.size() == hs.dim(0)). Each sample row of
-     * `out` is bitwise identical to eval(ts[i], hs[i]) — the batched
-     * layer contract. Counts as ts.size() evaluations.
+     * `out` is bitwise identical to eval(ts[i], hs[i]), since both run
+     * the same layer bodies. Keeps nothing for vjp(). Counts as
+     * ts.size() evaluations.
      */
     void evalBatched(const std::vector<double> &ts, const Tensor &hs,
                      Tensor &out);
+
+    /**
+     * One evaluation of f at time t and state h into `out`: evalBatched
+     * on h staged as a batch of one, so bitwise eval(t, h), keeping
+     * nothing for vjp(). The net keeps the staging, so a warm call takes
+     * no Workspace storage and makes no heap call.
+     */
+    void evalInto(double t, const Tensor &h, Tensor &out);
 
     /**
      * Vector-Jacobian products of the most recent eval().
@@ -142,6 +165,8 @@ class EmbeddedNet
     class ConcatTime *timeLayer_; // owned by body_, first layer
     std::uint64_t evalCount_ = 0;
     std::uint64_t vjpCount_ = 0;
+    std::vector<double> oneTime_; ///< evalInto's time, a batch of one
+    Tensor oneState_;             ///< evalInto's state, a batch of one
 };
 
 } // namespace enode

@@ -49,8 +49,9 @@ namespace enode {
  * `ts` carries one evaluation time per sample (samples mid-search sit
  * at different times). Implementations resize `out` to hs.shape() and
  * must produce, for every sample row, bitwise the same floats as a solo
- * evaluation of that (t, h) pair — the batched layer contract
- * (Layer::forwardBatched).
+ * evaluation of that (t, h) pair. EmbeddedNetOde does so by
+ * construction: its solo evaluation is a batch of one through the same
+ * layer bodies (Layer::forwardBatched, EmbeddedNet::evalInto).
  */
 class BatchedOdeFunction
 {

@@ -9,9 +9,9 @@
  * a fixed pool of worker threads, each owning a *private replica* of
  * the embedded nets (weights written only from the registry's live
  * snapshot: version 0 at startup, each later publication at a dispatch
- * boundary; all scratch state — layer forward caches, solver
- * controllers, eval counters — is per-worker), drains a bounded MPMC
- * request queue ordered by the same
+ * boundary; all scratch state — layer activations and kept training
+ * pairs, solver controllers, eval counters — is per-worker), drains a
+ * bounded MPMC request queue ordered by the same
  * SelectPolicy the hardware priority selector uses. Producers are never
  * blocked: a full queue rejects at admission (backpressure), exactly
  * like the selector's full state buffers.

@@ -216,10 +216,12 @@ class Tensor
     void scale(float s) { *this *= s; }
 
     /**
-     * Re-shape this tensor in place, reusing the existing storage when
-     * the element count is unchanged and re-acquiring from the
-     * workspace pool otherwise. Contents are unspecified after a
-     * numel-changing resize.
+     * Re-shape this tensor in place. A same-numel resize keeps the
+     * storage and the elements, so it views them under the new shape
+     * (the batch-of-one views of Layer::forward and
+     * EmbeddedNet::evalInto rely on this); otherwise the storage is
+     * re-acquired from the workspace pool and the contents are
+     * unspecified.
      */
     void resize(const Shape &shape);
 

@@ -245,6 +245,24 @@ TEST(NodeModel, BothForwardsFollowEveryParameterWrite)
     std::remove(path.c_str());
 }
 
+TEST(NodeModel, ConvBatchedForwardMatchesSoloPerSample)
+{
+    // The conv f normalizes each sample by its own group statistics, so
+    // a batched conv solve gives every sample its solo solve's bits,
+    // whatever the amplitude of its batchmates.
+    Rng rng(47);
+    auto model = NodeModel::makeConv(1, 8, 2, rng);
+    std::vector<Tensor> xs;
+    for (const float amplitude : {0.1f, 1.0f, 5.0f})
+        xs.push_back(Tensor::randn(Shape{8, 6, 6}, rng, amplitude));
+    const IvpOptions opts = quickOptions();
+    const std::vector<Tensor> solo = soloOutputs(*model, xs, opts);
+    const std::vector<Tensor> batched = batchedOutputs(*model, xs, opts);
+    ASSERT_EQ(batched.size(), xs.size());
+    for (std::size_t i = 0; i < xs.size(); i++)
+        EXPECT_TRUE(sameBits(batched[i], solo[i])) << "sample " << i;
+}
+
 TEST(NodeClassifier, ProducesLogitsAndTrains)
 {
     Rng rng(5);

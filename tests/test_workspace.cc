@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -210,9 +211,17 @@ TEST(Workspace, InPlaceTensorOpsPreserveStorage)
     t.fill(7.0f);
     EXPECT_EQ(t.at(63), 7.0f);
 
-    // Same-numel resize and copyFrom keep the storage.
+    // Same-numel resize keeps the storage and the elements; so does
+    // copyFrom keep the storage.
+    t.at(5) = -3.0f;
     t.resize(Shape{64});
     EXPECT_EQ(t.data(), ptr);
+    for (std::size_t i = 0; i < 64; i++)
+        EXPECT_EQ(t.at(i), i == 5 ? -3.0f : 7.0f) << i;
+    t.resize(Shape{1, 64});
+    EXPECT_EQ(t.data(), ptr);
+    EXPECT_EQ(t.at(5), -3.0f);
+    EXPECT_EQ(t.at(63), 7.0f);
     Tensor src(Shape{64}, -1.0f);
     t.copyFrom(src);
     EXPECT_EQ(t.data(), ptr);
@@ -321,6 +330,37 @@ TEST(Workspace, WarmSolveIvpMakesNoHeapCalls)
                          << res.stats.trials << " trials";
 }
 
+TEST(Workspace, WarmSoloForwardMakesOnlyItsResultHeapCall)
+{
+    // A solo NodeModel::forward builds one f adapter per layer solve.
+    // The adapter holds only its net, and the net keeps the batch-of-one
+    // staging its solo evaluation runs through, so on perfbench's MLP
+    // (dim 16, hidden 64, f depth 2) a warm forward makes just the one
+    // heap call of its result's layer vector.
+    Rng rng(29);
+    auto model = NodeModel::makeMlp(2, 16, 64, 2, rng);
+    const Tensor x = Tensor::randn(Shape{16}, rng, 0.5f);
+    FixedFactorController ctrl;
+    IvpOptions opts;
+    opts.tolerance = 1e-4;
+    opts.initialDt = 0.05;
+    opts.recordCheckpoints = false;
+    const auto forwardOnce = [&] {
+        return model->forward(x, ButcherTableau::rk23(), ctrl, opts);
+    };
+    forwardOnce();
+    forwardOnce();
+
+    const std::uint64_t before =
+        g_heap_allocs.load(std::memory_order_relaxed);
+    const NodeForwardResult res = forwardOnce();
+    const std::uint64_t delta =
+        g_heap_allocs.load(std::memory_order_relaxed) - before;
+    ASSERT_GT(res.totalStats.trials, 1u);
+    EXPECT_EQ(delta, 1u) << "warm solo forward over "
+                         << res.totalStats.trials << " trials";
+}
+
 TEST(Workspace, WarmBatchedSolveHeapCallsIndependentOfTrialCount)
 {
     // A batched forward returns freshly built per-sample vectors, a
@@ -381,7 +421,7 @@ TEST(Workspace, WarmBatchedSolveMakesOnlyItsResultHeapCalls)
     // result, active-set and per-layer argument vectors.
     Rng rng(23);
     auto model = NodeModel::makeMlp(2, 16, 64, 2, rng);
-    BatchedNetOde f(model->net(0));
+    EmbeddedNetOde f(model->net(0));
     IvpOptions opts;
     opts.tolerance = 1e-4;
     opts.initialDt = 0.05;
@@ -427,28 +467,39 @@ TEST(Workspace, WarmBatchedSolveMakesOnlyItsResultHeapCalls)
 
 TEST(Workspace, WarmBatchedFevalTouchesNoPool)
 {
-    // One batched f evaluation on perfbench's MLP (dim 16, hidden 64,
-    // f depth 2) keeps its activations in the Sequential and its
-    // weights in Linear's panel copy, so at a steady batch size it
-    // neither takes nor returns Workspace storage. The conv f is not
-    // covered: its GroupNorm still runs per sample.
+    // One f evaluation on perfbench's MLP (dim 16, hidden 64, f depth
+    // 2) keeps its activations in the Sequential and its weights in
+    // Linear's panel copy, so at a steady batch size it neither takes
+    // nor returns Workspace storage: batched at 1 and 4, and solo
+    // through the f adapter, which stages its one state as a batch of
+    // one. The conv f is not covered: the conv kernels take
+    // PooledScratch.
     Rng rng(19);
     auto net = EmbeddedNet::makeMlp(16, 64, 2, rng);
+    const auto expectNoPool = [](const char *what, const auto &eval) {
+        eval();
+        eval();
+        const Workspace::Stats before = Workspace::local().stats();
+        for (int i = 0; i < 100; i++)
+            eval();
+        const Workspace::Stats after = Workspace::local().stats();
+        EXPECT_EQ(after.hits, before.hits) << what;
+        EXPECT_EQ(after.misses, before.misses) << what;
+        EXPECT_EQ(after.releases, before.releases) << what;
+        EXPECT_EQ(after.dropped, before.dropped) << what;
+    };
     for (const std::size_t n : {1, 4}) {
         const Tensor hs = Tensor::randn(Shape{n, 16}, rng, 0.5f);
         const std::vector<double> ts(n, 0.5);
         Tensor out;
-        net->evalBatched(ts, hs, out);
-        net->evalBatched(ts, hs, out);
-        const Workspace::Stats before = Workspace::local().stats();
-        for (int i = 0; i < 100; i++)
-            net->evalBatched(ts, hs, out);
-        const Workspace::Stats after = Workspace::local().stats();
-        EXPECT_EQ(after.hits, before.hits) << "batch " << n;
-        EXPECT_EQ(after.misses, before.misses) << "batch " << n;
-        EXPECT_EQ(after.releases, before.releases) << "batch " << n;
-        EXPECT_EQ(after.dropped, before.dropped) << "batch " << n;
+        const std::string what = "batch " + std::to_string(n);
+        expectNoPool(what.c_str(),
+                     [&] { net->evalBatched(ts, hs, out); });
     }
+    EmbeddedNetOde ode(*net);
+    const Tensor h = Tensor::randn(Shape{16}, rng, 0.5f);
+    Tensor out;
+    expectNoPool("solo", [&] { ode.evalInto(0.5, h, out); });
 }
 
 TEST(Workspace, DisarmedTraceProbesAllocateNothing)
