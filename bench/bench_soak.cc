@@ -7,7 +7,8 @@
  * multiple of the measured sustainable rate — open loop, so the
  * arrival schedule never throttles to what the server can absorb and
  * genuine overload is reachable — while the fault injector corrupts a
- * slice of f-evaluations. Three runs:
+ * slice of f-evaluations and a few requests carry a state the model
+ * cannot take. Three runs:
  *
  *  1. Baseline: light Poisson traffic, no chaos. Establishes the
  *     unloaded p99 the overload criterion is stated against.
@@ -18,12 +19,15 @@
  *     times out or is rejected by the bounded queue.
  *
  * Report (BENCH_soak.json): goodput (Ok responses inside their
- * deadline, per second), shed/expired/failed/rejected counts, p99
+ * deadline, per second), shed/invalid/expired/failed/rejected counts, p99
  * latency of admitted-and-served requests, and brownout-level
  * residency. The run *aborts non-zero* if any configuration violates
  * exact terminal reconciliation:
  *
  *     admitted == completed + expired + failed + cancelled + shed
+ *                 + invalid
+ *
+ * and every wrong-shape request must come back InvalidInput.
  *
  * Acceptance lines printed at the end (checked in CI for the quick
  * profile): reconciliation holds, goodput under admission > 0, and —
@@ -59,6 +63,8 @@ namespace {
 
 constexpr std::uint64_t kSeed = 20260808;
 constexpr std::size_t kDim = 16;
+/** Every kInvalidEvery-th arrival carries a state of the wrong shape. */
+constexpr std::size_t kInvalidEvery = 64;
 
 std::unique_ptr<NodeModel>
 makeServedModel()
@@ -92,6 +98,14 @@ makeInput(const ArrivalEvent &ev)
 {
     Rng rng(ev.inputSeed);
     return Tensor::randn(Shape{kDim}, rng, ev.stiff ? 2.0f : 0.5f);
+}
+
+/** A state the served model cannot take: one element too wide, or a
+ *  rank-2 map, alternating. */
+Tensor
+makeInvalidInput(std::size_t index)
+{
+    return Tensor(index % 2 == 0 ? Shape{kDim + 1} : Shape{4, 4});
 }
 
 /** Sustainable closed-loop rate of one configuration, requests/sec. */
@@ -130,6 +144,7 @@ struct SoakResult
     double goodputRps = 0.0;   ///< Ok and inside deadline, per second
     double servedP99Ms = 0.0;  ///< p99 total latency of Ok responses
     std::uint64_t rejected = 0; ///< bounded-queue refusals (not admitted)
+    std::uint64_t invalidSent = 0; ///< admitted wrong-shape requests
     MetricsSummary metrics;
     bool reconciled = false;
     /** Brownout residency, ms at levels 0..3 (admission runs only). */
@@ -173,7 +188,9 @@ runSoak(const std::string &name, const ServerOptions &opts,
     futures.reserve(schedule.size());
 
     const auto start = RuntimeClock::now();
-    for (const ArrivalEvent &ev : schedule) {
+    for (std::size_t i = 0; i < schedule.size(); i++) {
+        const ArrivalEvent &ev = schedule[i];
+        const bool invalid = i % kInvalidEvery == kInvalidEvery - 1;
         const auto due =
             start + std::chrono::duration_cast<RuntimeClock::duration>(
                         std::chrono::duration<double, std::milli>(ev.atMs));
@@ -183,11 +200,15 @@ runSoak(const std::string &name, const ServerOptions &opts,
             std::chrono::duration_cast<RuntimeClock::duration>(
                 std::chrono::duration<double, std::milli>(
                     ev.deadlineBudgetMs));
-        auto sub = server.submit(makeInput(ev), ev.stream, deadline);
-        if (sub.accepted)
+        auto sub = server.submit(
+            invalid ? makeInvalidInput(i / kInvalidEvery) : makeInput(ev),
+            ev.stream, deadline);
+        if (sub.accepted) {
             futures.push_back(std::move(sub.result));
-        else
+            result.invalidSent += invalid ? 1 : 0;
+        } else {
             result.rejected++;
+        }
     }
 
     std::vector<double> served_ms;
@@ -215,7 +236,8 @@ runSoak(const std::string &name, const ServerOptions &opts,
     }
     const MetricsSummary &m = result.metrics;
     result.reconciled = m.admitted == m.completed + m.expired + m.failed +
-                                          m.cancelled + m.shed;
+                                          m.cancelled + m.shed + m.invalid &&
+                        m.invalid == result.invalidSent;
     if (const AdmissionController *adm = server.admission()) {
         for (int level = 0; level < 4; level++)
             result.residencyMs[level] = adm->levelResidencyMs(level);
@@ -246,6 +268,7 @@ writeReport(const std::vector<SoakResult> &runs, double unloadedP99,
             << ", \"failed\": " << m.failed
             << ", \"cancelled\": " << m.cancelled
             << ", \"shed\": " << m.shed
+            << ", \"invalid\": " << m.invalid
             << ", \"rejected\": " << r.rejected
             << ", \"brownout_relaxed\": " << m.brownoutRelaxed
             << ", \"relaxed_solves\": " << r.relaxedSolves
@@ -331,12 +354,13 @@ main(int argc, char **argv)
                 "s, ~" + std::to_string(static_cast<int>(overload_factor)) +
                 "x sustainable, bursty, chaos on)");
     table.setHeader({"run", "offered r/s", "goodput r/s", "p99 ms",
-                     "shed", "expired", "failed", "rejected"});
+                     "shed", "invalid", "expired", "failed", "rejected"});
     for (const SoakResult &r : runs)
         table.addRow({r.name, Table::num(r.offeredRps, 1),
                       Table::num(r.goodputRps, 1),
                       Table::num(r.servedP99Ms),
                       std::to_string(r.metrics.shed),
+                      std::to_string(r.metrics.invalid),
                       std::to_string(r.metrics.expired),
                       std::to_string(r.metrics.failed),
                       std::to_string(r.rejected)});

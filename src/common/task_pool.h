@@ -46,6 +46,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace enode {
@@ -56,8 +57,40 @@ namespace enode {
 class TaskPool
 {
   public:
-    /** A chunk body: processes items [begin, end) of the range. */
-    using ChunkFn = std::function<void(std::size_t begin, std::size_t end)>;
+    /**
+     * A chunk body: processes items [begin, end) of the range. It
+     * refers to the caller's callable and does not own it, so building
+     * one from a lambda makes no heap call whatever the lambda
+     * captures. Pass the lambda straight to parallelFor, which returns
+     * only after every chunk has finished: the callable then outlives
+     * every call through it. A ChunkFn variable built from a temporary
+     * would dangle.
+     */
+    class ChunkFn
+    {
+      public:
+        template <typename F,
+                  typename = std::enable_if_t<
+                      !std::is_same_v<std::remove_cvref_t<F>, ChunkFn>>>
+        ChunkFn(F &&fn)
+            : callable_(const_cast<void *>(
+                  static_cast<const void *>(std::addressof(fn)))),
+              call_([](void *callable, std::size_t begin, std::size_t end) {
+                  (*static_cast<std::remove_reference_t<F> *>(callable))(
+                      begin, end);
+              })
+        {
+        }
+
+        void operator()(std::size_t begin, std::size_t end) const
+        {
+            call_(callable_, begin, end);
+        }
+
+      private:
+        void *callable_;
+        void (*call_)(void *, std::size_t, std::size_t);
+    };
 
     /**
      * @param workers Extra worker threads beyond the caller. 0 is valid

@@ -44,6 +44,12 @@ NodeModel::NodeModel(std::vector<std::unique_ptr<EmbeddedNet>> nets,
 {
     ENODE_ASSERT(!nets_.empty(), "NodeModel needs >= 1 integration layer");
     ENODE_ASSERT(layerTime_ > 0.0, "layer time must be positive");
+    for (std::size_t i = 0; i < nets_.size(); i++) {
+        for (ParamSlot &slot : nets_[i]->paramSlots()) {
+            slot.name = "node" + std::to_string(i) + "." + slot.name;
+            slots_.push_back(std::move(slot));
+        }
+    }
 }
 
 std::unique_ptr<NodeModel>
@@ -192,17 +198,15 @@ NodeModel::forwardBatched(const std::vector<Tensor> &xs,
     return result;
 }
 
-std::vector<ParamSlot>
-NodeModel::paramSlots()
+bool
+NodeModel::acceptsState(const Shape &state) const
 {
-    std::vector<ParamSlot> slots;
-    for (std::size_t i = 0; i < nets_.size(); i++) {
-        for (auto &slot : nets_[i]->paramSlots()) {
-            slot.name = "node" + std::to_string(i) + "." + slot.name;
-            slots.push_back(slot);
-        }
+    for (const auto &net : nets_) {
+        const std::optional<Shape> out = net->body().outputShape(state);
+        if (!out || *out != state)
+            return false;
     }
-    return slots;
+    return true;
 }
 
 void

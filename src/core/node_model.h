@@ -190,6 +190,14 @@ class NodeModel
         const IvpOptions &opts,
         const std::vector<SolveGuard *> *guards = nullptr);
 
+    /**
+     * True when `state` is a shape the model can solve: every
+     * integration layer's net maps it to itself. Reads only the nets'
+     * fixed layer configuration, never parameters or solver state, so
+     * any thread may ask while another runs the model.
+     */
+    bool acceptsState(const Shape &state) const;
+
     std::size_t numLayers() const { return nets_.size(); }
     EmbeddedNet &net(std::size_t layer) { return *nets_.at(layer); }
     const EmbeddedNet &net(std::size_t layer) const
@@ -198,14 +206,19 @@ class NodeModel
     }
     double layerTime() const { return layerTime_; }
 
-    /** All parameter slots across layers (for the optimizer). */
-    std::vector<ParamSlot> paramSlots();
+    /**
+     * All parameter slots across layers (for the optimizer, the weight
+     * registry and checkpoints), named "node<i>.<layer slot>". Built
+     * once at construction, so a call makes no heap call.
+     */
+    const std::vector<ParamSlot> &paramSlots() { return slots_; }
     void zeroGrad();
     std::size_t paramCount();
 
   private:
     std::vector<std::unique_ptr<EmbeddedNet>> nets_;
     double layerTime_;
+    std::vector<ParamSlot> slots_; ///< paramSlots(), built once
     /**
      * Solver workspace threaded through every layer solve: the RK stage
      * buffers, walking state, and FSAL stage persist across layers and

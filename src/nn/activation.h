@@ -22,7 +22,10 @@ class ReLU : public Layer
     void forwardBatched(const Tensor &xs, Tensor &out) override;
     Tensor backward(const Tensor &grad_out) override;
     std::string name() const override { return "ReLU"; }
-    Shape outputShape(const Shape &input) const override { return input; }
+    std::optional<Shape> outputShape(const Shape &input) const override
+    {
+        return input;
+    }
 };
 
 /** Hyperbolic tangent; its backward reads the kept output, since
@@ -33,7 +36,10 @@ class Tanh : public Layer
     void forwardBatched(const Tensor &xs, Tensor &out) override;
     Tensor backward(const Tensor &grad_out) override;
     std::string name() const override { return "Tanh"; }
-    Shape outputShape(const Shape &input) const override { return input; }
+    std::optional<Shape> outputShape(const Shape &input) const override
+    {
+        return input;
+    }
 };
 
 } // namespace enode

@@ -50,13 +50,14 @@ ConcatTime::backward(const Tensor &grad_out)
     return grad_in;
 }
 
-Shape
+std::optional<Shape>
 ConcatTime::outputShape(const Shape &input) const
 {
     if (input.rank() == 1)
         return Shape{input.dim(0) + 1};
-    ENODE_ASSERT(input.rank() == 3, "ConcatTime supports rank 1 or 3");
-    return Shape{input.dim(0) + 1, input.dim(1), input.dim(2)};
+    if (input.rank() == 3)
+        return Shape{input.dim(0) + 1, input.dim(1), input.dim(2)};
+    return std::nullopt; // the batched body takes rank 1 or 3 samples
 }
 
 } // namespace enode

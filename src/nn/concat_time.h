@@ -39,7 +39,7 @@ class ConcatTime : public Layer
     void forwardBatched(const Tensor &xs, Tensor &out) override;
     Tensor backward(const Tensor &grad_out) override;
     std::string name() const override { return "ConcatTime"; }
-    Shape outputShape(const Shape &input) const override;
+    std::optional<Shape> outputShape(const Shape &input) const override;
 
   private:
     std::vector<double> times_{0.0}; ///< one per sample; t = 0 until set

@@ -79,12 +79,11 @@ Conv2d::name() const
            ")";
 }
 
-Shape
+std::optional<Shape>
 Conv2d::outputShape(const Shape &input) const
 {
-    ENODE_ASSERT(input.rank() == 3, "Conv2d input must be CHW");
-    ENODE_ASSERT(input.dim(0) == inChannels_, "Conv2d expects C=",
-                 inChannels_, ", got ", input.dim(0));
+    if (input.rank() != 3 || input.dim(0) != inChannels_)
+        return std::nullopt; // CHW with C = inChannels only
     return Shape{outChannels_, input.dim(1), input.dim(2)};
 }
 

@@ -125,7 +125,7 @@ class Conv2d : public Layer
     Tensor backward(const Tensor &grad_out) override;
     std::vector<ParamSlot> paramSlots() override;
     std::string name() const override;
-    Shape outputShape(const Shape &input) const override;
+    std::optional<Shape> outputShape(const Shape &input) const override;
 
     std::size_t inChannels() const { return inChannels_; }
     std::size_t outChannels() const { return outChannels_; }

@@ -20,6 +20,7 @@
  */
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -89,8 +90,13 @@ class Layer
     /** Short human-readable layer description. */
     virtual std::string name() const = 0;
 
-    /** Shape of the output this layer produces for a given input shape. */
-    virtual Shape outputShape(const Shape &input) const = 0;
+    /**
+     * Shape of the output this layer produces for one sample of shape
+     * `input`, or nothing when the layer cannot take that shape. Reads
+     * only the layer's fixed configuration, never its parameters or
+     * kept state, and never asserts, so it may screen untrusted shapes.
+     */
+    virtual std::optional<Shape> outputShape(const Shape &input) const = 0;
 
   protected:
     /** The input of the most recent forward(), in the sample's shape. */

@@ -109,11 +109,11 @@ Linear::name() const
            std::to_string(outFeatures_) + ")";
 }
 
-Shape
+std::optional<Shape>
 Linear::outputShape(const Shape &input) const
 {
-    ENODE_ASSERT(input.rank() == 1 && input.dim(0) == inFeatures_,
-                 "Linear input shape mismatch");
+    if (input.rank() != 1 || input.dim(0) != inFeatures_)
+        return std::nullopt;
     return Shape{outFeatures_};
 }
 

@@ -36,7 +36,7 @@ class Linear : public Layer
     Tensor backward(const Tensor &grad_out) override;
     std::vector<ParamSlot> paramSlots() override;
     std::string name() const override;
-    Shape outputShape(const Shape &input) const override;
+    std::optional<Shape> outputShape(const Shape &input) const override;
 
     std::size_t inFeatures() const { return inFeatures_; }
     std::size_t outFeatures() const { return outFeatures_; }

@@ -149,6 +149,14 @@ GroupNorm::paramSlots()
     return {{"gamma", &gamma_, &gammaGrad_}, {"beta", &beta_, &betaGrad_}};
 }
 
+std::optional<Shape>
+GroupNorm::outputShape(const Shape &input) const
+{
+    if (input.rank() != 3 || input.dim(0) != channels_)
+        return std::nullopt; // CHW with C = channels only
+    return input;
+}
+
 std::string
 GroupNorm::name() const
 {

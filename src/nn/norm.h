@@ -31,7 +31,7 @@ class GroupNorm : public Layer
     Tensor backward(const Tensor &grad_out) override;
     std::vector<ParamSlot> paramSlots() override;
     std::string name() const override;
-    Shape outputShape(const Shape &input) const override { return input; }
+    std::optional<Shape> outputShape(const Shape &input) const override;
 
   private:
     /** A group's statistics as the forward applies them. */

@@ -42,10 +42,11 @@ GlobalAvgPool::backward(const Tensor &grad_out)
     return grad_in;
 }
 
-Shape
+std::optional<Shape>
 GlobalAvgPool::outputShape(const Shape &input) const
 {
-    ENODE_ASSERT(input.rank() == 3, "GlobalAvgPool expects CHW");
+    if (input.rank() != 3)
+        return std::nullopt; // CHW only
     return Shape{input.dim(0)};
 }
 

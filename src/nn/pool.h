@@ -17,7 +17,7 @@ class GlobalAvgPool : public Layer
     void forwardBatched(const Tensor &xs, Tensor &out) override;
     Tensor backward(const Tensor &grad_out) override;
     std::string name() const override { return "GlobalAvgPool"; }
-    Shape outputShape(const Shape &input) const override;
+    std::optional<Shape> outputShape(const Shape &input) const override;
 };
 
 } // namespace enode

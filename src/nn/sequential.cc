@@ -83,12 +83,15 @@ Sequential::name() const
     return s + "]";
 }
 
-Shape
+std::optional<Shape>
 Sequential::outputShape(const Shape &input) const
 {
-    Shape cur = input;
-    for (const auto &l : layers_)
-        cur = l->outputShape(cur);
+    std::optional<Shape> cur = input;
+    for (const auto &l : layers_) {
+        cur = l->outputShape(*cur);
+        if (!cur)
+            return std::nullopt;
+    }
     return cur;
 }
 

@@ -48,7 +48,7 @@ class Sequential : public Layer
     Tensor backward(const Tensor &grad_out) override;
     std::vector<ParamSlot> paramSlots() override;
     std::string name() const override;
-    Shape outputShape(const Shape &input) const override;
+    std::optional<Shape> outputShape(const Shape &input) const override;
 
   private:
     std::vector<LayerPtr> layers_;
@@ -159,6 +159,7 @@ class EmbeddedNet
     void resetCounters() { evalCount_ = 0; vjpCount_ = 0; }
 
     Sequential &body() { return *body_; }
+    const Sequential &body() const { return *body_; }
 
   private:
     std::unique_ptr<Sequential> body_;

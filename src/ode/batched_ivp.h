@@ -5,9 +5,9 @@
  * @file
  * Batched adaptive IVP driver — one lockstep solve over many samples.
  *
- * The serving batcher (src/runtime/batcher.h) coalesces compatible
- * requests; this driver integrates them together so every RK trial
- * performs ONE shared f evaluation across the batch (the serving
+ * The serving request queue (src/runtime/request_queue.h) coalesces
+ * compatible requests; this driver integrates them together so every RK
+ * trial performs ONE shared f evaluation across the batch (the serving
  * analogue of the paper's function-reuse ring, Sec. V, where f's
  * weights are held once and reused by every stage of every RK loop).
  *

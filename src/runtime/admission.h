@@ -20,8 +20,8 @@
  * *proactive* degradation, reusing the PR 4 ladder rungs as policy —
  *   level 1: relax rung-0 solver tolerance for low-priority streams
  *            (the voluntary analogue of the ladder's relaxed retry),
- *   level 2: no further degradation (the batcher never waits for
- *            company, so there is no collect window to shrink); the
+ *   level 2: no further degradation (the request queue never waits
+ *            for company, so there is no collect window to shrink); the
  *            level keeps its entry score, dwell and residency, so the
  *            ladder still climbs and descends through it,
  *   level 3: additionally shed low-priority requests outright at

@@ -61,6 +61,8 @@ requestStatusName(RequestStatus status)
         return "failed";
       case RequestStatus::Shed:
         return "shed";
+      case RequestStatus::InvalidInput:
+        return "invalid-input";
     }
     ENODE_PANIC("unknown RequestStatus");
 }
@@ -69,7 +71,7 @@ InferenceServer::InferenceServer(ModelFactory make_model,
                                  ServerOptions options,
                                  ControllerFactory make_controller)
     : options_(options), tableau_(ButcherTableau::rk23()),
-      queue_(options.queueCapacity, options.policy),
+      queue_(options.queueCapacity, options.policy, options.maxBatch),
       modelFactory_(std::move(make_model)),
       controllerFactory_(std::move(make_controller)),
       paused_(options.startPaused)
@@ -80,16 +82,11 @@ InferenceServer::InferenceServer(ModelFactory make_model,
                  "retryToleranceFactor must be >= 1");
     ENODE_ASSERT(options_.degrade.fallbackSteps >= 1,
                  "fallbackSteps must be >= 1");
-    ENODE_ASSERT(options_.maxBatch >= 1, "maxBatch must be >= 1");
     if (options_.cache.enabled)
         solveCache_ = std::make_unique<SolveCache>(options_.cache);
     if (options_.overload.enabled)
         admission_ = std::make_unique<AdmissionController>(
             options_.overload, options_.numWorkers);
-    // Every dispatch comes out of the batcher; at maxBatch 1 it is a
-    // plain pop plus the deadline screen.
-    batcher_ = std::make_unique<Batcher>(queue_, options_.maxBatch);
-
     // Intra-op width: clamp workers * width to the machine, then build
     // one shared tile pool for all workers. Each worker contributes
     // itself plus (width - 1) borrowed pool threads, so the pool needs
@@ -226,10 +223,21 @@ InferenceServer::submit(Tensor input, std::uint32_t stream,
     entry.request.deadline = deadline;
     entry.request.input = std::move(input);
     entry.enqueueTime = RuntimeClock::now();
-    stamp(entry.request);
 
     const std::uint64_t id = entry.request.id;
     std::future<InferResponse> future = entry.promise.get_future();
+
+    if (!acceptsState(entry.request.input.shape())) {
+        // Decided here, like a shed: a state the model cannot take never
+        // reaches the cache, the queue or a worker.
+        metrics_.recordAdmitted();
+        endUnsolved(entry, RequestStatus::InvalidInput);
+        sub.accepted = true;
+        sub.id = id;
+        sub.result = std::move(future);
+        return sub;
+    }
+    stamp(entry.request);
 
     if (entry.request.cacheKey.valid()) {
         // The request's one exact-tier decision, right here on the
@@ -326,9 +334,15 @@ InferenceServer::submitTrainTask(TrainTask &task)
     // Deliberately no metrics, cache, or admission interaction: the
     // inference terminal counters reconcile over inference admissions
     // only, and gradient solves are never cacheable (they mutate
-    // gradient state, not just produce an output).
-    if (!queue_.tryPush(entry))
+    // gradient state, not just produce an output). A task whose input
+    // the model cannot take, or whose target has another shape, is
+    // answered at once and never queued.
+    if (!acceptsState(task.input.shape()) ||
+        task.target.shape() != task.input.shape()) {
+        endUnsolved(entry, RequestStatus::InvalidInput);
+    } else if (!queue_.tryPush(entry)) {
         return sub; // backpressure: the service retries on its clock
+    }
     sub.accepted = true;
     sub.id = id;
     sub.result = std::move(future);
@@ -427,7 +441,7 @@ InferenceServer::serveTrain(std::size_t worker_id, QueueEntry &entry,
                                    : result.backwardStatus;
     // A non-finite gradient fails the task: the service's reduction
     // must never ingest NaNs into the master weights.
-    const auto slots = worker.trainModel->paramSlots();
+    const std::vector<ParamSlot> &slots = worker.trainModel->paramSlots();
     bool ok = status == SolveStatus::Ok;
     for (std::size_t s = 0; s < slots.size() && ok; s++)
         ok = slots[s].grad->isFinite();
@@ -478,7 +492,7 @@ InferenceServer::yieldTo(std::size_t worker_id, const QueueEntry &task)
     // arriving, and a request queued behind that batch waits one step
     // more.
     Worker &worker = *workers_[worker_id];
-    if (!batcher_->collectAhead(task, worker.yieldBatch))
+    if (!queue_.collectAhead(task, worker.yieldBatch))
         return;
     // The task's clock stops: the watchdog times the batch on slots[1]
     // instead, and the worker is already counted active.
@@ -582,7 +596,7 @@ InferenceServer::stop(bool drain)
             for (QueueEntry &f : followers)
                 leftovers.push_back(std::move(f));
         }
-        cancelEntry(entry);
+        endUnsolved(entry, RequestStatus::Cancelled);
     }
 
     for (auto &worker : workers_)
@@ -595,7 +609,7 @@ InferenceServer::stop(bool drain)
     if (solveCache_ != nullptr) {
         std::vector<QueueEntry> stranded = solveCache_->drainPending();
         for (QueueEntry &f : stranded)
-            cancelEntry(f);
+            endUnsolved(f, RequestStatus::Cancelled);
     }
 
     // The watchdog outlives the workers so draining solves stay
@@ -773,16 +787,16 @@ InferenceServer::redispatchFollowers(std::vector<QueueEntry> followers)
             continue;
         for (QueueEntry &g : solveCache_->publishFailure(f.request.cacheKey))
             followers.push_back(std::move(g));
-        cancelEntry(f);
+        endUnsolved(f, RequestStatus::Cancelled);
     }
 }
 
 void
-InferenceServer::cancelEntry(QueueEntry &entry)
+InferenceServer::endUnsolved(QueueEntry &entry, RequestStatus status)
 {
     InferResponse response;
     response.id = entry.request.id;
-    response.status = RequestStatus::Cancelled;
+    response.status = status;
     response.queueWaitMs = toMs(RuntimeClock::now() - entry.enqueueTime);
     response.totalMs = response.queueWaitMs;
     deliverTerminal(entry.promise, std::move(response),
@@ -815,7 +829,7 @@ InferenceServer::workerMain(std::size_t worker_id)
     CollectedBatch batch;
     for (;;) {
         waitWhilePaused();
-        if (!batcher_->collect(batch))
+        if (!queue_.collect(batch))
             break; // closed and drained
         // Busy for the whole dispatch, a training task's yields
         // included, so the worker is counted once.
@@ -848,6 +862,14 @@ InferenceServer::fallbackForward(Worker &worker, const Tensor &input)
     }
     result.output = std::move(h);
     return result;
+}
+
+bool
+InferenceServer::acceptsState(const Shape &state) const
+{
+    // Every replica has worker 0's layer configuration, and the check
+    // reads nothing a solve writes, so it may run beside worker 0.
+    return workers_[0]->model->acceptsState(state);
 }
 
 void
@@ -900,7 +922,7 @@ InferenceServer::serveBatch(std::size_t worker_id, CollectedBatch &batch,
     if (batch.entries.empty())
         return;
 
-    // Training tasks ship solo from the batcher (never coalesced);
+    // Training tasks ship solo from the queue (never coalesced);
     // route them past the inference machinery.
     if (batch.entries[0].request.train != nullptr) {
         serveTrain(worker_id, batch.entries[0], flight);

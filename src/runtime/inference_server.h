@@ -14,11 +14,13 @@
  * bounded MPMC request queue ordered by the same
  * SelectPolicy the hardware priority selector uses. Producers are never
  * blocked: a full queue rejects at admission (backpressure), exactly
- * like the selector's full state buffers.
+ * like the selector's full state buffers. A state the model cannot
+ * take (NodeModel::acceptsState) never reaches the queue: submit()
+ * answers it RequestStatus::InvalidInput at once.
  *
- * One serving path: every worker takes its next dispatch from the
- * Batcher (at maxBatch 1 a plain pop plus the deadline screen) and
- * solves it with NodeModel::forwardBatched — one shared f
+ * One serving path: every worker takes its next dispatch from
+ * RequestQueue::collect (at maxBatch 1 a plain pop plus the deadline
+ * screen) and solves it with NodeModel::forwardBatched — one shared f
  * evaluation per RK trial, error control per sample. Because the
  * solvers reset each sample's StepController at every call and each
  * worker's replica is private, a request's output depends only on the
@@ -43,7 +45,6 @@
 #include "core/node_model.h"
 #include "ode/warm_start.h"
 #include "runtime/admission.h"
-#include "runtime/batcher.h"
 #include "runtime/metrics.h"
 #include "runtime/metrics_publisher.h"
 #include "runtime/model_registry.h"
@@ -141,8 +142,8 @@ struct ServerOptions
     /**
      * Start with the workers gated: requests queue up but nothing
      * dispatches until resume(). Tests use this to stage contention
-     * deterministically — a backlog staged this way reaches the
-     * batcher whole, so it coalesces into full batches.
+     * deterministically — a backlog staged this way is collected
+     * whole, so it coalesces into full batches.
      */
     bool startPaused = false;
 
@@ -151,10 +152,10 @@ struct ServerOptions
      * maximum number of compatible requests (identical input shape;
      * training tasks ship alone) one worker coalesces into a single
      * batched solve (solveIvpBatched — one shared f evaluation per RK
-     * trial, error control per sample). The batcher is work-conserving:
-     * a worker takes what is queued when it seeds a batch, up to this
-     * bound, and never waits for more, so batches grow only under
-     * backlog. A weight publication does not split a batch: the whole
+     * trial, error control per sample). The request queue forms every
+     * batch and is work-conserving: a worker takes what is queued when
+     * it seeds a batch, up to this bound, and never waits for more, so
+     * batches grow only under backlog. A weight publication does not split a batch: the whole
      * batch runs on the weights current at dispatch.
      * 1 = no coalescing: every dispatch carries one request. A batch
      * of any size solves each request bitwise identically to
@@ -255,7 +256,9 @@ class InferenceServer
     };
 
     /**
-     * Offer one inference request. Never blocks on a full queue.
+     * Offer one inference request. Never blocks on a full queue. An
+     * input the model cannot take (NodeModel::acceptsState) is accepted
+     * and answered at once with RequestStatus::InvalidInput.
      *
      * @param input Initial NODE state h(0).
      * @param stream Priority class (higher = served earlier under
@@ -277,7 +280,9 @@ class InferenceServer
      * terminal counters stay an inference-only identity. The task must
      * outlive its future; the worker writes gradients into the task's
      * fixed slot and answers Ok/Failed through the future. Never
-     * blocks; accepted=false on a full queue (the service retries).
+     * blocks; accepted=false on a full queue (the service retries). A
+     * task whose input the model cannot take, or whose target has
+     * another shape, is answered at once with InvalidInput.
      */
     Submission submitTrainTask(TrainTask &task);
 
@@ -527,14 +532,16 @@ class InferenceServer
      */
     void redispatchFollowers(std::vector<QueueEntry> followers);
     /**
-     * Terminal Cancelled response for an entry that is never solved:
-     * left queued by a non-draining stop, stranded in the cache at
-     * stop, or a re-admitted owner the queue refuses. Routed through
-     * deliverTerminal, so admitted == completed + expired + failed +
-     * cancelled + shed holds exactly; a gradient task's TrainingService
-     * sees the status through its future and gives up the step.
+     * Terminal response for an entry that is never solved: Cancelled
+     * when it was left queued by a non-draining stop, stranded in the
+     * cache at stop, or a re-admitted owner the queue refuses;
+     * InvalidInput when the model cannot take its shape, decided at
+     * submit before anything is queued. Routed through deliverTerminal,
+     * so admitted == completed + expired + failed + cancelled + shed +
+     * invalid holds exactly; a gradient task's TrainingService sees the
+     * status through its future and gives up the step.
      */
-    void cancelEntry(QueueEntry &entry);
+    void endUnsolved(QueueEntry &entry, RequestStatus status);
     /**
      * Terminal bookkeeping for a keyed owner that did not produce a
      * cacheable value (shed / refused / expired / failed / degraded /
@@ -543,7 +550,7 @@ class InferenceServer
      */
     void retractPending(const InferRequest &request);
     /**
-     * Serve one dispatch from the batcher on `flight` — the only serve
+     * Serve one dispatch from the queue on `flight` — the only serve
      * path: fail the expired entries, hand a training task to
      * serveTrain, otherwise run the batched solve
      * (any size >= 1) and walk the degradation ladder per failing
@@ -559,6 +566,8 @@ class InferenceServer
      * promise fulfilled immediately, nothing ever queued.
      */
     void shedEntry(QueueEntry &entry, double estimateMs);
+    /** True when the served model can solve a state of this shape. */
+    bool acceptsState(const Shape &state) const;
     /** Rung 2: fixed-step coarse integration of every layer. */
     NodeForwardResult fallbackForward(Worker &worker, const Tensor &input);
     void watchdogMain();
@@ -570,10 +579,8 @@ class InferenceServer
 
     ServerOptions options_;
     ButcherTableau tableau_;
+    /** Orders, coalesces and screens every dispatch. */
     RequestQueue queue_;
-    /** Coalescing stage between the queue and the workers; every
-     *  dispatch comes out of it. */
-    std::unique_ptr<Batcher> batcher_;
     /** Two-tier cross-solve cache; null when cache.enabled is false. */
     std::unique_ptr<SolveCache> solveCache_;
     /** Overload controller; null when overload.enabled is false. */

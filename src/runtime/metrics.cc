@@ -127,6 +127,10 @@ MetricsRegistry::recordCompletion(const InferResponse &response)
         // decision was taken), terminal here, never queued or solved.
         counts_.shed++;
         return;
+      case RequestStatus::InvalidInput:
+        // Refused at submit like Shed: the model cannot take its shape.
+        counts_.invalid++;
+        return;
     }
     ENODE_PANIC("unknown RequestStatus");
 }
@@ -173,6 +177,7 @@ MetricsRegistry::snapshot(const std::string &group_name) const
     group.setCounter("requests.expired", s.expired);
     group.setCounter("requests.failed", s.failed);
     group.setCounter("requests.shed", s.shed);
+    group.setCounter("requests.invalid", s.invalid);
     group.setCounter("requests.brownout_relaxed", s.brownoutRelaxed);
     group.setCounter("requests.deadline_misses", s.deadlineMisses);
     group.setCounter("requests.cache_hits", s.cacheHits);

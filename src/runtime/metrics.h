@@ -42,6 +42,8 @@ struct MetricsCounts
     std::uint64_t failed = 0;
     /** Refused by deadline-aware admission control at submit. */
     std::uint64_t shed = 0;
+    /** Refused at submit: the model cannot take the input's shape. */
+    std::uint64_t invalid = 0;
     /** Ok responses solved at brownout-relaxed tolerance. */
     std::uint64_t brownoutRelaxed = 0;
     /** Ok responses produced by the degradation ladder. */
@@ -127,7 +129,7 @@ class MetricsRegistry
      * classifies degraded/failed responses by their originating
      * SolveStatus, and feeds the latency series for Ok responses.
      * Invariant: admitted == completed + expired + failed + cancelled
-     * + shed once the server has stopped.
+     * + shed + invalid once the server has stopped.
      */
     void recordCompletion(const InferResponse &response);
 

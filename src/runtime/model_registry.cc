@@ -24,7 +24,7 @@ std::shared_ptr<WeightSnapshot>
 ModelRegistry::capture(NodeModel &model)
 {
     auto snap = std::make_shared<WeightSnapshot>();
-    const auto slots = model.paramSlots();
+    const std::vector<ParamSlot> &slots = model.paramSlots();
     snap->params.reserve(slots.size());
     for (const auto &slot : slots) {
         Tensor copy;
@@ -72,7 +72,7 @@ ModelRegistry::latest() const
 void
 ModelRegistry::applyTo(const WeightSnapshot &snap, NodeModel &model)
 {
-    const auto slots = model.paramSlots();
+    const std::vector<ParamSlot> &slots = model.paramSlots();
     ENODE_ASSERT(slots.size() == snap.params.size(),
                  "snapshot/model slot count mismatch");
     for (std::size_t i = 0; i < slots.size(); i++) {

@@ -105,13 +105,22 @@ enum class RequestStatus
      * brownout level 3 shed its priority class), so it was refused at
      * submit — before occupying a queue slot, a worker, or a batch
      * seat. Counted admitted (the server took a decision on it), so
-     * admitted == completed + expired + failed + cancelled + shed.
+     * admitted == completed + expired + failed + cancelled + shed +
+     * invalid.
      */
     Shed,
+    /**
+     * The model cannot take the input's shape (NodeModel::acceptsState):
+     * refused at submit like Shed, and counted admitted and terminal
+     * the same way, so no state the model cannot solve ever reaches a
+     * worker. The output is empty. For a training task the input or
+     * the target had the wrong shape.
+     */
+    InvalidInput,
 };
 
 /** Number of RequestStatus values (for exhaustive test matrices). */
-constexpr std::size_t kNumRequestStatuses = 5;
+constexpr std::size_t kNumRequestStatuses = 6;
 
 /** Human-readable status name. */
 const char *requestStatusName(RequestStatus status);

@@ -6,10 +6,12 @@
 
 namespace enode {
 
-RequestQueue::RequestQueue(std::size_t capacity, SelectPolicy policy)
-    : capacity_(capacity), policy_(policy)
+RequestQueue::RequestQueue(std::size_t capacity, SelectPolicy policy,
+                           std::size_t maxBatch)
+    : capacity_(capacity), policy_(policy), maxBatch_(maxBatch)
 {
     ENODE_ASSERT(capacity_ >= 1, "request queue needs capacity >= 1");
+    ENODE_ASSERT(maxBatch_ >= 1, "request queue needs maxBatch >= 1");
     heap_.reserve(capacity_);
 }
 
@@ -27,6 +29,27 @@ RequestQueue::dispatchesAfter(const QueueEntry &a, const QueueEntry &b) const
             return a.request.deadline > b.request.deadline;
     }
     return a.seq > b.seq; // admission order last (and all of Fifo)
+}
+
+bool
+RequestQueue::preempts(const QueueEntry &entry, const QueueEntry &task) const
+{
+    return entry.request.train == nullptr && dispatchesAfter(task, entry);
+}
+
+bool
+RequestQueue::compatible(const QueueEntry &a, const QueueEntry &b)
+{
+    // One batched solve stacks the states into a single tensor, so the
+    // shapes must match exactly. Stream and deadline stay per-request:
+    // the order already ranked them, and the solver tracks each
+    // sample's deadline through its own guard. The admission version
+    // need not match: the worker swaps weights only between dispatches,
+    // so the whole batch runs on the version current at dispatch, and
+    // the cache's clean gate checks each request's own stamp.
+    // Training tasks never coalesce with anything.
+    return a.request.train == nullptr && b.request.train == nullptr &&
+           a.request.input.shape() == b.request.input.shape();
 }
 
 bool
@@ -80,14 +103,50 @@ RequestQueue::noteHead()
                           std::memory_order_relaxed);
 }
 
-std::optional<QueueEntry>
-RequestQueue::pop()
+bool
+RequestQueue::take(CollectedBatch &out, const QueueEntry *task)
+{
+    out.entries.clear();
+    out.expired.clear();
+    // One clock read screens the whole view, and stamps the seed's pop.
+    const RuntimeClock::time_point now = RuntimeClock::now();
+    const auto joins = [&](const QueueEntry &head) {
+        return (task == nullptr || preempts(head, *task)) &&
+               (out.entries.empty() || compatible(out.entries.front(), head));
+    };
+    // Only a head that can join the batch leaves the queue. One that
+    // cannot ends the batch where it stands, and the order decides what
+    // dispatches next. A lapsed head is diverted and keeps its slot
+    // open; with nothing left to take, the casualties ship at once.
+    while (out.entries.size() < maxBatch_ && !heap_.empty() &&
+           joins(heap_.front())) {
+        QueueEntry head = popHead();
+        if (now > head.request.deadline) {
+            out.expired.push_back(std::move(head));
+            continue;
+        }
+        if (out.entries.empty())
+            out.firstPop = now;
+        out.entries.push_back(std::move(head));
+    }
+    return !out.entries.empty() || !out.expired.empty();
+}
+
+bool
+RequestQueue::collect(CollectedBatch &out)
 {
     std::unique_lock<std::mutex> lock(mutex_);
+    // Block only for a seed, never while holding casualties: take()
+    // sweeps the queue as it stands once anything is there.
     notEmpty_.wait(lock, [this] { return closed_ || !heap_.empty(); });
-    if (heap_.empty())
-        return std::nullopt; // closed and drained
-    return popHead();
+    return take(out, nullptr); // false only when closed and drained
+}
+
+bool
+RequestQueue::collectAhead(const QueueEntry &task, CollectedBatch &out)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return take(out, &task);
 }
 
 std::vector<QueueEntry>

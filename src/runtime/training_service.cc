@@ -125,8 +125,8 @@ TrainingService::step(const std::vector<TrainExample> &examples)
                 out.tasksRetried++;
                 pending[b] = submitOne(tasks_[b], futures[b]);
             }
-            // Cancelled (server stopping) or retries exhausted: the
-            // slot stays zero.
+            // Cancelled (server stopping), InvalidInput or retries
+            // exhausted: the slot stays zero.
         }
         if (!succeeded[b]) {
             taskFailures_.fetch_add(1, std::memory_order_relaxed);
@@ -170,7 +170,7 @@ TrainingService::step(const std::vector<TrainExample> &examples)
         // Mean over the tasks that actually contributed, then hand the
         // reduced gradient to the master's slots.
         const float inv = 1.0f / static_cast<float>(n_ok);
-        const auto slots = master_->paramSlots();
+        const std::vector<ParamSlot> &slots = master_->paramSlots();
         StreamHasher hasher;
         master_->zeroGrad();
         for (std::size_t s = 0; s < numSlots; s++) {

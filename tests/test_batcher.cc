@@ -219,26 +219,32 @@ TEST(BatchedIvp, BatchOfOneBitwiseMatchesSolo)
 }
 
 // ---------------------------------------------------------------------
-// Queue: non-blocking pop
+// Queue: non-blocking collect
 // ---------------------------------------------------------------------
 
 TEST(RequestQueue, TryPopTakesOnlyWhatIsQueued)
 {
-    // An open empty queue returns false at once (a blocking pop here
-    // would hang the test), a queued entry is popped, and a closed,
-    // drained queue returns false.
-    RequestQueue queue(4, SelectPolicy::Fifo);
-    EXPECT_FALSE(queue.tryPop());
+    // collectAhead is the queue's non-blocking take. Against a stream-0
+    // training task every inference entry preempts, so it takes
+    // whatever is queued: an open empty queue returns false at once (a
+    // blocking collect here would hang the test), a queued entry is
+    // taken, and a closed, drained queue returns false.
+    RequestQueue queue(4, SelectPolicy::LaterStreamFirst);
+    TrainTask train;
+    QueueEntry task;
+    task.request.train = &train;
+    CollectedBatch batch;
+    EXPECT_FALSE(queue.collectAhead(task, batch));
 
     QueueEntry entry;
     entry.request.id = 7;
     EXPECT_TRUE(queue.tryPush(entry));
-    const std::optional<QueueEntry> out = queue.tryPop();
-    ASSERT_TRUE(out);
-    EXPECT_EQ(out->request.id, 7u);
+    ASSERT_TRUE(queue.collectAhead(task, batch));
+    ASSERT_EQ(batch.entries.size(), 1u);
+    EXPECT_EQ(batch.entries[0].request.id, 7u);
 
     queue.close(/*drain=*/true);
-    EXPECT_FALSE(queue.tryPop());
+    EXPECT_FALSE(queue.collectAhead(task, batch));
 }
 
 TEST(RequestQueue, TrainingPopsAfterEveryInferenceEntryOfItsStreamOrLater)
@@ -247,7 +253,8 @@ TEST(RequestQueue, TrainingPopsAfterEveryInferenceEntryOfItsStreamOrLater)
     // entry of its stream or a later one, in all 5040 push orders and
     // whatever the deadlines: one with submit()'s defaults (stream 0,
     // no deadline) included, and a training deadline tighter than any
-    // inference one. preempts() must agree with the pop order.
+    // inference one. What collectAhead takes ahead of a running
+    // training task must agree with the collect order.
     struct Spec
     {
         bool train;
@@ -272,14 +279,18 @@ TEST(RequestQueue, TrainingPopsAfterEveryInferenceEntryOfItsStreamOrLater)
         return e;
     };
 
-    const RequestQueue ranking(1, SelectPolicy::LaterStreamFirst);
+    CollectedBatch batch;
     for (std::size_t t = 0; t < specs.size(); t++) {
         if (!specs[t].train)
             continue;
-        for (std::size_t i = 0; i < specs.size(); i++)
-            EXPECT_EQ(ranking.preempts(entry(i), entry(t)),
+        for (std::size_t i = 0; i < specs.size(); i++) {
+            RequestQueue ranking(1, SelectPolicy::LaterStreamFirst);
+            QueueEntry e = entry(i);
+            ASSERT_TRUE(ranking.tryPush(e));
+            EXPECT_EQ(ranking.collectAhead(entry(t), batch),
                       !specs[i].train && specs[i].stream >= specs[t].stream)
                 << "entry " << i << " against training entry " << t;
+        }
     }
 
     std::vector<std::size_t> order(specs.size());
@@ -292,9 +303,12 @@ TEST(RequestQueue, TrainingPopsAfterEveryInferenceEntryOfItsStreamOrLater)
         }
         std::vector<bool> popped(specs.size(), false);
         while (queue.size() > 0) {
-            const std::optional<QueueEntry> out = queue.pop();
-            ASSERT_TRUE(out);
-            const std::size_t t = out->request.id;
+            // At maxBatch 1 every collect takes one entry, in order.
+            ASSERT_TRUE(queue.collect(batch));
+            ASSERT_EQ(batch.entries.size() + batch.expired.size(), 1u);
+            const std::size_t t = batch.entries.empty()
+                                      ? batch.expired[0].request.id
+                                      : batch.entries[0].request.id;
             popped[t] = true;
             if (!specs[t].train)
                 continue;
@@ -307,6 +321,246 @@ TEST(RequestQueue, TrainingPopsAfterEveryInferenceEntryOfItsStreamOrLater)
             }
         }
     } while (std::next_permutation(order.begin(), order.end()));
+}
+
+/**
+ * The dispatch rules restated over a plain list: what RequestQueue
+ * should hand out, given the same calls. Entries are kept in admission
+ * order and ranked by sorting, not by a heap.
+ */
+class ReferenceQueue
+{
+  public:
+    struct Entry
+    {
+        std::uint64_t id;
+        std::uint32_t stream;
+        bool train;
+        std::size_t shape; ///< index into the walk's shapes
+        bool lapsed;
+        RuntimeClock::time_point deadline;
+    };
+
+    ReferenceQueue(std::size_t capacity, SelectPolicy policy,
+                   std::size_t max_batch)
+        : capacity_(capacity), policy_(policy), maxBatch_(max_batch)
+    {
+    }
+
+    bool
+    push(const Entry &e)
+    {
+        if (closed_ || live_.size() >= capacity_)
+            return false;
+        live_.push_back(e);
+        return true;
+    }
+
+    /** What a collect (task null) or collectAhead(task) takes. */
+    std::pair<std::vector<std::uint64_t>, std::vector<std::uint64_t>>
+    take(const Entry *task)
+    {
+        std::stable_sort(live_.begin(), live_.end(),
+                         [&](const Entry &a, const Entry &b) {
+                             return before(a, b);
+                         });
+        std::vector<std::uint64_t> batch, expired;
+        std::size_t seed = 0;
+        std::size_t i = 0;
+        while (i < live_.size() && batch.size() < maxBatch_) {
+            const Entry &e = live_[i];
+            if (task != nullptr && (e.train || !before(e, *task)))
+                break; // only what preempts the running task
+            if (!batch.empty() &&
+                (e.train || live_[seed].train ||
+                 e.shape != live_[seed].shape))
+                break; // incompatible: stays queued
+            if (e.lapsed) {
+                expired.push_back(e.id); // its slot stays open
+            } else {
+                if (batch.empty())
+                    seed = i;
+                batch.push_back(e.id);
+            }
+            i++;
+        }
+        // Everything before i left the queue.
+        live_.erase(live_.begin(), live_.begin() + i);
+        return {batch, expired};
+    }
+
+    std::vector<std::uint64_t>
+    close(bool drain)
+    {
+        closed_ = true;
+        std::vector<std::uint64_t> leftovers;
+        if (!drain) {
+            std::sort(live_.begin(), live_.end(),
+                      [](const Entry &a, const Entry &b) {
+                          return a.id < b.id;
+                      });
+            for (const Entry &e : live_)
+                leftovers.push_back(e.id);
+            live_.clear();
+        }
+        return leftovers;
+    }
+
+    bool
+    inferenceHeads()
+    {
+        if (live_.empty())
+            return false;
+        return !std::min_element(live_.begin(), live_.end(),
+                                 [&](const Entry &a, const Entry &b) {
+                                     return before(a, b);
+                                 })
+                    ->train;
+    }
+
+    std::size_t size() const { return live_.size(); }
+    bool closed() const { return closed_; }
+
+  private:
+    /** True when a dispatches before b (ids are admission order). */
+    bool
+    before(const Entry &a, const Entry &b) const
+    {
+        if (policy_ == SelectPolicy::LaterStreamFirst) {
+            if (a.stream != b.stream)
+                return a.stream > b.stream;
+            if (a.train != b.train)
+                return !a.train;
+            if (a.deadline != b.deadline)
+                return a.deadline < b.deadline;
+        }
+        return a.id < b.id;
+    }
+
+    const std::size_t capacity_;
+    const SelectPolicy policy_;
+    const std::size_t maxBatch_;
+    std::vector<Entry> live_;
+    bool closed_ = false;
+};
+
+TEST(RequestQueue, RandomWalkMatchesReferenceModel)
+{
+    // Seeded random walks over the queue alone: pushes of inference
+    // entries (stream 0-2, one of two shapes, a deadline long past,
+    // far away or none) and training tasks, collects at maxBatch 1-4 under both
+    // policies, collectAhead for a collected task, and close. Every
+    // dispatch must be the one the reference forms, and every admitted
+    // entry must end exactly once: dispatched, expired or cancelled.
+    const Shape shapes[2] = {Shape{kDim}, Shape{kDim, 2}};
+    const auto t0 = RuntimeClock::now();
+    const auto past = t0 - std::chrono::hours(1);
+    const auto far = t0 + std::chrono::hours(1);
+    TrainTask train;
+    constexpr std::size_t kCapacity = 6;
+    constexpr int kSteps = 60;
+
+    for (std::uint64_t seed = 1; seed <= 300; seed++) {
+        Rng rng(seed);
+        const SelectPolicy policy = rng.nextBelow(2) == 0
+                                        ? SelectPolicy::LaterStreamFirst
+                                        : SelectPolicy::Fifo;
+        const std::size_t max_batch = 1 + rng.nextBelow(4);
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", maxBatch " +
+                     std::to_string(max_batch));
+        RequestQueue queue(kCapacity, policy, max_batch);
+        ReferenceQueue ref(kCapacity, policy, max_batch);
+
+        std::vector<int> ends; // per admitted id: times it ended
+        std::vector<ReferenceQueue::Entry> specs;
+        CollectedBatch batch;
+        std::optional<QueueEntry> running; // a collected training task
+        std::optional<ReferenceQueue::Entry> running_ref;
+
+        const auto end = [&](const std::vector<QueueEntry> &entries) {
+            for (const QueueEntry &e : entries)
+                ends[e.request.id]++;
+        };
+        const auto ids = [](const std::vector<QueueEntry> &entries) {
+            std::vector<std::uint64_t> out;
+            for (const QueueEntry &e : entries)
+                out.push_back(e.request.id);
+            return out;
+        };
+        const auto dispatch = [&](const ReferenceQueue::Entry *task) {
+            const bool got = task == nullptr
+                                 ? queue.collect(batch)
+                                 : queue.collectAhead(*running, batch);
+            const auto [want_batch, want_expired] = ref.take(task);
+            ASSERT_EQ(got, !want_batch.empty() || !want_expired.empty());
+            ASSERT_EQ(ids(batch.entries), want_batch);
+            ASSERT_EQ(ids(batch.expired), want_expired);
+            end(batch.entries);
+            end(batch.expired);
+            // A collected training task becomes the running one.
+            if (task == nullptr && !batch.entries.empty() &&
+                batch.entries[0].request.train != nullptr) {
+                running = std::move(batch.entries[0]);
+                running_ref = specs[running->request.id];
+            }
+        };
+
+        for (int step = 0; step < kSteps; step++) {
+            const std::uint64_t op = rng.nextBelow(10);
+            if (op < 5) { // push inference or training
+                const bool is_train = op == 4;
+                ReferenceQueue::Entry spec;
+                spec.id = specs.size();
+                spec.stream = static_cast<std::uint32_t>(rng.nextBelow(3));
+                spec.train = is_train;
+                spec.shape = is_train ? 0 : rng.nextBelow(2);
+                // Far away is an hour off, or none at all as submit()'s
+                // default, which ties with every training task's.
+                const std::uint64_t deadline = rng.nextBelow(3);
+                spec.lapsed = !is_train && deadline == 0;
+                spec.deadline = is_train || deadline == 2
+                                    ? RuntimeClock::time_point::max()
+                                : spec.lapsed ? past
+                                              : far;
+                QueueEntry e;
+                e.request.id = spec.id;
+                e.request.stream = spec.stream;
+                e.request.deadline = spec.deadline;
+                e.request.train = is_train ? &train : nullptr;
+                e.request.input = Tensor(shapes[spec.shape]);
+                const bool pushed = queue.tryPush(e);
+                ASSERT_EQ(pushed, ref.push(spec));
+                if (pushed) {
+                    specs.push_back(spec);
+                    ends.push_back(0);
+                }
+            } else if (op < 8) { // collect, never blocking
+                if (queue.size() == 0 && !ref.closed())
+                    continue;
+                dispatch(nullptr);
+            } else if (op == 8) { // yield of the running task
+                if (!running)
+                    continue;
+                dispatch(&*running_ref);
+            } else if (rng.nextBelow(4) == 0) { // close, now and then
+                const bool drain = rng.nextBelow(2) == 0;
+                std::vector<QueueEntry> left = queue.close(drain);
+                ASSERT_EQ(ids(left), ref.close(drain));
+                end(left);
+            }
+            ASSERT_EQ(queue.size(), ref.size());
+            ASSERT_EQ(queue.inferenceHeads(), ref.inferenceHeads());
+        }
+
+        // Drain: close, then collect until the queue says it is done.
+        end(queue.close(/*drain=*/true));
+        ref.close(/*drain=*/true);
+        while (queue.size() > 0)
+            dispatch(nullptr);
+        EXPECT_FALSE(queue.collect(batch));
+        for (std::size_t id = 0; id < ends.size(); id++)
+            ASSERT_EQ(ends[id], 1) << "entry " << id;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -426,7 +680,7 @@ TEST(Batching, BatchOfOneServerPathBitwiseMatchesSoloServer)
     // Requests arriving one at a time: every solve is a batch of one
     // and must still match the solo NodeModel::forward bit for bit —
     // with batching enabled, and at maxBatch 1, where every dispatch
-    // takes the same batcher and batched-solve path.
+    // takes the same collect and batched-solve path.
     for (const std::size_t max_batch : {std::size_t{4}, std::size_t{1}}) {
         SCOPED_TRACE("maxBatch " + std::to_string(max_batch));
         InferenceServer server(makeReferenceModel,
@@ -493,8 +747,7 @@ TEST(Batcher, IncompatibleShapeClosesBatchAndSeedsNext)
     // seeds the next batch, never reordered behind later arrivals of
     // its own class; under LaterStreamFirst a later arrival on a later
     // stream still dispatches ahead of it.
-    RequestQueue queue(16, SelectPolicy::Fifo);
-    Batcher batcher(queue, /*maxBatch=*/4);
+    RequestQueue queue(16, SelectPolicy::Fifo, /*maxBatch=*/4);
     const auto push = [](RequestQueue &q, std::uint64_t id,
                          const Shape &shape, std::uint32_t stream = 0) {
         QueueEntry entry;
@@ -511,36 +764,35 @@ TEST(Batcher, IncompatibleShapeClosesBatchAndSeedsNext)
     push(queue, 4, Shape{kDim});    // incompatible with 3: a third batch
 
     CollectedBatch batch;
-    ASSERT_TRUE(batcher.collect(batch));
+    ASSERT_TRUE(queue.collect(batch));
     ASSERT_EQ(batch.entries.size(), 3u);
     for (std::uint64_t i = 0; i < 3; i++)
         EXPECT_EQ(batch.entries[i].request.id, i);
     EXPECT_TRUE(batch.expired.empty());
     EXPECT_EQ(queue.size(), 2u) << "the batch-ending request left the queue";
 
-    ASSERT_TRUE(batcher.collect(batch));
+    ASSERT_TRUE(queue.collect(batch));
     ASSERT_EQ(batch.entries.size(), 1u); // the rank-2 request
     EXPECT_EQ(batch.entries[0].request.id, 3u);
 
-    ASSERT_TRUE(batcher.collect(batch));
+    ASSERT_TRUE(queue.collect(batch));
     ASSERT_EQ(batch.entries.size(), 1u);
     EXPECT_EQ(batch.entries[0].request.id, 4u);
 
     // A stream-2 request ends a stream-3 batch; a stream-3 request
     // admitted after it must still dispatch first.
-    RequestQueue ranked(16, SelectPolicy::LaterStreamFirst);
-    Batcher ranked_batcher(ranked, /*maxBatch=*/4);
+    RequestQueue ranked(16, SelectPolicy::LaterStreamFirst, /*maxBatch=*/4);
     push(ranked, 5, Shape{kDim}, 3);
     push(ranked, 6, Shape{kDim, 2}, 2);
-    ASSERT_TRUE(ranked_batcher.collect(batch));
+    ASSERT_TRUE(ranked.collect(batch));
     ASSERT_EQ(batch.entries.size(), 1u);
     EXPECT_EQ(batch.entries[0].request.id, 5u);
     push(ranked, 7, Shape{kDim}, 3);
-    ASSERT_TRUE(ranked_batcher.collect(batch));
+    ASSERT_TRUE(ranked.collect(batch));
     ASSERT_EQ(batch.entries.size(), 1u);
     EXPECT_EQ(batch.entries[0].request.id, 7u)
         << "a later-stream request waited behind the batch-ending one";
-    ASSERT_TRUE(ranked_batcher.collect(batch));
+    ASSERT_TRUE(ranked.collect(batch));
     ASSERT_EQ(batch.entries.size(), 1u);
     EXPECT_EQ(batch.entries[0].request.id, 6u);
 }
@@ -603,8 +855,7 @@ TEST(Batcher, TrainTasksShipSoloInQueueOrder)
     // carries its own gradient-slot pointer) or with inference (they
     // run a different solve entirely) — so each ships alone, in queue
     // order, ahead of the inference queued behind them.
-    RequestQueue queue(16, SelectPolicy::Fifo);
-    Batcher batcher(queue, /*maxBatch=*/4);
+    RequestQueue queue(16, SelectPolicy::Fifo, /*maxBatch=*/4);
 
     TrainTask task_a, task_b;
     const auto push = [](RequestQueue &q, std::uint64_t id,
@@ -625,16 +876,16 @@ TEST(Batcher, TrainTasksShipSoloInQueueOrder)
     push(queue, 5, nullptr);
 
     CollectedBatch batch;
-    ASSERT_TRUE(batcher.collect(batch));
+    ASSERT_TRUE(queue.collect(batch));
     ASSERT_EQ(batch.entries.size(), 1u) << "train tasks coalesced";
     EXPECT_EQ(batch.entries[0].request.id, 0u);
 
-    ASSERT_TRUE(batcher.collect(batch));
+    ASSERT_TRUE(queue.collect(batch));
     ASSERT_EQ(batch.entries.size(), 1u);
     EXPECT_EQ(batch.entries[0].request.id, 1u);
 
     // The inference run behind them still coalesces normally.
-    ASSERT_TRUE(batcher.collect(batch));
+    ASSERT_TRUE(queue.collect(batch));
     ASSERT_EQ(batch.entries.size(), 4u);
     for (std::uint64_t i = 0; i < 4; i++)
         EXPECT_EQ(batch.entries[i].request.id, i + 2);
@@ -643,20 +894,19 @@ TEST(Batcher, TrainTasksShipSoloInQueueOrder)
     // inference seed ends the batch and stays queued, ranked after
     // every inference request of its stream: a later inference
     // arrival on that stream still dispatches first.
-    RequestQueue ranked(16, SelectPolicy::LaterStreamFirst);
-    Batcher ranked_batcher(ranked, /*maxBatch=*/4);
+    RequestQueue ranked(16, SelectPolicy::LaterStreamFirst, /*maxBatch=*/4);
     push(ranked, 6, nullptr, 1);
     push(ranked, 7, &task_a, 1);
-    ASSERT_TRUE(ranked_batcher.collect(batch));
+    ASSERT_TRUE(ranked.collect(batch));
     ASSERT_EQ(batch.entries.size(), 1u);
     EXPECT_EQ(batch.entries[0].request.id, 6u);
     EXPECT_EQ(ranked.size(), 1u) << "the task left the queue";
     push(ranked, 8, nullptr, 1);
-    ASSERT_TRUE(ranked_batcher.collect(batch));
+    ASSERT_TRUE(ranked.collect(batch));
     ASSERT_EQ(batch.entries.size(), 1u);
     EXPECT_EQ(batch.entries[0].request.id, 8u)
         << "the task dispatched ahead of inference on its stream";
-    ASSERT_TRUE(ranked_batcher.collect(batch));
+    ASSERT_TRUE(ranked.collect(batch));
     ASSERT_EQ(batch.entries.size(), 1u);
     EXPECT_EQ(batch.entries[0].request.id, 7u);
 }
@@ -682,13 +932,13 @@ TEST(Batcher, CollectAheadTakesOnlyWhatPreemptsTheRunningTask)
     const auto never = RuntimeClock::time_point::max();
     const auto later = RuntimeClock::now() + std::chrono::hours(1);
 
-    RequestQueue queue(16, SelectPolicy::LaterStreamFirst);
-    Batcher batcher(queue, /*maxBatch=*/4);
+    RequestQueue queue(16, SelectPolicy::LaterStreamFirst, /*maxBatch=*/4);
     QueueEntry queued_task = entry(0, 0, never, &train);
     ASSERT_TRUE(queue.tryPush(queued_task));
-    const std::optional<QueueEntry> running = queue.pop();
-    ASSERT_TRUE(running);
-    const QueueEntry &task = *running;
+    CollectedBatch running;
+    ASSERT_TRUE(queue.collect(running));
+    ASSERT_EQ(running.entries.size(), 1u);
+    const QueueEntry &task = running.entries[0];
 
     CollectedBatch batch;
     // Same stream with no deadline, admitted after the task; a later
@@ -700,12 +950,12 @@ TEST(Batcher, CollectAheadTakesOnlyWhatPreemptsTheRunningTask)
     ASSERT_TRUE(queue.tryPush(same));
     ASSERT_TRUE(queue.tryPush(hi));
     ASSERT_TRUE(queue.tryPush(tight));
-    ASSERT_TRUE(batcher.collectAhead(task, batch));
+    ASSERT_TRUE(queue.collectAhead(task, batch));
     ASSERT_EQ(batch.entries.size(), 3u);
     EXPECT_EQ(batch.entries[0].request.id, 2u);
     EXPECT_EQ(batch.entries[1].request.id, 3u);
     EXPECT_EQ(batch.entries[2].request.id, 1u);
-    EXPECT_FALSE(batcher.collectAhead(task, batch));
+    EXPECT_FALSE(queue.collectAhead(task, batch));
     EXPECT_EQ(queue.size(), 0u);
 
     // A preempting request already past its deadline comes back
@@ -713,30 +963,32 @@ TEST(Batcher, CollectAheadTakesOnlyWhatPreemptsTheRunningTask)
     QueueEntry lapsed =
         entry(4, 1, RuntimeClock::now() - std::chrono::seconds(1));
     ASSERT_TRUE(queue.tryPush(lapsed));
-    ASSERT_TRUE(batcher.collectAhead(task, batch));
+    ASSERT_TRUE(queue.collectAhead(task, batch));
     EXPECT_TRUE(batch.entries.empty());
     ASSERT_EQ(batch.expired.size(), 1u);
     EXPECT_EQ(batch.expired[0].request.id, 4u);
 
     // Under Fifo nothing admitted after the task ranks ahead of it, and
     // another training task never preempts one.
-    RequestQueue fifo(16, SelectPolicy::Fifo);
-    Batcher fifo_batcher(fifo, /*maxBatch=*/1);
+    RequestQueue fifo(16, SelectPolicy::Fifo, /*maxBatch=*/1);
     QueueEntry queued_fifo_task = entry(5, 0, never, &train);
     ASSERT_TRUE(fifo.tryPush(queued_fifo_task));
-    const std::optional<QueueEntry> fifo_running = fifo.pop();
-    ASSERT_TRUE(fifo_running);
-    const QueueEntry &fifo_task = *fifo_running;
+    CollectedBatch fifo_running;
+    ASSERT_TRUE(fifo.collect(fifo_running));
+    ASSERT_EQ(fifo_running.entries.size(), 1u);
+    const QueueEntry &fifo_task = fifo_running.entries[0];
     QueueEntry fifo_hi = entry(6, 3, later);
     ASSERT_TRUE(fifo.tryPush(fifo_hi));
     EXPECT_TRUE(fifo.inferenceHeads()) << "the hint is only a hint";
-    EXPECT_FALSE(fifo_batcher.collectAhead(fifo_task, batch));
-    EXPECT_FALSE(queue.preempts(entry(7, 3, later, &train), task));
+    EXPECT_FALSE(fifo.collectAhead(fifo_task, batch));
+    QueueEntry other_task = entry(7, 3, later, &train);
+    ASSERT_TRUE(queue.tryPush(other_task));
+    EXPECT_FALSE(queue.collectAhead(task, batch));
 }
 
 TEST(Batcher, ConcurrentCollectorsWithMixedShapesLoseNothing)
 {
-    // Several collectors share one batcher while mixed-shape requests
+    // Several collectors share one queue while mixed-shape requests
     // stream in: most batches end at an incompatible head, which the
     // collector leaves queued for whichever collector pops next, so
     // every request must still come back exactly once and no batch may
@@ -746,8 +998,7 @@ TEST(Batcher, ConcurrentCollectorsWithMixedShapesLoseNothing)
     const Shape shapes[3] = {Shape{kDim}, Shape{kDim, 2},
                              Shape{kDim, 3}};
 
-    RequestQueue queue(kRequests, SelectPolicy::Fifo);
-    Batcher batcher(queue, /*maxBatch=*/4);
+    RequestQueue queue(kRequests, SelectPolicy::Fifo, /*maxBatch=*/4);
 
     std::vector<std::vector<std::uint64_t>> collected(kCollectors);
     std::vector<std::size_t> mixed_batches(kCollectors, 0);
@@ -755,7 +1006,7 @@ TEST(Batcher, ConcurrentCollectorsWithMixedShapesLoseNothing)
     for (std::size_t c = 0; c < kCollectors; c++) {
         collectors.emplace_back([&, c] {
             CollectedBatch batch;
-            while (batcher.collect(batch)) {
+            while (queue.collect(batch)) {
                 for (auto &entry : batch.entries) {
                     collected[c].push_back(entry.request.id);
                     if (!(entry.request.input.shape() ==
@@ -999,7 +1250,7 @@ TEST(Batching, DrainingShutdownCompletesQueuedBatches)
         ASSERT_TRUE(sub.accepted);
         futures.push_back(std::move(sub.result));
     }
-    server.stop(/*drain=*/true); // resume + drain through the batcher
+    server.stop(/*drain=*/true); // resume + drain through collect
     for (auto &future : futures)
         EXPECT_EQ(future.get().status, RequestStatus::Ok);
     const MetricsSummary s = server.metrics().summary();

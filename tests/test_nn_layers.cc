@@ -34,7 +34,8 @@ void
 checkInputGradient(Layer &layer, const Tensor &x, Rng &rng,
                    double tol = 2e-2)
 {
-    Tensor seed = Tensor::randn(layer.outputShape(x.shape()), rng, 1.0f);
+    Tensor seed =
+        Tensor::randn(layer.outputShape(x.shape()).value(), rng, 1.0f);
     layer.forward(x);
     Tensor analytic = layer.backward(seed);
 
@@ -63,7 +64,8 @@ void
 checkParamGradients(Layer &layer, const Tensor &x, Rng &rng,
                     double tol = 2e-2)
 {
-    Tensor seed = Tensor::randn(layer.outputShape(x.shape()), rng, 1.0f);
+    Tensor seed =
+        Tensor::randn(layer.outputShape(x.shape()).value(), rng, 1.0f);
     layer.zeroGrad();
     layer.forward(x);
     layer.backward(seed);
@@ -377,6 +379,7 @@ TEST(Sequential, ChainsForwardBackwardAndNamesParams)
     Tensor x = Tensor::randn(Shape{4}, rng, 1.0f);
     EXPECT_EQ(seq.forward(x).shape(), Shape{2});
     EXPECT_EQ(seq.outputShape(Shape{4}), Shape{2});
+    EXPECT_FALSE(seq.outputShape(Shape{5})) << "a shape no layer takes";
     checkInputGradient(seq, x, rng);
 
     auto slots = seq.paramSlots();

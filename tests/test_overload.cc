@@ -359,7 +359,7 @@ TEST(OverloadServer, StagedFloodEntersBrownoutAndRecovers)
 
 TEST(OverloadServer, ExpiredBacklogResolvesWithoutFreshTraffic)
 {
-    // Regression: the batcher's seed hunt diverts already-expired
+    // Regression: a collect's seed hunt diverts already-expired
     // entries while searching for a live seed. It must ship those
     // casualties when the queue runs dry — not park in a blocking pop
     // holding their unfulfilled promises until the next arrival or
@@ -384,7 +384,7 @@ TEST(OverloadServer, ExpiredBacklogResolvesWithoutFreshTraffic)
         ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(10)),
                   std::future_status::ready)
             << "expired request " << i
-            << " hung in the batcher instead of resolving";
+            << " hung in the queue instead of resolving";
         EXPECT_EQ(futures[i].get().status,
                   RequestStatus::DeadlineExceeded);
     }

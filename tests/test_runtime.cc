@@ -27,6 +27,7 @@
 #include "ode/step_control.h"
 #include "runtime/exposition.h"
 #include "runtime/inference_server.h"
+#include "runtime/training_service.h"
 
 namespace enode {
 namespace {
@@ -120,6 +121,58 @@ TEST(InferenceServer, ResultsBitwiseMatchSingleThreadedReference)
     EXPECT_EQ(s.completed, n);
     EXPECT_EQ(s.admitted, n);
     EXPECT_EQ(s.rejected, 0u);
+}
+
+TEST(InferenceServer, WrongShapesAreRefusedAtSubmitAndServingGoesOn)
+{
+    // A state the model cannot take is answered InvalidInput at submit
+    // and never reaches the worker, whose solve would end the process
+    // on it: a rank-1 state one wider than the model's, a rank-2 one,
+    // and a rank-4 one a batch of one cannot stack. A training task is
+    // screened the same way, on its input and on its target. The worker
+    // then serves a valid request, and the refusals join the terminal
+    // identity.
+    InferenceServer server(makeReferenceModel, serverOptions(1, 8));
+    for (const Shape &shape :
+         {Shape{kDim + 1}, Shape{4, 4}, Shape{1, 1, 1, kDim}}) {
+        auto sub = server.submit(Tensor(shape));
+        ASSERT_TRUE(sub.accepted) << shape.str();
+        const InferResponse r = sub.result.get();
+        EXPECT_EQ(r.status, RequestStatus::InvalidInput) << shape.str();
+        EXPECT_TRUE(r.output.empty());
+    }
+
+    std::vector<Tensor> grads;
+    TrainTask task;
+    task.weights = server.registry().latest();
+    task.grads = &grads;
+    const std::pair<Shape, Shape> train_shapes[] = {
+        {Shape{kDim + 1}, Shape{kDim + 1}}, // input the model cannot take
+        {Shape{kDim}, Shape{kDim + 1}},     // target of another shape
+    };
+    for (const auto &[input, target] : train_shapes) {
+        task.input = Tensor(input);
+        task.target = Tensor(target);
+        auto sub = server.submitTrainTask(task);
+        ASSERT_TRUE(sub.accepted);
+        EXPECT_EQ(sub.result.get().status, RequestStatus::InvalidInput)
+            << input.str() << " -> " << target.str();
+    }
+
+    const Tensor input = makeInput(0);
+    auto sub = server.submit(input);
+    ASSERT_TRUE(sub.accepted);
+    const InferResponse r = sub.result.get();
+    EXPECT_EQ(r.status, RequestStatus::Ok);
+    EXPECT_TRUE(bitwiseEqual(r.output, referenceForward(input)));
+    server.stop();
+
+    const MetricsSummary s = server.metrics().summary();
+    EXPECT_EQ(s.invalid, 3u) << "training tasks stay out of the metrics";
+    EXPECT_EQ(s.completed, 1u);
+    EXPECT_EQ(s.admitted, s.completed + s.expired + s.failed + s.cancelled +
+                              s.shed + s.invalid);
+    EXPECT_EQ(server.metrics().snapshot().get("requests.invalid"), 3.0);
 }
 
 TEST(InferenceServer, EveryReplicaServesTheFirstBuiltWeights)
@@ -750,6 +803,21 @@ TEST(FaultMatrix, EveryStatusReachableWithMatchingCounters)
                       s.summary.failed + s.summary.cancelled +
                       s.summary.shed);
         see(s.response);
+    }
+    { // RequestStatus::InvalidInput: a state the model cannot take is
+      // refused at submit, counted admitted and terminal like a shed.
+        InferenceServer server(makeReferenceModel, serverOptions(1, 8));
+        auto sub = server.submit(Tensor(Shape{kDim + 1}));
+        ASSERT_TRUE(sub.accepted);
+        const InferResponse r = sub.result.get();
+        server.stop();
+        EXPECT_EQ(r.status, RequestStatus::InvalidInput);
+        const MetricsSummary s = server.metrics().summary();
+        EXPECT_EQ(s.invalid, 1u);
+        EXPECT_EQ(s.admitted,
+                  s.completed + s.expired + s.failed + s.cancelled + s.shed +
+                      s.invalid);
+        see(r);
     }
     setLogLevel(LogLevel::Info);
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * The thread-local tensor workspace pool and the zero-allocation solver
- * hot path built on it, plus the batcher's allocation-free pop.
+ * hot path built on it, plus the request queue's allocation-free
+ * collect.
  *
  * The pool's miss counter is a real heap allocation, so the central
  * assertions here — "misses == 0 after warm-up" — are the software
@@ -25,7 +26,8 @@
 #include "ode/ivp.h"
 #include "ode/ode_function.h"
 #include "ode/step_control.h"
-#include "runtime/batcher.h"
+#include "runtime/model_registry.h"
+#include "runtime/request_queue.h"
 #include "tensor/tensor.h"
 #include "tensor/workspace.h"
 
@@ -361,6 +363,40 @@ TEST(Workspace, WarmSoloForwardMakesOnlyItsResultHeapCall)
                          << res.totalStats.trials << " trials";
 }
 
+/** A warm batched forward's heap calls, and the trials it took. */
+struct WarmCount
+{
+    std::uint64_t heapCalls;
+    std::uint64_t trials;
+};
+
+/** Run forwardBatched twice to warm up, then count the third run. */
+WarmCount
+warmBatchedCount(NodeModel &model, const std::vector<Tensor> &xs,
+                 double tolerance)
+{
+    std::vector<FixedFactorController> ctrls(xs.size());
+    std::vector<StepController *> ctrl_ptrs;
+    for (auto &c : ctrls)
+        ctrl_ptrs.push_back(&c);
+    IvpOptions opts;
+    opts.tolerance = tolerance;
+    opts.initialDt = 0.05;
+    opts.recordCheckpoints = false;
+    const auto run = [&] {
+        return model.forwardBatched(xs, ButcherTableau::rk23(), ctrl_ptrs,
+                                    opts);
+    };
+    run();
+    run();
+    const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    const BatchedForwardResult res = run();
+    WarmCount c{g_heap_allocs.load(std::memory_order_relaxed) - before, 0};
+    for (const IvpStats &st : res.stats)
+        c.trials += st.trials;
+    return c;
+}
+
 TEST(Workspace, WarmBatchedSolveHeapCallsIndependentOfTrialCount)
 {
     // A batched forward returns freshly built per-sample vectors, a
@@ -372,43 +408,53 @@ TEST(Workspace, WarmBatchedSolveHeapCallsIndependentOfTrialCount)
     std::vector<Tensor> xs;
     for (int i = 0; i < 4; i++)
         xs.push_back(Tensor::randn(Shape{16}, rng, 0.5f));
-    std::vector<FixedFactorController> ctrls(xs.size());
-    std::vector<StepController *> ctrl_ptrs;
-    for (auto &c : ctrls)
-        ctrl_ptrs.push_back(&c);
 
-    struct Count
-    {
-        std::uint64_t heapCalls;
-        std::uint64_t trials;
-    };
-    const auto warmCount = [&](double tolerance) {
-        IvpOptions opts;
-        opts.tolerance = tolerance;
-        opts.initialDt = 0.05;
-        opts.recordCheckpoints = false;
-        const auto run = [&] {
-            return model->forwardBatched(xs, ButcherTableau::rk23(),
-                                         ctrl_ptrs, opts);
-        };
-        run();
-        run();
-        const std::uint64_t before =
-            g_heap_allocs.load(std::memory_order_relaxed);
-        const BatchedForwardResult res = run();
-        Count c{g_heap_allocs.load(std::memory_order_relaxed) - before, 0};
-        for (const IvpStats &st : res.stats)
-            c.trials += st.trials;
-        return c;
-    };
-
-    const Count loose = warmCount(1e-2);
-    const Count tight = warmCount(1e-5);
+    const WarmCount loose = warmBatchedCount(*model, xs, 1e-2);
+    const WarmCount tight = warmBatchedCount(*model, xs, 1e-5);
     ASSERT_GT(tight.trials, loose.trials);
     EXPECT_EQ(tight.heapCalls, loose.heapCalls)
         << "heap calls grew with trials: " << loose.trials << " trials -> "
         << loose.heapCalls << " calls, " << tight.trials << " trials -> "
         << tight.heapCalls << " calls";
+}
+
+TEST(Workspace, WarmConvSolveHeapCallsIndependentOfTrialCount)
+{
+    // The same holds on perfbench's conv model (6 channels, 2-conv f):
+    // every conv call hands its kernel body to intraOpParallelFor, and
+    // that chunk body only refers to the kernel's lambda, so no conv
+    // call makes a heap call however much its lambda captures.
+    Rng rng(31);
+    auto model = NodeModel::makeConv(2, 6, 2, rng);
+    std::vector<Tensor> xs;
+    for (int i = 0; i < 3; i++)
+        xs.push_back(Tensor::randn(Shape{6, 12, 12}, rng, 0.5f));
+
+    const WarmCount loose = warmBatchedCount(*model, xs, 3e-3);
+    const WarmCount tight = warmBatchedCount(*model, xs, 3e-4);
+    ASSERT_GT(tight.trials, loose.trials);
+    EXPECT_EQ(tight.heapCalls, loose.heapCalls)
+        << "heap calls grew with trials: " << loose.trials << " trials -> "
+        << loose.heapCalls << " calls, " << tight.trials << " trials -> "
+        << tight.heapCalls << " calls";
+}
+
+TEST(Workspace, WarmApplyToMakesNoHeapCalls)
+{
+    // A replica swap walks the model's slot list, which the model built
+    // once, and writes each parameter from the snapshot in place: on
+    // perfbench's MLP a warm ModelRegistry::applyTo makes no heap call.
+    Rng rng(37);
+    auto model = NodeModel::makeMlp(2, 16, 64, 2, rng);
+    auto replica = NodeModel::makeMlp(2, 16, 64, 2, rng);
+    const std::shared_ptr<WeightSnapshot> snap = ModelRegistry::capture(*model);
+    ModelRegistry::applyTo(*snap, *replica);
+
+    const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    ModelRegistry::applyTo(*snap, *replica);
+    EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - before, 0u);
+    EXPECT_EQ(replica->paramSlots()[0].param->at(0),
+              model->paramSlots()[0].param->at(0));
 }
 
 TEST(Workspace, WarmBatchedSolveMakesOnlyItsResultHeapCalls)
@@ -609,8 +655,7 @@ TEST(Workspace, CollectOfAQueuedRequestMakesNoHeapCalls)
     constexpr int kWarmup = 2;
     constexpr int kRounds = 100;
     for (const std::size_t max_batch : {1, 4}) {
-        RequestQueue queue(4, SelectPolicy::Fifo);
-        Batcher batcher(queue, max_batch);
+        RequestQueue queue(4, SelectPolicy::Fifo, max_batch);
         CollectedBatch batch;
         std::uint64_t push_calls = 0, collect_calls = 0;
         for (int i = 0; i < kWarmup + kRounds; i++) {
@@ -621,7 +666,7 @@ TEST(Workspace, CollectOfAQueuedRequestMakesNoHeapCalls)
             ASSERT_TRUE(queue.tryPush(entry));
             const std::uint64_t pushed =
                 g_heap_allocs.load(std::memory_order_relaxed);
-            ASSERT_TRUE(batcher.collect(batch));
+            ASSERT_TRUE(queue.collect(batch));
             const std::uint64_t collected =
                 g_heap_allocs.load(std::memory_order_relaxed);
             ASSERT_EQ(batch.entries.size(), 1u);
